@@ -130,10 +130,6 @@ def forward_bier(bift, header, at):
     return copies
 
 
-def bift_size(bift, router):
-    return bift.size(router)
-
-
 def flood_deliver(bift, header, at):
     """Recursively forward until every copy terminates; list of (BFER, bit).
 

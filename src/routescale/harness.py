@@ -64,11 +64,13 @@ def auto_providers(topo):
     edges = topo.edge_routers
     pid_of_edge = {e: i for i, e in enumerate(edges)}
     owned = {i: {e} for i, e in enumerate(edges)}
+    # links are undirected: rank by each edge's own distances, which the
+    # per-destination next-hop tables toward those edges reuse
+    dist_from = {e: topo.distances(e) for e in edges}
     for router in topo.roles:
         if router in pid_of_edge:
             continue
-        dist = topo.distances(router)
-        nearest = min(edges, key=lambda e: (dist[e], e))
+        nearest = min(edges, key=lambda e: (dist_from[e][router], e))
         owned[pid_of_edge[nearest]].add(router)
     return [
         Provider(pid, provider_prefix(pid), frozenset(routers))
@@ -124,8 +126,7 @@ def build_scenario(config, base_dir=None):
     if interval < 1:
         raise ScenarioError(f"snapshot_interval must be >= 1, got {interval}")
 
-    scenario = Scenario(topo, providers, params, modes, bsl,
-                        int(config.get("snapshot_interval", 10)),
+    scenario = Scenario(topo, providers, params, modes, bsl, interval,
                         config.get("fault"))
     # fail early on inconsistent provider/site wiring
     if any(m in UNICAST_MODES for m in modes):
@@ -197,10 +198,8 @@ class SimState:
             self._require_group(group)
             self.membership[group].add(receiver)
             if self.sg_state is not None:
-                from .topology import shortest_paths
                 sg = SgKey(self.groups[group], group)
-                multicast.join(self.sg_state, self.topo,
-                               shortest_paths(self.topo, receiver), sg, receiver)
+                multicast.join(self.sg_state, self.topo, sg, receiver)
             if self.overlay is not None:
                 self.overlay[group].add(self.bit_of[receiver])
         elif kind == workload.LEAVE:
@@ -210,10 +209,8 @@ class SimState:
                 raise SimError(f"leave for non-member edge {receiver} of group {group}")
             self.membership[group].discard(receiver)
             if self.sg_state is not None:
-                from .topology import shortest_paths
                 sg = SgKey(self.groups[group], group)
-                multicast.leave(self.sg_state, self.topo,
-                                shortest_paths(self.topo, receiver), sg, receiver)
+                multicast.leave(self.sg_state, self.topo, sg, receiver)
             if self.overlay is not None:
                 self.overlay[group].discard(self.bit_of[receiver])
         elif kind == workload.REMOVE_GROUP:

@@ -66,7 +66,7 @@ class SgState:
         }
 
 
-def join(state, topo, nexthops, sg, receiver_edge):
+def join(state, topo, sg, receiver_edge):
     """Graft ``receiver_edge`` onto the (S,G) tree.
 
     Walks from the receiver toward the source edge; stops as soon as a
@@ -77,14 +77,8 @@ def join(state, topo, nexthops, sg, receiver_edge):
     topo.require(sg.source_edge)
     cur = receiver_edge
     downstream = LOCAL
-    first = True
     while True:
-        if cur == sg.source_edge:
-            iif = LOCAL
-        elif first:
-            iif = nexthops[sg.source_edge]
-        else:
-            iif = topo.next_hop(cur, sg.source_edge)
+        iif = LOCAL if cur == sg.source_edge else topo.next_hop(cur, sg.source_edge)
         entry = state._install(cur, sg, iif)
         if downstream in entry.oifs:
             return state
@@ -93,10 +87,9 @@ def join(state, topo, nexthops, sg, receiver_edge):
             return state
         downstream = cur
         cur = iif
-        first = False
 
 
-def leave(state, topo, nexthops, sg, receiver_edge):
+def leave(state, topo, sg, receiver_edge):
     """Prune ``receiver_edge`` from the (S,G) tree.
 
     Removes local delivery at the receiver edge and propagates the prune
@@ -137,10 +130,6 @@ def forward_multicast(state, sg, at, arrived_from):
     return set(entry.oifs)
 
 
-def sg_state_count(state, router):
-    return state.count(router)
-
-
 def simulate_delivery(state, sg):
     """Edge routers receiving a local copy when the source injects one packet."""
     delivered = []
@@ -155,19 +144,3 @@ def simulate_delivery(state, sg):
             else:
                 stack.append((oif, at))
     return delivered
-
-
-def rebuild_from_membership(topo, groups, membership):
-    """From-scratch state for the given membership (order-independence oracle).
-
-    ``groups`` maps group id -> source edge; ``membership`` maps group id
-    -> iterable of receiver edge routers.
-    """
-    from .topology import shortest_paths
-
-    state = SgState()
-    for group in sorted(groups):
-        sg = SgKey(groups[group], group)
-        for receiver in sorted(membership.get(group, ())):
-            join(state, topo, shortest_paths(topo, receiver), sg, receiver)
-    return state

@@ -24,8 +24,11 @@ EDGE = "edge"
 class Topology:
     """Validated, immutable network graph.
 
-    Build via :func:`build_topology`; shortest-path distances are computed
-    lazily per source and cached, so repeated next-hop queries are cheap.
+    Build via :func:`build_topology`.  Next hops come from one table per
+    destination, :meth:`toward`: a single Dijkstra from the destination
+    gives every router's next hop toward it.  Distances and tables are
+    computed lazily and cached on the instance, so every caller (unicast
+    FIBs, the LSP mesh, BIFTs, multicast joins) reads the same table.
     """
 
     def __init__(self, roles, adjacency):
@@ -33,6 +36,7 @@ class Topology:
         self.adj = adjacency              # router id -> {neighbor: cost}
         self.edge_routers = sorted(r for r, role in roles.items() if role == EDGE)
         self._dist = {}                   # source -> {dest: cost}
+        self._toward = {}                 # dest -> {router: next hop}
 
     def __contains__(self, router):
         return router in self.roles
@@ -64,6 +68,29 @@ class Topology:
         self._dist[source] = dist
         return dist
 
+    def toward(self, dest):
+        """Next-hop table toward ``dest``: router -> neighbor on a shortest path.
+
+        Links are undirected, so one Dijkstra from ``dest`` gives every
+        router's remaining cost.  Among neighbors ``n`` with
+        ``cost(at, n) + dist(n) == dist(at)`` the smallest router id wins;
+        ``dest`` maps to itself.
+        """
+        table = self._toward.get(dest)
+        if table is not None:
+            return table
+        dist = self.distances(dest)
+        table = {}
+        for at, nbrs in self.adj.items():
+            if at == dest:
+                table[at] = at
+            else:
+                remaining = dist[at]
+                table[at] = min(n for n, cost in nbrs.items()
+                                if cost + dist[n] == remaining)
+        self._toward[dest] = table
+        return table
+
     def next_hop(self, at, dest):
         """Deterministic shortest-path neighbor from ``at`` toward ``dest``.
 
@@ -71,17 +98,7 @@ class Topology:
         router id wins.  ``at == dest`` returns ``at``.
         """
         self.require(at)
-        self.require(dest)
-        if at == dest:
-            return at
-        total = self.distances(at)[dest]
-        best = None
-        for nbr in sorted(self.adj[at]):
-            if self.adj[at][nbr] + self.distances(nbr).get(dest, float("inf")) == total:
-                best = nbr
-                break
-        assert best is not None, "connected graph must yield a next hop"
-        return best
+        return self.toward(dest)[at]
 
 
 def build_topology(routers, links):
@@ -142,25 +159,21 @@ def shortest_paths(topo, source):
     The source maps to itself.
     """
     topo.require(source)
-    return {dest: topo.next_hop(source, dest) for dest in topo.roles}
+    return {dest: topo.toward(dest)[source] for dest in topo.roles}
 
 
-def path_to(topo, nexthops, source, dest):
+def path_to(topo, source, dest):
     """Router sequence from ``source`` to ``dest`` following next hops.
 
-    ``nexthops`` is the source's table (as returned by
-    :func:`shortest_paths`); subsequent hops use each router's own
-    deterministic next hop, so the path is a function of (router, dest)
-    only and merges consistently across sources.
+    Every hop reads the table toward ``dest``, so the path is a function
+    of (router, dest) only and merges consistently across sources.
     """
     topo.require(source)
-    topo.require(dest)
+    hops = topo.toward(dest)
     path = [source]
     cur = source
-    first = True
     while cur != dest:
-        cur = nexthops[dest] if first else topo.next_hop(cur, dest)
-        first = False
+        cur = hops[cur]
         path.append(cur)
         if len(path) > len(topo):
             raise AssertionError("next-hop loop detected")

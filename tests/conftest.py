@@ -2,6 +2,7 @@
 
 import random
 
+from routescale.multicast import SgKey, SgState, join
 from routescale.topology import build_topology
 
 
@@ -45,6 +46,36 @@ def enumerate_min_paths(topo, source, dest):
 
     walk(source, 0, [source])
     return out
+
+
+def scan_next_hop(topo, at, dest):
+    """Per-call neighbor scan: the first neighbor, in id order, whose cost
+    plus its own distance to ``dest`` equals the distance from ``at``.
+
+    Reads distances from ``at`` and from each neighbor, never the table
+    toward ``dest`` that :meth:`Topology.next_hop` reads.
+    """
+    if at == dest:
+        return at
+    total = topo.distances(at)[dest]
+    for nbr in sorted(topo.adj[at]):
+        if topo.adj[at][nbr] + topo.distances(nbr)[dest] == total:
+            return nbr
+    raise AssertionError(f"no next hop from {at} toward {dest}")
+
+
+def rebuild_from_membership(topo, groups, membership):
+    """From-scratch state for the given membership (order-independence oracle).
+
+    ``groups`` maps group id -> source edge; ``membership`` maps group id
+    -> iterable of receiver edge routers.
+    """
+    state = SgState()
+    for group in sorted(groups):
+        sg = SgKey(groups[group], group)
+        for receiver in sorted(membership.get(group, ())):
+            join(state, topo, sg, receiver)
+    return state
 
 
 def random_topology(rng, n, max_cost=3, extra_links=None, n_edges=None):

@@ -7,13 +7,13 @@ lines on stdout.
 import random
 from pathlib import Path
 
-from conftest import random_topology
+from conftest import random_topology, rebuild_from_membership
 from routescale import bier, multicast
 from routescale.bier import assign_bfr_ids, build_bift, encapsulate_bier, flood_deliver, id_to_si_bit
 from routescale.cli import cli_main
 from routescale.harness import build_scenario, run
-from routescale.multicast import SgKey, SgState, rebuild_from_membership
-from routescale.topology import build_topology, shortest_paths
+from routescale.multicast import SgKey, SgState
+from routescale.topology import build_topology
 from routescale.unicast import UnicastPlane, host_address, make_site, site_prefix
 
 
@@ -182,11 +182,11 @@ def test_criterion_7_join_leave_reversibility():
             sg = SgKey(groups[g], g)
             if membership[g] and rng.random() < 0.45:
                 receiver = rng.choice(sorted(membership[g]))
-                multicast.leave(state, topo, shortest_paths(topo, receiver), sg, receiver)
+                multicast.leave(state, topo, sg, receiver)
                 membership[g].remove(receiver)
             else:
                 receiver = rng.choice(edges)
-                multicast.join(state, topo, shortest_paths(topo, receiver), sg, receiver)
+                multicast.join(state, topo, sg, receiver)
                 membership[g].add(receiver)
         rebuilt = rebuild_from_membership(topo, groups, membership)
         assert state.as_dict() == rebuilt.as_dict()

@@ -6,7 +6,6 @@ from routescale.bier import (
     LOCAL,
     BierHeader,
     assign_bfr_ids,
-    bift_size,
     bit_mask,
     bit_positions,
     build_bift,
@@ -18,7 +17,7 @@ from routescale.bier import (
 )
 from routescale.errors import MissingBiftEntry, NoEdgeRouters, UnknownGroup
 from routescale.multicast import SgKey, SgState
-from routescale.topology import build_topology, shortest_paths
+from routescale.topology import build_topology
 
 
 def line3():
@@ -136,7 +135,7 @@ class TestBiftSize:
     def test_size_equals_bfer_count_everywhere(self):
         topo = self.star20()
         bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 256)
-        assert all(bift_size(bift, r) == 20 for r in topo.roles)
+        assert all(bift.size(r) == 20 for r in topo.roles)
 
     def test_group_churn_never_touches_the_table(self):
         topo = self.star20()
@@ -148,7 +147,7 @@ class TestBiftSize:
             encapsulate_bier(overlay, g, 256)
         after = build_bift(topo, ids, 256)
         assert before.entries == after.entries
-        assert all(bift_size(after, r) == 20 for r in topo.roles)
+        assert all(after.size(r) == 20 for r in topo.roles)
 
 
 class TestProperties:
@@ -219,7 +218,7 @@ class TestProperties:
             state = SgState()
             sg = SgKey(source, 1)
             for receiver in members:
-                multicast.join(state, topo, shortest_paths(topo, receiver), sg, receiver)
+                multicast.join(state, topo, sg, receiver)
             stateful = set(multicast.simulate_delivery(state, sg))
 
             overlay = {1: {id_to_si_bit(ids[r], bsl) for r in members}}

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_topology, seeded
+from conftest import random_topology, rebuild_from_membership, seeded
 from routescale.errors import NoState, NotJoined, RpfFailure
 from routescale.multicast import (
     LOCAL,
@@ -9,23 +9,13 @@ from routescale.multicast import (
     forward_multicast,
     join,
     leave,
-    rebuild_from_membership,
-    sg_state_count,
     simulate_delivery,
 )
-from routescale.topology import build_topology, shortest_paths
+from routescale.topology import build_topology, path_to
 
 
 def line3():
     return build_topology([(0, "edge"), (1, "core"), (2, "edge")], [(0, 1, 1), (1, 2, 1)])
-
-
-def do_join(state, topo, sg, receiver):
-    return join(state, topo, shortest_paths(topo, receiver), sg, receiver)
-
-
-def do_leave(state, topo, sg, receiver):
-    return leave(state, topo, shortest_paths(topo, receiver), sg, receiver)
 
 
 class TestJoin:
@@ -33,14 +23,14 @@ class TestJoin:
         topo = line3()
         state = SgState()
         sg = SgKey(0, 1)
-        do_join(state, topo, sg, 0)
+        join(state, topo, sg, 0)
         assert state.as_dict() == {0: {sg: (LOCAL, frozenset({LOCAL}))}}
 
     def test_line_tree_shape(self):
         topo = line3()
         state = SgState()
         sg = SgKey(0, 1)
-        do_join(state, topo, sg, 2)
+        join(state, topo, sg, 2)
         assert state.as_dict() == {
             2: {sg: (1, frozenset({LOCAL}))},
             1: {sg: (0, frozenset({2}))},
@@ -51,9 +41,9 @@ class TestJoin:
         topo = line3()
         state = SgState()
         sg = SgKey(0, 1)
-        do_join(state, topo, sg, 2)
+        join(state, topo, sg, 2)
         snapshot = state.as_dict()
-        do_join(state, topo, sg, 2)
+        join(state, topo, sg, 2)
         assert state.as_dict() == snapshot
 
 
@@ -62,8 +52,8 @@ class TestLeave:
         topo = line3()
         state = SgState()
         sg = SgKey(0, 1)
-        do_join(state, topo, sg, 2)
-        do_leave(state, topo, sg, 2)
+        join(state, topo, sg, 2)
+        leave(state, topo, sg, 2)
         assert state.as_dict() == {}
 
     def test_shared_segment_survives_one_branch_leaving(self):
@@ -74,9 +64,9 @@ class TestLeave:
         )
         state = SgState()
         sg = SgKey(1, 9)
-        do_join(state, topo, sg, 2)
-        do_join(state, topo, sg, 3)
-        do_leave(state, topo, sg, 3)
+        join(state, topo, sg, 2)
+        join(state, topo, sg, 3)
+        leave(state, topo, sg, 3)
         rebuilt = rebuild_from_membership(topo, {9: 1}, {9: {2}})
         assert state.as_dict() == rebuilt.as_dict()
         assert state.entry(0, sg).oifs == {2}
@@ -85,7 +75,7 @@ class TestLeave:
         topo = line3()
         state = SgState()
         with pytest.raises(NotJoined):
-            do_leave(state, topo, SgKey(0, 1), 2)
+            leave(state, topo, SgKey(0, 1), 2)
 
 
 class TestForward:
@@ -93,14 +83,14 @@ class TestForward:
         topo = line3()
         state = SgState()
         sg = SgKey(0, 1)
-        do_join(state, topo, sg, 2)
+        join(state, topo, sg, 2)
         assert forward_multicast(state, sg, 1, arrived_from=0) == {2}
 
     def test_rpf_failure_on_wrong_arrival(self):
         topo = line3()
         state = SgState()
         sg = SgKey(0, 1)
-        do_join(state, topo, sg, 2)
+        join(state, topo, sg, 2)
         with pytest.raises(RpfFailure):
             forward_multicast(state, sg, 1, arrived_from=2)
 
@@ -116,14 +106,14 @@ class TestForward:
         state = SgState()
         sg = SgKey(1, 5)
         for receiver in (2, 3, 4):
-            do_join(state, topo, sg, receiver)
+            join(state, topo, sg, receiver)
         assert forward_multicast(state, sg, 0, arrived_from=1) == {2, 3, 4}
         assert sorted(simulate_delivery(state, sg)) == [2, 3, 4]
 
 
 class TestCounts:
     def test_fresh_state_is_zero(self):
-        assert sg_state_count(SgState(), 0) == 0
+        assert SgState().count(0) == 0
 
     def test_disjoint_pairs_through_shared_core(self):
         topo = build_topology(
@@ -133,16 +123,16 @@ class TestCounts:
         state = SgState()
         for g in range(5):
             sg = SgKey(1 + (g % 3), 100 + g)
-            do_join(state, topo, sg, 4 + (g % 3))
-        assert sg_state_count(state, 0) == 5
+            join(state, topo, sg, 4 + (g % 3))
+        assert state.count(0) == 5
 
     def test_join_leave_returns_to_zero(self):
         topo = line3()
         state = SgState()
         sg = SgKey(0, 1)
-        do_join(state, topo, sg, 2)
-        do_leave(state, topo, sg, 2)
-        assert sg_state_count(state, 0) == 0
+        join(state, topo, sg, 2)
+        leave(state, topo, sg, 2)
+        assert state.count(0) == 0
         assert state.total() == 0
 
 
@@ -157,7 +147,7 @@ class TestProperties:
             sg = SgKey(source, 1)
             members = set(rng.sample(edges, rng.randint(0, len(edges))))
             for receiver in members:
-                do_join(state, topo, sg, receiver)
+                join(state, topo, sg, receiver)
             delivered = simulate_delivery(state, sg)
             assert len(delivered) == len(set(delivered))   # no duplicates
             assert set(delivered) == members
@@ -176,18 +166,16 @@ class TestProperties:
                 joined = membership[g]
                 if joined and rng.random() < 0.4:
                     receiver = rng.choice(sorted(joined))
-                    do_leave(state, topo, sg, receiver)
+                    leave(state, topo, sg, receiver)
                     joined.remove(receiver)
                 else:
                     receiver = rng.choice(edges)
-                    do_join(state, topo, sg, receiver)
+                    join(state, topo, sg, receiver)
                     joined.add(receiver)
             rebuilt = rebuild_from_membership(topo, groups, membership)
             assert state.as_dict() == rebuilt.as_dict()
 
     def test_tree_is_union_of_reverse_shortest_paths(self):
-        from routescale.topology import path_to
-
         rng = seeded(41)
         for _ in range(25):
             topo = random_topology(rng, rng.randint(2, 8))
@@ -198,8 +186,7 @@ class TestProperties:
             state = SgState()
             expected_routers = set()
             for receiver in members:
-                do_join(state, topo, sg, receiver)
-                expected_routers.update(
-                    path_to(topo, shortest_paths(topo, receiver), receiver, source))
+                join(state, topo, sg, receiver)
+                expected_routers.update(path_to(topo, receiver, source))
             holding = {r for r in state.entries if state.entry(r, sg)}
             assert holding == expected_routers
