@@ -57,8 +57,7 @@ def id_to_si_bit(bfr_id, bsl):
 class Bift:
     """Per-router (SI, bit) -> (next hop or LOCAL, F-BM)."""
 
-    def __init__(self, bsl):
-        self.bsl = bsl
+    def __init__(self):
         self.entries = {}     # router -> {(si, bit): (next_hop, fbm)}
 
     def entry(self, router, si, bit):
@@ -74,7 +73,7 @@ def build_bift(topo, bfr_ids, bsl):
     A pure function of (topology, BFER set, BSL): group churn never
     touches it.
     """
-    bift = Bift(bsl)
+    bift = Bift()
     placements = {}    # bfer router -> (si, bit)
     for bfer, bfr_id in bfr_ids.items():
         topo.require(bfer)
@@ -148,10 +147,3 @@ def flood_deliver(bift, header, at):
                 stack.append((next_hop, copy))
     return delivered
 
-
-def format_trace(router, copies):
-    """Debug trace line: ``router -> [(nexthop, bitstring-hex)]``."""
-    parts = ", ".join(
-        f"({nh}, {copy.bits:#04x})" for nh, copy in copies
-    )
-    return f"{router} -> [{parts}]"

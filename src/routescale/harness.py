@@ -18,7 +18,7 @@ from .errors import DeliveryMismatch, ScenarioError, SimError
 from .generators import gen_topology
 from .multicast import SgKey, SgState
 from .topology import EDGE, build_topology
-from .unicast import Provider, UnicastPlane, make_site, provider_prefix
+from .unicast import Provider, UnicastPlane, check_providers, make_site, provider_prefix
 
 MODES = ("flat", "mapencap", "mpls", "stateful_mcast", "bier")
 UNICAST_MODES = ("flat", "mapencap", "mpls")
@@ -128,12 +128,8 @@ def build_scenario(config, base_dir=None):
 
     scenario = Scenario(topo, providers, params, modes, bsl, interval,
                         config.get("fault"))
-    # fail early on inconsistent provider/site wiring
     if any(m in UNICAST_MODES for m in modes):
-        try:
-            UnicastPlane(topo, providers)
-        except (ValueError, SimError) as exc:
-            raise ScenarioError(f"invalid providers: {exc}") from None
+        check_providers(topo, providers)
     # workload feasibility
     if params.n_groups > 0 and params.members_max > len(topo.edge_routers):
         raise ScenarioError("members_max exceeds number of edge routers")
@@ -168,7 +164,6 @@ class SimState:
             self.bfr_ids = bier.assign_bfr_ids(topo.edge_routers)
             self.bit_of = {r: bier.id_to_si_bit(i, scenario.bsl)
                            for r, i in self.bfr_ids.items()}
-            self.router_of_bit = {v: k for k, v in self.bit_of.items()}
             self.bift = bier.build_bift(topo, self.bfr_ids, scenario.bsl)
             self.overlay = {}   # group -> set of (si, bit)
         else:

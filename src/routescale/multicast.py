@@ -25,9 +25,6 @@ class SgEntry:
     iif: object                      # upstream neighbor RouterId, or LOCAL
     oifs: set = field(default_factory=set)   # neighbor ids and/or LOCAL
 
-    def copy(self):
-        return SgEntry(self.iif, set(self.oifs))
-
 
 class SgState:
     """Per-router map SgKey -> SgEntry."""

@@ -10,7 +10,7 @@ router.  To keep the core routable with exactly one FIB entry per
 provider aggregate, each provider owns at most one edge router, whose
 locator is the provider's own prefix.
 
-Every prefix table counts its lookups, so the harness can assert the
+Lookups are counted per router and mode, so the tests can assert the
 MPLS zero-lookup rule at transit routers.
 """
 
@@ -20,6 +20,7 @@ from .errors import (
     NoLabelBinding,
     NoMapping,
     NoRoute,
+    ScenarioError,
     UnattachedSite,
     UnknownRouter,
 )
@@ -29,8 +30,6 @@ IDENTIFIER_BASE = 0x8000_0000     # identifier space: 128.0.0.0/1
 SITE_PREFIX_LEN = 24
 PROVIDER_PREFIX_LEN = 8
 FIRST_LABEL = 16
-
-LOCAL_DELIVER = "local"
 
 
 @dataclass(frozen=True, order=True)
@@ -115,14 +114,13 @@ class Send:
 
 
 class PrefixTable:
-    """Longest-prefix-match table (binary trie) with a lookup counter."""
+    """Longest-prefix-match table (binary trie)."""
 
-    __slots__ = ("_root", "_count", "lookups")
+    __slots__ = ("_root", "_count")
 
     def __init__(self):
         self._root = [None, None, None]   # [zero-child, one-child, action]
         self._count = 0
-        self.lookups = 0
 
     def __len__(self):
         return self._count
@@ -139,21 +137,8 @@ class PrefixTable:
         node[2] = action
         self._count += 1
 
-    def remove(self, prefix):
-        node = self._root
-        for i in range(prefix.length):
-            bit = (prefix.value >> (31 - i)) & 1
-            node = node[bit]
-            if node is None:
-                raise KeyError(str(prefix))
-        if node[2] is None:
-            raise KeyError(str(prefix))
-        node[2] = None
-        self._count -= 1
-
     def lookup(self, addr):
         """Longest matching action for ``addr``; raises NoRoute on miss."""
-        self.lookups += 1
         node = self._root
         best = node[2]
         for i in range(32):
@@ -165,29 +150,6 @@ class PrefixTable:
         if best is None:
             raise NoRoute(f"no matching prefix for {addr:#010x}")
         return best
-
-
-class Fib:
-    """Per-router prefix tables with per-router lookup counters."""
-
-    def __init__(self, routers):
-        self.tables = {r: PrefixTable() for r in routers}
-
-    def add(self, router, prefix, action):
-        self.tables[router].add(prefix, action)
-
-    def lookup(self, router, addr):
-        return self.tables[router].lookup(addr)
-
-    def size(self, router):
-        return len(self.tables[router])
-
-    def lookups(self, router):
-        return self.tables[router].lookups
-
-    def reset_counters(self):
-        for t in self.tables.values():
-            t.lookups = 0
 
 
 class LabelTables:
@@ -235,65 +197,58 @@ def establish_lsp(topo, labels, ingress, egress):
     labels.ilm[egress][in_labels[-1]] = ("pop", None, None)
 
 
-class UnicastPlane:
-    """All per-router unicast state for the three modes, kept in sync.
+def check_providers(topo, providers):
+    """Providers must partition the routers, each owning at most one edge."""
+    ids = set()
+    owner = {}
+    for p in providers:
+        if p.provider_id in ids:
+            raise ScenarioError(f"invalid providers: duplicate provider id {p.provider_id}")
+        ids.add(p.provider_id)
+        edges = [r for r in p.owned_routers if topo.roles.get(r) == EDGE]
+        if len(edges) > 1:
+            raise ScenarioError(
+                f"invalid providers: provider {p.provider_id} owns {len(edges)} edge "
+                "routers; at most one is supported (locator aggregates must follow topology)"
+            )
+        for r in p.owned_routers:
+            if r not in topo.roles:
+                raise ScenarioError(f"invalid providers: router {r} not in topology")
+            if r in owner:
+                raise ScenarioError(f"invalid providers: router {r} owned by two providers")
+            owner[r] = p.provider_id
+    if set(owner) != set(topo.roles):
+        missing = sorted(set(topo.roles) - set(owner))
+        raise ScenarioError(f"invalid providers: routers without a provider: {missing}")
 
-    Sites are added incrementally (one entry per router for the flat FIB,
-    one mapping/FEC binding per edge router), so workload replay with
-    thousands of sites stays linear.
+
+class UnicastPlane:
+    """Unicast state for the three modes, kept once per namespace.
+
+    Every router's FIB action for a prefix is "deliver locally" at the
+    prefix's egress router and the next hop toward that egress elsewhere,
+    so the per-router FIBs are not stored: two shared tables map each
+    prefix to its egress, and :meth:`Topology.next_hop` supplies the rest.
+    Per-router FIB sizes are derived counts.  Lookups are counted per
+    router and mode at each consultation of that router's FIB.
     """
 
     def __init__(self, topo, providers):
+        check_providers(topo, providers)
         self.topo = topo
-        self.providers = {}
-        self.sites = {}
-        owner = {}
+        self.identifiers = PrefixTable()   # site prefix -> EndSite
+        self.locators = PrefixTable()      # locator prefix -> anchor router
+        self.edge_locator = {}             # edge router -> its provider's locator
         for p in providers:
-            if p.provider_id in self.providers:
-                raise ValueError(f"duplicate provider id {p.provider_id}")
-            edges = [r for r in p.owned_routers if topo.roles.get(r) == EDGE]
-            if len(edges) > 1:
-                raise ValueError(
-                    f"provider {p.provider_id} owns {len(edges)} edge routers; "
-                    "at most one is supported (locator aggregates must follow topology)"
-                )
-            for r in p.owned_routers:
-                topo.require(r)
-                if r in owner:
-                    raise ValueError(f"router {r} owned by two providers")
-                owner[r] = p.provider_id
-            self.providers[p.provider_id] = p
-        if set(owner) != set(topo.roles):
-            missing = sorted(set(topo.roles) - set(owner))
-            raise ValueError(f"routers without a provider: {missing}")
-        self.router_provider = owner
-
-        # anchor: the provider's edge router if it has one, else its
-        # lowest-id owned router; locator traffic terminates there
-        self.anchor = {}
-        self.edge_provider = {}
-        for pid, p in self.providers.items():
             edges = [r for r in p.owned_routers if topo.roles[r] == EDGE]
-            self.anchor[pid] = edges[0] if edges else min(p.owned_routers)
+            # anchor: the provider's edge router if it has one, else its
+            # lowest-id owned router; locator traffic terminates there
+            self.locators.add(p.locator_prefix, edges[0] if edges else min(p.owned_routers))
             if edges:
-                self.edge_provider[edges[0]] = pid
-
-        routers = list(topo.roles)
-        self.flat_fib = Fib(routers)
-        self.encap_fib = Fib(routers)
-        self.mapping = {}                 # identifier Prefix -> locator Prefix
-        self._mapping_lut = PrefixTable()  # replicated at every edge router
-        self.fec_fib = Fib(routers)       # identifier prefix -> egress router, edges only
-        self.labels = LabelTables(routers)
-        self._local_sites = {r: [] for r in routers}
-
-        for pid in sorted(self.providers):
-            locator = self.providers[pid].locator_prefix
-            anchor = self.anchor[pid]
-            for r in routers:
-                action = (LOCAL_DELIVER,) if r == anchor else ("send", topo.next_hop(r, anchor))
-                self.flat_fib.add(r, locator, action)
-                self.encap_fib.add(r, locator, action)
+                self.edge_locator[edges[0]] = p.locator_prefix
+        self.labels = LabelTables(list(topo.roles))
+        self._lookups = {mode: dict.fromkeys(topo.roles, 0)
+                         for mode in ("flat", "mapencap", "mpls")}
 
         for ingress in topo.edge_routers:
             for egress in topo.edge_routers:
@@ -306,63 +261,31 @@ class UnicastPlane:
             raise UnattachedSite(
                 f"site {site.site_id} attached to non-edge router {site.attached_edge}"
             )
-        if site.site_id in self.sites:
-            raise ValueError(f"duplicate site id {site.site_id}")
-        self.sites[site.site_id] = site
-        self._local_sites[site.attached_edge].append(site)
-
-        for r in self.topo.roles:
-            if r == site.attached_edge:
-                action = (LOCAL_DELIVER,)
-            else:
-                action = ("send", self.topo.next_hop(r, site.attached_edge))
-            self.flat_fib.add(r, site.identifier_prefix, action)
-
-        pid = self.edge_provider.get(site.attached_edge)
-        if pid is None:
-            raise UnattachedSite(
-                f"edge router {site.attached_edge} has no owning provider"
-            )
-        locator = self.providers[pid].locator_prefix
-        self.mapping[site.identifier_prefix] = locator
-        self._mapping_lut.add(site.identifier_prefix, locator)
-
-        for edge in self.topo.edge_routers:
-            self.fec_fib.add(edge, site.identifier_prefix, ("egress", site.attached_edge))
-
-    def remove_site(self, site_id):
-        site = self.sites.pop(site_id)
-        self._local_sites[site.attached_edge].remove(site)
-        for r in self.topo.roles:
-            self.flat_fib.tables[r].remove(site.identifier_prefix)
-        del self.mapping[site.identifier_prefix]
-        self._mapping_lut.remove(site.identifier_prefix)
-        for edge in self.topo.edge_routers:
-            self.fec_fib.tables[edge].remove(site.identifier_prefix)
+        self.identifiers.add(site.identifier_prefix, site)
 
     def _local_site(self, router, addr):
-        for site in self._local_sites[router]:
-            if site.identifier_prefix.contains(addr):
-                return site
-        return None
+        try:
+            site = self.identifiers.lookup(addr)
+        except NoRoute:
+            return None
+        return site if site.attached_edge == router else None
 
     # -- state counts -------------------------------------------------------
 
     def flat_fib_size(self, router):
-        return self.flat_fib.size(router)
+        return len(self.locators) + len(self.identifiers)
 
     def encap_fib_size(self, router):
-        return self.encap_fib.size(router)
+        return len(self.locators)
 
     def mapping_entries(self, router):
-        return len(self.mapping) if self.topo.roles[router] == EDGE else 0
+        return len(self.identifiers) if self.topo.roles[router] == EDGE else 0
 
     def label_entries(self, router):
         return self.labels.entries(router)
 
     def lookup_counts(self, mode):
-        fib = {"flat": self.flat_fib, "mapencap": self.encap_fib, "mpls": self.fec_fib}[mode]
-        return {r: fib.lookups(r) for r in self.topo.roles}
+        return dict(self._lookups[mode])
 
     # -- forwarding ---------------------------------------------------------
 
@@ -378,13 +301,17 @@ class UnicastPlane:
         raise ValueError(f"unknown unicast mode {mode!r}")
 
     def _forward_flat(self, packet, at):
-        action = self.flat_fib.lookup(at, packet.dst)
-        if action[0] == LOCAL_DELIVER:
-            site = self._local_site(at, packet.dst)
-            if site is None:
-                raise NoRoute(f"{packet.dst:#010x} not attached at router {at}")
-            return Deliver(site.site_id)
-        return Send(action[1], packet)
+        self._lookups["flat"][at] += 1
+        if packet.dst & IDENTIFIER_BASE:
+            egress = self.identifiers.lookup(packet.dst).attached_edge
+        else:
+            egress = self.locators.lookup(packet.dst)
+        if egress != at:
+            return Send(self.topo.next_hop(at, egress), packet)
+        site = self._local_site(at, packet.dst)
+        if site is None:
+            raise NoRoute(f"{packet.dst:#010x} not attached at router {at}")
+        return Deliver(site.site_id)
 
     def _forward_mapencap(self, packet, at):
         if packet.outer is None:
@@ -393,20 +320,17 @@ class UnicastPlane:
                 return Deliver(site.site_id)
             if self.topo.roles[at] != EDGE:
                 raise NoMapping(f"router {at} is not an ingress edge")
-            locator = self._mapping_lut.lookup(packet.dst)
-            outer = host_address(locator)
-            action = self.encap_fib.lookup(at, outer)
-            if action[0] == LOCAL_DELIVER:
-                # ingress is also the egress anchor but the site is remote
-                raise NoRoute(f"{packet.dst:#010x} unreachable via {locator}")
-            return Send(action[1], replace(packet, outer=outer))
-        action = self.encap_fib.lookup(at, packet.outer)
-        if action[0] == LOCAL_DELIVER:
-            site = self._local_site(at, packet.dst)
-            if site is None:
-                raise NoRoute(f"{packet.dst:#010x} not attached at egress {at}")
-            return Deliver(site.site_id)
-        return Send(action[1], packet)
+            # the mapping: identifier -> site -> attached edge -> locator
+            site = self.identifiers.lookup(packet.dst)
+            packet = replace(packet, outer=host_address(self.edge_locator[site.attached_edge]))
+        self._lookups["mapencap"][at] += 1
+        anchor = self.locators.lookup(packet.outer)
+        if anchor != at:
+            return Send(self.topo.next_hop(at, anchor), packet)
+        site = self._local_site(at, packet.dst)
+        if site is None:
+            raise NoRoute(f"{packet.dst:#010x} not attached at egress {at}")
+        return Deliver(site.site_id)
 
     def _forward_mpls(self, packet, at):
         if packet.label is None:
@@ -415,8 +339,8 @@ class UnicastPlane:
                 return Deliver(site.site_id)
             if self.topo.roles[at] != EDGE:
                 raise NoLabelBinding(f"router {at} is not an MPLS ingress")
-            action = self.fec_fib.lookup(at, packet.dst)
-            egress = action[1]
+            self._lookups["mpls"][at] += 1
+            egress = self.identifiers.lookup(packet.dst).attached_edge
             push, next_hop = self.labels.fec[at][egress]
             return Send(next_hop, replace(packet, label=push))
         entry = self.labels.ilm[at].get(packet.label)
@@ -443,19 +367,3 @@ class UnicastPlane:
             packet = decision.packet
             path.append(at)
         raise NoRoute(f"packet to {dst_addr:#010x} looped in mode {mode}")
-
-
-def build_flat_fib(topo, sites, providers):
-    """Flat-FIB construction: one entry per site prefix plus per locator."""
-    plane = UnicastPlane(topo, providers)
-    for site in sites:
-        plane.add_site(site)
-    return plane.flat_fib
-
-
-def build_mapencap_tables(topo, sites, providers):
-    """Map-and-encap tables: locator-only FIB plus edge mapping table."""
-    plane = UnicastPlane(topo, providers)
-    for site in sites:
-        plane.add_site(site)
-    return plane.encap_fib, dict(plane.mapping)

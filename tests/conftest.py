@@ -1,9 +1,19 @@
 """Shared test helpers: brute-force oracles and random topology builder."""
 
 import random
+from dataclasses import replace
 
+from routescale.errors import NoLabelBinding, NoMapping, NoRoute, UnknownRouter
 from routescale.multicast import SgKey, SgState, join
-from routescale.topology import build_topology
+from routescale.topology import EDGE, build_topology
+from routescale.unicast import (
+    Deliver,
+    LabelTables,
+    PrefixTable,
+    Send,
+    establish_lsp,
+    host_address,
+)
 
 
 def brute_min_cost(topo, source, dest):
@@ -76,6 +86,117 @@ def rebuild_from_membership(topo, groups, membership):
         for receiver in sorted(membership.get(group, ())):
             join(state, topo, sg, receiver)
     return state
+
+
+class MaterialisedFibs:
+    """Reference unicast plane that stores every router's tables.
+
+    Each router has a longest-prefix-match table of every locator and
+    site prefix with a ``("local",)`` or ``("send", next hop)`` action
+    (flat FIB) and one of the locators only (map-and-encap FIB).  Each
+    edge router has a mapping table (site prefix -> locator) and a FEC
+    table (site prefix -> egress router).  Forwarding reads only these
+    tables and counts one lookup per per-router FIB consulted, so
+    :class:`UnicastPlane`'s derived sizes, decisions and counters can be
+    checked against it.
+    """
+
+    def __init__(self, topo, providers, sites):
+        self.topo = topo
+        routers = list(topo.roles)
+        self.flat = {r: PrefixTable() for r in routers}
+        self.encap = {r: PrefixTable() for r in routers}
+        self.mapping = {e: PrefixTable() for e in topo.edge_routers}
+        self.fec = {e: PrefixTable() for e in topo.edge_routers}
+        self.local_sites = {r: [] for r in routers}
+        self.lookups = {m: dict.fromkeys(routers, 0) for m in ("flat", "mapencap", "mpls")}
+
+        def action(r, egress):
+            return ("local",) if r == egress else ("send", topo.next_hop(r, egress))
+
+        locator_of = {}
+        for p in providers:
+            edges = sorted(r for r in p.owned_routers if topo.roles[r] == EDGE)
+            anchor = edges[0] if edges else min(p.owned_routers)
+            locator_of.update((e, p.locator_prefix) for e in edges)
+            for r in routers:
+                self.flat[r].add(p.locator_prefix, action(r, anchor))
+                self.encap[r].add(p.locator_prefix, action(r, anchor))
+        for site in sites:
+            self.local_sites[site.attached_edge].append(site)
+            for r in routers:
+                self.flat[r].add(site.identifier_prefix, action(r, site.attached_edge))
+            for e in topo.edge_routers:
+                self.mapping[e].add(site.identifier_prefix, locator_of[site.attached_edge])
+                self.fec[e].add(site.identifier_prefix, site.attached_edge)
+
+        self.labels = LabelTables(routers)
+        for ingress in topo.edge_routers:
+            for egress in topo.edge_routers:
+                establish_lsp(topo, self.labels, ingress, egress)
+
+    def flat_fib_size(self, router):
+        return len(self.flat[router])
+
+    def encap_fib_size(self, router):
+        return len(self.encap[router])
+
+    def mapping_entries(self, router):
+        return len(self.mapping[router]) if router in self.mapping else 0
+
+    def _lookup(self, mode, tables, at, addr):
+        self.lookups[mode][at] += 1
+        return tables[at].lookup(addr)
+
+    def _local_site(self, at, addr):
+        for site in self.local_sites[at]:
+            if site.identifier_prefix.contains(addr):
+                return site
+        return None
+
+    def _deliver_here(self, at, addr):
+        site = self._local_site(at, addr)
+        if site is None:
+            raise NoRoute(f"{addr:#010x} not attached at router {at}")
+        return Deliver(site.site_id)
+
+    def forward(self, mode, packet, at):
+        if at not in self.topo.roles:
+            raise UnknownRouter(f"router {at} not in topology")
+        if mode == "flat":
+            action = self._lookup("flat", self.flat, at, packet.dst)
+            if action[0] == "local":
+                return self._deliver_here(at, packet.dst)
+            return Send(action[1], packet)
+        if mode == "mapencap":
+            if packet.outer is None:
+                if self._local_site(at, packet.dst) is not None:
+                    return self._deliver_here(at, packet.dst)
+                if self.topo.roles[at] != EDGE:
+                    raise NoMapping(f"router {at} is not an ingress edge")
+                locator = self.mapping[at].lookup(packet.dst)
+                packet = replace(packet, outer=host_address(locator))
+            action = self._lookup("mapencap", self.encap, at, packet.outer)
+            if action[0] == "local":
+                return self._deliver_here(at, packet.dst)
+            return Send(action[1], packet)
+        if mode == "mpls":
+            if packet.label is None:
+                if self._local_site(at, packet.dst) is not None:
+                    return self._deliver_here(at, packet.dst)
+                if self.topo.roles[at] != EDGE:
+                    raise NoLabelBinding(f"router {at} is not an MPLS ingress")
+                egress = self._lookup("mpls", self.fec, at, packet.dst)
+                push, next_hop = self.labels.fec[at][egress]
+                return Send(next_hop, replace(packet, label=push))
+            entry = self.labels.ilm[at].get(packet.label)
+            if entry is None:
+                raise NoLabelBinding(f"router {at} has no binding for label {packet.label}")
+            op, out_label, next_hop = entry
+            if op == "swap":
+                return Send(next_hop, replace(packet, label=out_label))
+            return self._deliver_here(at, packet.dst)
+        raise ValueError(f"unknown unicast mode {mode!r}")
 
 
 def random_topology(rng, n, max_cost=3, extra_links=None, n_edges=None):

@@ -11,7 +11,6 @@ from routescale.bier import (
     build_bift,
     encapsulate_bier,
     flood_deliver,
-    format_trace,
     forward_bier,
     id_to_si_bit,
 )
@@ -117,14 +116,6 @@ class TestForward:
         bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 8)
         with pytest.raises(MissingBiftEntry):
             forward_bier(bift, BierHeader(0, 0b100), 1)
-
-    def test_trace_format_golden(self):
-        topo = line3()
-        bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 8)
-        line_at_core = format_trace(1, forward_bier(bift, BierHeader(0, 0b11), 1))
-        line_at_edge = format_trace(0, forward_bier(bift, BierHeader(0, 0b11), 0))
-        assert line_at_core == "1 -> [(0, 0x01), (2, 0x02)]"
-        assert line_at_edge == "0 -> [(local, 0x01), (1, 0x02)]"
 
 
 class TestBiftSize:

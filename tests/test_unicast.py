@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_topology, seeded
-from routescale.errors import NoMapping, NoRoute, UnattachedSite
+from conftest import MaterialisedFibs, random_topology, seeded
+from routescale.errors import NoMapping, NoRoute, SimError, UnattachedSite
 from routescale.harness import auto_providers
 from routescale.topology import build_topology
 from routescale.unicast import (
@@ -14,8 +14,6 @@ from routescale.unicast import (
     PrefixTable,
     Send,
     UnicastPlane,
-    build_flat_fib,
-    build_mapencap_tables,
     establish_lsp,
     host_address,
     make_site,
@@ -89,24 +87,25 @@ class TestLongestPrefixMatch:
             table.add(Prefix(0, 8), "b")
 
 
+def y_topology():
+    return build_topology(
+        [(0, "edge"), (1, "core"), (2, "core"), (3, "edge"), (4, "edge")],
+        [(0, 1, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1)],
+    )
+
+
 class TestFlatFib:
     def test_zero_sites_one_provider(self):
         topo = build_topology([(0, "edge"), (1, "core")], [(0, 1, 1)])
-        providers = auto_providers(topo)
-        fib = build_flat_fib(topo, [], providers)
-        assert all(fib.size(r) == 1 for r in topo.roles)
+        plane = plane_with_sites(topo, [])
+        assert all(plane.flat_fib_size(r) == 1 for r in topo.roles)
 
     def test_core_entry_count_is_sites_plus_providers(self):
-        topo = build_topology(
-            [(0, "edge"), (1, "core"), (2, "core"), (3, "edge"), (4, "edge")],
-            [(0, 1, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1)],
-        )
-        providers = auto_providers(topo)
-        assert len(providers) == 3
-        sites = [make_site(i, [0, 3, 4][i % 3]) for i in range(100)]
-        fib = build_flat_fib(topo, sites, providers)
-        assert fib.size(1) == 103
-        assert fib.size(2) == 103
+        topo = y_topology()
+        assert len(auto_providers(topo)) == 3
+        plane = plane_with_sites(topo, [(i, [0, 3, 4][i % 3]) for i in range(100)])
+        assert plane.flat_fib_size(1) == 103
+        assert plane.flat_fib_size(2) == 103
 
     def test_adding_one_site_increments_every_router_by_one(self):
         topo = line3()
@@ -123,33 +122,17 @@ class TestFlatFib:
 
 class TestMapEncapTables:
     def test_core_fib_holds_only_locators(self):
-        topo = build_topology(
-            [(0, "edge"), (1, "core"), (2, "core"), (3, "edge"), (4, "edge")],
-            [(0, 1, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1)],
-        )
-        providers = auto_providers(topo)
-        sites = [make_site(i, [0, 3, 4][i % 3]) for i in range(100)]
-        fib, mapping = build_mapencap_tables(topo, sites, providers)
-        assert fib.size(1) == 3
-        assert fib.size(2) == 3
-        assert len(mapping) == 100
+        topo = y_topology()
+        plane = plane_with_sites(topo, [(i, [0, 3, 4][i % 3]) for i in range(100)])
+        assert plane.encap_fib_size(1) == 3
+        assert plane.encap_fib_size(2) == 3
+        assert [plane.mapping_entries(r) for r in range(5)] == [100, 0, 0, 100, 100]
 
     def test_zero_sites(self):
         topo = line3()
-        fib, mapping = build_mapencap_tables(topo, [], auto_providers(topo))
-        assert mapping == {}
-        assert all(fib.size(r) == 2 for r in topo.roles)
-
-    def test_site_move_changes_mapping_only(self):
-        topo = line3()
-        plane = plane_with_sites(topo, [(0, 0)])
-        core_before = plane.encap_fib_size(1)
-        mapping_before = dict(plane.mapping)
-        plane.remove_site(0)
-        plane.add_site(make_site(0, 2))
-        assert plane.encap_fib_size(1) == core_before
-        assert dict(plane.mapping) != mapping_before
-        assert plane.mapping[site_prefix(0)] == plane.providers[1].locator_prefix
+        plane = plane_with_sites(topo, [])
+        assert all(plane.mapping_entries(r) == 0 for r in topo.roles)
+        assert all(plane.encap_fib_size(r) == 2 for r in topo.roles)
 
 
 class TestForwarding:
@@ -168,13 +151,13 @@ class TestForwarding:
         assert isinstance(d0, Send) and d0.next_hop == 1
         assert d0.packet.outer is not None
 
-        inner_lookups = plane.flat_fib.lookups(1)
+        inner_lookups = plane.lookup_counts("flat")[1]
         d1 = plane.forward("mapencap", d0.packet, 1)
         assert isinstance(d1, Send) and d1.next_hop == 2
         assert d1.packet.outer == d0.packet.outer
         # core lookup touched the locator-only FIB, never the flat one
-        assert plane.flat_fib.lookups(1) == inner_lookups
-        assert plane.encap_fib.lookups(1) == 1
+        assert plane.lookup_counts("flat")[1] == inner_lookups
+        assert plane.lookup_counts("mapencap")[1] == 1
 
         assert plane.forward("mapencap", d1.packet, 2) == Deliver(0)
 
@@ -253,3 +236,52 @@ class TestDeliveryEquivalence:
                         assert plane.deliver("mapencap", src, addr)[0] == expected
                         assert plane.deliver("mpls", src, addr)[0] == expected
                     assert expected == site_id
+
+
+def outcome(fibs, mode, packet, at):
+    """A forwarding decision, or the type of error it raised."""
+    try:
+        return fibs.forward(mode, packet, at)
+    except SimError as exc:
+        return type(exc)
+
+
+@st.composite
+def planes(draw):
+    """A random topology with auto providers and random site attachments,
+    as a plane and as its materialised per-router tables."""
+    topo = random_topology(seeded(draw(st.integers(0, 2**32 - 1))),
+                           draw(st.integers(min_value=1, max_value=8)))
+    providers = auto_providers(topo)
+    edges = draw(st.lists(st.sampled_from(topo.edge_routers), max_size=8))
+    sites = [make_site(i, edge) for i, edge in enumerate(edges)]
+    plane = UnicastPlane(topo, providers)
+    for site in sites:
+        plane.add_site(site)
+    return plane, MaterialisedFibs(topo, providers, sites), providers, len(sites)
+
+
+class TestDerivedTables:
+    @settings(max_examples=100, deadline=None)
+    @given(planes())
+    def test_sizes_decisions_and_lookups_match_materialised_tables(self, drawn):
+        plane, oracle, providers, n_sites = drawn
+        topo = plane.topo
+        for r in topo.roles:
+            assert plane.flat_fib_size(r) == oracle.flat_fib_size(r)
+            assert plane.encap_fib_size(r) == oracle.encap_fib_size(r)
+            assert plane.mapping_entries(r) == oracle.mapping_entries(r)
+        # every site, one unregistered site, every locator
+        addrs = [host_address(site_prefix(i)) for i in range(n_sites + 1)]
+        addrs += [host_address(p.locator_prefix) for p in providers]
+        for mode in ("flat", "mapencap", "mpls"):
+            for src in topo.roles:
+                for addr in addrs:
+                    packet, at = Packet(addr), src
+                    for _ in range(len(topo) + 2):
+                        decision = outcome(plane, mode, packet, at)
+                        assert decision == outcome(oracle, mode, packet, at)
+                        assert plane.lookup_counts(mode) == oracle.lookups[mode]
+                        if not isinstance(decision, Send):
+                            break
+                        packet, at = decision.packet, decision.next_hop
