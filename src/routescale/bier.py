@@ -31,12 +31,10 @@ def bit_mask(position):
 def bit_positions(bits):
     """Ascending 1-based positions set in ``bits``."""
     out = []
-    pos = 1
     while bits:
-        if bits & 1:
-            out.append(pos)
-        bits >>= 1
-        pos += 1
+        low = bits & -bits
+        out.append(low.bit_length())
+        bits ^= low
     return out
 
 
@@ -59,9 +57,6 @@ class Bift:
 
     def __init__(self):
         self.entries = {}     # router -> {(si, bit): (next_hop, fbm)}
-
-    def entry(self, router, si, bit):
-        return self.entries.get(router, {}).get((si, bit))
 
     def size(self, router):
         return len(self.entries.get(router, {}))
@@ -108,24 +103,24 @@ def encapsulate_bier(overlay, group, bsl):
 def forward_bier(bift, header, at):
     """Partition a bitstring by next hop and emit one filtered copy each.
 
-    Iterates set bits low-to-high over a working copy, ANDs each emitted
-    copy with the entry's F-BM, and clears the F-BM from the working
-    copy, so no two copies share a bit and their OR equals the input.
+    RFC 8279 section 6.5: take the lowest set bit of the working copy,
+    look up its entry, emit ``working & F-BM`` toward the entry's next
+    hop and clear the F-BM from the working copy.  One lookup per copy,
+    bits in ascending order, no two copies share a bit and their OR
+    equals the input.
     """
+    row = bift.entries.get(at, {})
+    si = header.si
     copies = []
     working = header.bits
-    bit = 1
     while working:
-        if working & bit_mask(bit):
-            entry = bift.entry(at, header.si, bit)
-            if entry is None:
-                raise MissingBiftEntry(
-                    f"router {at}: no BIFT entry for SI {header.si} bit {bit}"
-                )
-            next_hop, fbm = entry
-            copies.append((next_hop, BierHeader(header.si, working & fbm)))
-            working &= ~fbm
-        bit += 1
+        bit = (working & -working).bit_length()
+        entry = row.get((si, bit))
+        if entry is None:
+            raise MissingBiftEntry(f"router {at}: no BIFT entry for SI {si} bit {bit}")
+        next_hop, fbm = entry
+        copies.append((next_hop, BierHeader(si, working & fbm)))
+        working &= ~fbm
     return copies
 
 

@@ -18,7 +18,14 @@ from .errors import DeliveryMismatch, ScenarioError, SimError
 from .generators import gen_topology
 from .multicast import SgKey, SgState
 from .topology import EDGE, build_topology
-from .unicast import Provider, UnicastPlane, check_providers, make_site, provider_prefix
+from .unicast import (
+    MAX_PROVIDERS,
+    Provider,
+    UnicastPlane,
+    check_providers,
+    make_site,
+    provider_prefix,
+)
 
 MODES = ("flat", "mapencap", "mpls", "stateful_mcast", "bier")
 UNICAST_MODES = ("flat", "mapencap", "mpls")
@@ -92,6 +99,33 @@ def _build_topology_section(section, base_dir):
         raise ScenarioError(f"topology section missing key {exc}") from None
 
 
+def _build_providers(section, topo):
+    """Providers for the unicast modes: ``"auto"`` or a list of
+    ``{"id", "routers"}``.  Locators are /8 prefixes under 0/1, so ids
+    run from 0 to MAX_PROVIDERS - 1."""
+    if section == "auto":
+        n_edges = len(topo.edge_routers)
+        if n_edges > MAX_PROVIDERS:
+            raise ScenarioError(
+                f"auto providers: {n_edges} edge routers need {n_edges} providers, but "
+                f"unicast modes support at most {MAX_PROVIDERS} (/8 locators under 0/1)"
+            )
+        return auto_providers(topo)
+    providers = []
+    for p in section:
+        try:
+            pid, routers = int(p["id"]), frozenset(int(r) for r in p["routers"])
+        except KeyError as exc:
+            raise ScenarioError(f"provider entry missing key {exc}") from None
+        if not 0 <= pid < MAX_PROVIDERS:
+            raise ScenarioError(
+                f"provider id {pid} out of range 0..{MAX_PROVIDERS - 1} "
+                "(/8 locators under 0/1)"
+            )
+        providers.append(Provider(pid, provider_prefix(pid), routers))
+    return providers
+
+
 def build_scenario(config, base_dir=None):
     """Validate a scenario dict (parsed JSON) into a Scenario."""
     known = {"topology", "providers", "workload", "modes", "bsl",
@@ -103,20 +137,15 @@ def build_scenario(config, base_dir=None):
         raise ScenarioError("scenario needs a topology section")
     topo = _build_topology_section(config["topology"], base_dir)
 
-    providers_cfg = config.get("providers", "auto")
-    if providers_cfg == "auto":
-        providers = auto_providers(topo)
-    else:
-        providers = [
-            Provider(int(p["id"]), provider_prefix(int(p["id"])),
-                     frozenset(int(r) for r in p["routers"]))
-            for p in providers_cfg
-        ]
-
     modes = tuple(config.get("modes", MODES))
     for m in modes:
         if m not in MODES:
             raise ScenarioError(f"unknown mode {m!r} (choose from {MODES})")
+    # providers exist only for the unicast modes
+    providers = []
+    if any(m in UNICAST_MODES for m in modes):
+        providers = _build_providers(config.get("providers", "auto"), topo)
+        check_providers(topo, providers)
 
     params = workload.Params.from_dict(config.get("workload", {}))
     bsl = int(config.get("bsl", bier.DEFAULT_BSL))
@@ -128,20 +157,21 @@ def build_scenario(config, base_dir=None):
 
     scenario = Scenario(topo, providers, params, modes, bsl, interval,
                         config.get("fault"))
-    if any(m in UNICAST_MODES for m in modes):
-        check_providers(topo, providers)
     # workload feasibility
     if params.n_groups > 0 and params.members_max > len(topo.edge_routers):
         raise ScenarioError("members_max exceeds number of edge routers")
     return scenario
 
 
-def load_scenario(path):
+def load_scenario(path, modes=None):
+    """Read and validate a scenario file; ``modes`` replaces its modes."""
     path = Path(path)
     try:
         config = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
+    if modes is not None:
+        config["modes"] = list(modes)
     return build_scenario(config, base_dir=path.parent)
 
 
@@ -154,7 +184,7 @@ class SimState:
         self.topo = topo
         self.modes = scenario.modes
         self.unicast = (
-            UnicastPlane(topo, scenario.providers)
+            UnicastPlane(topo, scenario.providers, lsp_mesh="mpls" in scenario.modes)
             if any(m in UNICAST_MODES for m in scenario.modes) else None
         )
         self.sg_state = SgState() if "stateful_mcast" in scenario.modes else None

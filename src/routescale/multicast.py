@@ -128,14 +128,18 @@ def forward_multicast(state, sg, at, arrived_from):
 
 
 def simulate_delivery(state, sg):
-    """Edge routers receiving a local copy when the source injects one packet."""
+    """Edge routers receiving a local copy when the source injects one packet.
+
+    The list is a multiset in no particular order: one element per local
+    copy, so a duplicate delivery shows as a repeated router.
+    """
     delivered = []
     if state.entry(sg.source_edge, sg) is None:
         return delivered
     stack = [(sg.source_edge, LOCAL)]
     while stack:
         at, arrived_from = stack.pop()
-        for oif in sorted(forward_multicast(state, sg, at, arrived_from), key=str):
+        for oif in forward_multicast(state, sg, at, arrived_from):
             if oif == LOCAL:
                 delivered.append(at)
             else:

@@ -29,6 +29,7 @@ from .topology import EDGE
 IDENTIFIER_BASE = 0x8000_0000     # identifier space: 128.0.0.0/1
 SITE_PREFIX_LEN = 24
 PROVIDER_PREFIX_LEN = 8
+MAX_PROVIDERS = 1 << (PROVIDER_PREFIX_LEN - 1)    # /8 locators under 0/1
 FIRST_LABEL = 16
 
 
@@ -65,7 +66,7 @@ def site_prefix(site_id):
 
 def provider_prefix(provider_id):
     """Deterministic /8 locator prefix for a provider id."""
-    if not 0 <= provider_id < 128:
+    if not 0 <= provider_id < MAX_PROVIDERS:
         raise ValueError(f"provider id {provider_id} out of range")
     return Prefix(provider_id << 24, PROVIDER_PREFIX_LEN)
 
@@ -231,9 +232,12 @@ class UnicastPlane:
     prefix to its egress, and :meth:`Topology.next_hop` supplies the rest.
     Per-router FIB sizes are derived counts.  Lookups are counted per
     router and mode at each consultation of that router's FIB.
+
+    The edge-to-edge LSP mesh (the label tables) is built only with
+    ``lsp_mesh``; without it an MPLS ingress raises ``NoLabelBinding``.
     """
 
-    def __init__(self, topo, providers):
+    def __init__(self, topo, providers, lsp_mesh=True):
         check_providers(topo, providers)
         self.topo = topo
         self.identifiers = PrefixTable()   # site prefix -> EndSite
@@ -249,10 +253,10 @@ class UnicastPlane:
         self.labels = LabelTables(list(topo.roles))
         self._lookups = {mode: dict.fromkeys(topo.roles, 0)
                          for mode in ("flat", "mapencap", "mpls")}
-
-        for ingress in topo.edge_routers:
-            for egress in topo.edge_routers:
-                establish_lsp(topo, self.labels, ingress, egress)
+        if lsp_mesh:
+            for ingress in topo.edge_routers:
+                for egress in topo.edge_routers:
+                    establish_lsp(topo, self.labels, ingress, egress)
 
     # -- site management ----------------------------------------------------
 
@@ -341,7 +345,10 @@ class UnicastPlane:
                 raise NoLabelBinding(f"router {at} is not an MPLS ingress")
             self._lookups["mpls"][at] += 1
             egress = self.identifiers.lookup(packet.dst).attached_edge
-            push, next_hop = self.labels.fec[at][egress]
+            binding = self.labels.fec[at].get(egress)
+            if binding is None:
+                raise NoLabelBinding(f"router {at} has no LSP toward egress {egress}")
+            push, next_hop = binding
             return Send(next_hop, replace(packet, label=push))
         entry = self.labels.ilm[at].get(packet.label)
         if entry is None:

@@ -3,7 +3,9 @@
 import random
 from dataclasses import replace
 
-from routescale.errors import NoLabelBinding, NoMapping, NoRoute, UnknownRouter
+from routescale import multicast
+from routescale.bier import LOCAL, BierHeader, bit_mask
+from routescale.errors import MissingBiftEntry, NoLabelBinding, NoMapping, NoRoute, UnknownRouter
 from routescale.multicast import SgKey, SgState, join
 from routescale.topology import EDGE, build_topology
 from routescale.unicast import (
@@ -86,6 +88,60 @@ def rebuild_from_membership(topo, groups, membership):
         for receiver in sorted(membership.get(group, ())):
             join(state, topo, sg, receiver)
     return state
+
+
+def scan_forward_bier(bift, header, at):
+    """Bit-by-bit BIER forwarding: tests every position up to the highest
+    set bit, one BIFT lookup per set bit still in the working copy."""
+    copies = []
+    working = header.bits
+    bit = 1
+    while working:
+        if working & bit_mask(bit):
+            entry = bift.entries.get(at, {}).get((header.si, bit))
+            if entry is None:
+                raise MissingBiftEntry(
+                    f"router {at}: no BIFT entry for SI {header.si} bit {bit}"
+                )
+            next_hop, fbm = entry
+            copies.append((next_hop, BierHeader(header.si, working & fbm)))
+            working &= ~fbm
+        bit += 1
+    return copies
+
+
+def scan_flood_deliver(bift, header, at):
+    """``flood_deliver`` over :func:`scan_forward_bier`, bit by bit at the
+    BFERs too."""
+    delivered = []
+    stack = [(at, header)]
+    while stack:
+        router, h = stack.pop()
+        for next_hop, copy in scan_forward_bier(bift, h, router):
+            if next_hop == LOCAL:
+                for bit in range(1, copy.bits.bit_length() + 1):
+                    if copy.bits & bit_mask(bit):
+                        delivered.append((router, bit))
+            else:
+                stack.append((next_hop, copy))
+    return delivered
+
+
+def sorted_simulate_delivery(state, sg):
+    """(S,G) replication visiting each router's outgoing interfaces in
+    sorted order."""
+    delivered = []
+    if state.entry(sg.source_edge, sg) is None:
+        return delivered
+    stack = [(sg.source_edge, multicast.LOCAL)]
+    while stack:
+        at, arrived_from = stack.pop()
+        for oif in sorted(multicast.forward_multicast(state, sg, at, arrived_from), key=str):
+            if oif == multicast.LOCAL:
+                delivered.append(at)
+            else:
+                stack.append((oif, at))
+    return delivered
 
 
 class MaterialisedFibs:

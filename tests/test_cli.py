@@ -5,6 +5,7 @@ from routescale.cli import cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXAMPLE_SCENARIO = str(Path(__file__).parent.parent / "scenarios" / "example.json")
+BIER_WIDE_SCENARIO = str(Path(__file__).parent.parent / "scenarios" / "bier_wide.json")
 
 
 class TestValidate:
@@ -47,6 +48,26 @@ class TestRun:
         rc = cli_main(["run", "--scenario", EXAMPLE_SCENARIO,
                        "--out", str(tmp_path), "--modes", "warp"])
         assert rc == 1
+
+    def test_bier_only_star_200_runs(self, tmp_path):
+        assert cli_main(["run", "--scenario", BIER_WIDE_SCENARIO, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "delivery.csv").read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[3] == "1" for row in rows)
+
+    def test_modes_override_is_validated(self, tmp_path, capsys):
+        # beyond 128 edge routers a unicast mode has too few /8 locators
+        rc = cli_main(["run", "--scenario", BIER_WIDE_SCENARIO,
+                       "--out", str(tmp_path / "a"), "--modes", "flat,bier"])
+        assert rc == 1
+        assert "at most 128" in capsys.readouterr().err
+        # and dropping the unicast modes lifts the limit
+        config = json.loads(Path(BIER_WIDE_SCENARIO).read_text())
+        config["modes"] = ["flat", "bier"]
+        scenario = tmp_path / "wide_unicast.json"
+        scenario.write_text(json.dumps(config))
+        assert cli_main(["validate", "--scenario", str(scenario)]) == 1
+        assert cli_main(["run", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "b"), "--modes", "bier"]) == 0
 
     def test_seed_override_is_deterministic(self, tmp_path):
         for name in ("a", "b"):

@@ -69,6 +69,40 @@ class TestScenarioLoading:
             build_scenario(config)
 
 
+class TestProviderValidation:
+    """Providers exist for the unicast modes only; /8 locators cap them at 128."""
+
+    def star200(self, modes):
+        return small_config(topology={"kind": "star", "size": 200}, modes=modes, bsl=64,
+                            workload={"seed": 3, "n_groups": 4, "members_min": 2,
+                                      "members_max": 80, "churn_events": 40})
+
+    def test_bier_only_beyond_the_limit_builds(self):
+        scenario = build_scenario(self.star200(["bier"]))
+        assert scenario.providers == []
+        sim = SimState(scenario)
+        # 199 BFERs at BSL 64 span four Set Identifiers
+        assert {si for si, _ in sim.bit_of.values()} == {0, 1, 2, 3}
+
+    def test_unicast_mode_beyond_the_limit_rejected(self):
+        with pytest.raises(ScenarioError, match="at most 128"):
+            build_scenario(self.star200(["flat", "bier"]))
+
+    def test_explicit_provider_id_out_of_range_rejected(self):
+        config = small_config(providers=[{"id": 0, "routers": [0, 1]},
+                                         {"id": 128, "routers": [2]}])
+        with pytest.raises(ScenarioError, match="out of range"):
+            build_scenario(config)
+
+    def test_provider_entry_without_id_rejected(self):
+        with pytest.raises(ScenarioError, match="missing key"):
+            build_scenario(small_config(providers=[{"routers": [0, 1, 2]}]))
+
+    def test_providers_ignored_without_unicast_modes(self):
+        config = small_config(modes=["bier"], providers=[{"id": 0, "routers": [0, 1, 2]}])
+        assert build_scenario(config).providers == []
+
+
 class TestAutoProviders:
     def test_partition_with_one_edge_each(self):
         topo = build_topology(
@@ -125,6 +159,14 @@ class TestRun:
             assert a[2] == b[2] + 1          # flat FIB grew by one everywhere
         # mapencap core FIB unchanged: still |providers| at the core router
         assert sim.unicast.encap_fib_size(1) == 2
+
+    def test_lsp_mesh_only_with_mpls(self):
+        for modes, has_labels in ((["flat"], False), (["flat", "mapencap"], False),
+                                  (["flat", "mpls"], True)):
+            scenario = build_scenario(small_config(modes=modes))
+            sim = SimState(scenario)
+            total = sum(sim.unicast.label_entries(r) for r in scenario.topology.roles)
+            assert (total > 0) == has_labels, modes
 
     def test_add_group_and_joins_leave_bift_unchanged(self):
         scenario = build_scenario(small_config(workload={"seed": 1}))

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MaterialisedFibs, random_topology, seeded
-from routescale.errors import NoMapping, NoRoute, SimError, UnattachedSite
+from routescale.errors import NoLabelBinding, NoMapping, NoRoute, SimError, UnattachedSite
 from routescale.harness import auto_providers
 from routescale.topology import build_topology
 from routescale.unicast import (
@@ -217,6 +217,14 @@ class TestLsp:
         establish_lsp(topo, labels, 0, 2)
         assert snapshot == ({r: dict(t) for r, t in labels.ilm.items()},
                             {r: dict(t) for r, t in labels.fec.items()})
+
+    def test_plane_without_mesh_has_no_bindings(self):
+        topo = line3()
+        plane = UnicastPlane(topo, auto_providers(topo), lsp_mesh=False)
+        plane.add_site(make_site(0, 2))
+        assert all(plane.label_entries(r) == 0 for r in topo.roles)
+        with pytest.raises(NoLabelBinding):
+            plane.forward("mpls", Packet(host_address(site_prefix(0))), 0)
 
 
 class TestDeliveryEquivalence:
