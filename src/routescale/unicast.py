@@ -30,6 +30,7 @@ IDENTIFIER_BASE = 0x8000_0000     # identifier space: 128.0.0.0/1
 SITE_PREFIX_LEN = 24
 PROVIDER_PREFIX_LEN = 8
 MAX_PROVIDERS = 1 << (PROVIDER_PREFIX_LEN - 1)    # /8 locators under 0/1
+MAX_SITES = 1 << (SITE_PREFIX_LEN - 1)            # /24 identifiers under 1/1
 FIRST_LABEL = 16
 
 
@@ -59,7 +60,7 @@ class Prefix:
 
 def site_prefix(site_id):
     """Deterministic /24 identifier prefix for a site id."""
-    if not 0 <= site_id < (1 << 23):
+    if not 0 <= site_id < MAX_SITES:
         raise ValueError(f"site id {site_id} out of range")
     return Prefix(IDENTIFIER_BASE | (site_id << 8), SITE_PREFIX_LEN)
 

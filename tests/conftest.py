@@ -3,9 +3,17 @@
 import random
 from dataclasses import replace
 
-from routescale import multicast
+from routescale import bier, multicast
 from routescale.bier import LOCAL, BierHeader, bit_mask
-from routescale.errors import MissingBiftEntry, NoLabelBinding, NoMapping, NoRoute, UnknownRouter
+from routescale.errors import (
+    DeliveryMismatch,
+    MissingBiftEntry,
+    NoLabelBinding,
+    NoMapping,
+    NoRoute,
+    UnknownRouter,
+)
+from routescale.harness import DeliveryRow
 from routescale.multicast import SgKey, SgState, join
 from routescale.topology import EDGE, build_topology
 from routescale.unicast import (
@@ -142,6 +150,38 @@ def sorted_simulate_delivery(state, sg):
             else:
                 stack.append((oif, at))
     return delivered
+
+
+def full_probe(sim, tick):
+    """Re-forward one packet per active group per multicast mode of a
+    ``SimState``, whatever changed since its last probe; a mismatch raises
+    DeliveryMismatch.  Never reads or writes ``sim.verified``."""
+    rows = []
+    for group in sorted(sim.groups):
+        expected = frozenset(sim.membership[group])
+        if sim.sg_state is not None:
+            sg = SgKey(sim.groups[group], group)
+            delivered_list = multicast.simulate_delivery(sim.sg_state, sg)
+            delivered = frozenset(delivered_list)
+            ok = (delivered == expected
+                  and len(delivered_list) == len(delivered))
+            rows.append(DeliveryRow(tick, group, "stateful", ok, delivered, expected))
+            if not ok:
+                raise DeliveryMismatch(tick, group, "stateful", delivered, expected)
+        if sim.bift is not None:
+            delivered_list = []
+            headers = bier.encapsulate_bier(sim.overlay, group, sim.scenario.bsl)
+            headers = sim._inject_fault(headers)
+            for header in headers:
+                delivered_list.extend(
+                    bier.flood_deliver(sim.bift, header, sim.groups[group]))
+            delivered = frozenset(r for r, _ in delivered_list)
+            ok = (delivered == expected
+                  and len(delivered_list) == len(delivered))
+            rows.append(DeliveryRow(tick, group, "bier", ok, delivered, expected))
+            if not ok:
+                raise DeliveryMismatch(tick, group, "bier", delivered, expected)
+    return rows
 
 
 class MaterialisedFibs:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 from routescale.cli import cli_main
+from routescale.unicast import MAX_SITES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXAMPLE_SCENARIO = str(Path(__file__).parent.parent / "scenarios" / "example.json")
@@ -21,6 +22,14 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"topology": {"kind": "line", "size": 3}, "bsl": 0}))
         assert cli_main(["validate", "--scenario", str(bad)]) == 1
+
+    def test_too_many_sites_for_unicast(self, tmp_path, capsys):
+        config = json.loads(Path(EXAMPLE_SCENARIO).read_text())
+        config["workload"]["n_sites"] = MAX_SITES + 1
+        scenario = tmp_path / "many_sites.json"
+        scenario.write_text(json.dumps(config))
+        assert cli_main(["validate", "--scenario", str(scenario)]) == 1
+        assert "/24" in capsys.readouterr().err
 
 
 class TestRun:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from routescale.harness import (
     run,
 )
 from routescale.topology import build_topology
+from routescale.unicast import MAX_SITES
 from routescale.workload import Event
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -101,6 +103,24 @@ class TestProviderValidation:
     def test_providers_ignored_without_unicast_modes(self):
         config = small_config(modes=["bier"], providers=[{"id": 0, "routers": [0, 1, 2]}])
         assert build_scenario(config).providers == []
+
+
+class TestSiteIdValidation:
+    """Unicast modes give each site a /24 identifier under 1/1: 2**23 sites."""
+
+    def config(self, modes, n_sites):
+        return small_config(modes=modes, workload={"seed": 1, "n_sites": n_sites})
+
+    def test_unicast_mode_beyond_the_limit_rejected(self):
+        with pytest.raises(ScenarioError, match="/24"):
+            build_scenario(self.config(["flat", "bier"], MAX_SITES + 1))
+
+    def test_unicast_mode_at_the_limit_builds(self):
+        assert build_scenario(self.config(["mpls"], MAX_SITES)).workload.n_sites == MAX_SITES
+
+    def test_bier_only_unconstrained(self):
+        scenario = build_scenario(self.config(["stateful_mcast", "bier"], MAX_SITES + 1))
+        assert scenario.workload.n_sites == MAX_SITES + 1
 
 
 class TestAutoProviders:
@@ -236,7 +256,10 @@ class TestCsv:
 
     def test_seed_override_changes_schedule(self):
         scenario = load_scenario(EXAMPLE_SCENARIO)
-        s1, _ = run(scenario, seed=1)
-        s2, _ = run(scenario, seed=2)
-        assert [s.tick for s in s1] or True
-        assert any(a.rows != b.rows for a, b in zip(s1, s2)) or len(s1) != len(s2)
+        params = scenario.workload
+        schedules = [workload.generate(scenario.topology, replace(params, seed=seed)).events
+                     for seed in (1, 2)]
+        assert schedules[0] != schedules[1]
+        # overriding with the scenario's own seed changes nothing
+        assert run(scenario, seed=params.seed) == run(scenario)
+        assert run(scenario, seed=1) != run(scenario, seed=2)

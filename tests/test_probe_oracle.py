@@ -1,18 +1,22 @@
-"""Both multicast probe paths against their bit-by-bit and sorted references."""
+"""Both multicast probe paths against their bit-by-bit and sorted references,
+and the incremental harness probe against a full re-probe."""
 
 from collections import Counter
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    full_probe,
     random_topology,
     scan_flood_deliver,
     scan_forward_bier,
     seeded,
     sorted_simulate_delivery,
 )
-from routescale import multicast
+from routescale import multicast, workload
 from routescale.bier import (
     BierHeader,
     assign_bfr_ids,
@@ -22,8 +26,12 @@ from routescale.bier import (
     forward_bier,
     id_to_si_bit,
 )
-from routescale.errors import MissingBiftEntry
+from routescale.errors import DeliveryMismatch, MissingBiftEntry
+from routescale.harness import Scenario, SimState, load_scenario, run
 from routescale.multicast import SgKey, SgState
+from routescale.workload import Event
+
+FAULT_SCENARIO = Path(__file__).parent / "fixtures" / "fault_scenario.json"
 
 
 def outcome(fn, *args):
@@ -87,3 +95,73 @@ def test_sg_replication_matches_sorted_reference(seed, n, data):
             delivered = multicast.simulate_delivery(state, probed)
             assert Counter(delivered) == Counter(sorted_simulate_delivery(state, probed))
             assert Counter(delivered) == Counter(members[probed])
+
+
+def probe_outcome(probe, sim, tick):
+    """A harness probe's rows, or where its DeliveryMismatch was raised."""
+    try:
+        return "ok", probe(sim, tick)
+    except DeliveryMismatch as exc:
+        return "mismatch", (exc.tick, exc.group, exc.mode)
+
+
+OPS = ("add_group", "join", "leave", "remove_group")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10),
+       st.integers(min_value=1, max_value=8), st.sampled_from([None, "bier_drop_lowest_bit"]),
+       st.data())
+def test_incremental_probe_matches_full_probe(seed, n, bsl, fault, data):
+    topo = random_topology(seeded(seed), n)
+    edges = topo.edge_routers
+    scenario = Scenario(topo, [], workload.Params(), ("stateful_mcast", "bier"), bsl, 1, fault)
+    sim = SimState(scenario)
+    ops = data.draw(st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2),
+                                       st.integers(0, len(edges) - 1)),
+                             max_size=30))
+    source_of = {}    # group -> its source when last added
+    for tick, (op, group, pick) in enumerate(ops):
+        members = sorted(sim.membership.get(group, ()))
+        if group not in sim.groups:
+            # a removed group comes back with its old source on add_group,
+            # with any source otherwise
+            source = source_of.get(group, edges[pick]) if op == "add_group" else edges[pick]
+            source_of[group] = source
+            events = [(workload.ADD_GROUP, (group, source))]
+        elif op == "add_group":
+            events = [(workload.ADD_GROUP, (group, sim.groups[group]))]
+        elif op == "join":
+            # may re-join a current member
+            events = [(workload.JOIN, (group, edges[pick]))]
+        elif op == "leave" and members:
+            events = [(workload.LEAVE, (group, members[pick % len(members)]))]
+        elif op == "remove_group":
+            events = [(workload.LEAVE, (group, m)) for m in members]
+            events.append((workload.REMOVE_GROUP, (group,)))
+        else:
+            continue
+        for kind, args in events:
+            sim.apply(Event(tick, kind, args))
+            assert probe_outcome(SimState.probe, sim, tick) == probe_outcome(
+                full_probe, sim, tick)
+
+
+def test_fault_fixture_aborts_where_a_full_probe_does():
+    scenario = load_scenario(FAULT_SCENARIO)
+    with pytest.raises(DeliveryMismatch) as excinfo:
+        run(scenario)
+    aborted = ("mismatch", (excinfo.value.tick, excinfo.value.group, excinfo.value.mode))
+    # the same replay with a full re-probe at every snapshot
+    sim = SimState(scenario)
+    events = workload.generate(scenario.topology, scenario.workload).events
+    last = events[-1].tick
+    for tick in range(last + 1):
+        for event in events:
+            if event.tick == tick:
+                sim.apply(event)
+        if tick % scenario.snapshot_interval == 0 or tick == last:
+            outcome = probe_outcome(full_probe, sim, tick)
+            if outcome[0] == "mismatch":
+                break
+    assert outcome == aborted
