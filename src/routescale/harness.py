@@ -4,17 +4,26 @@ A scenario bundles a topology, providers, workload parameters, the set
 of forwarding modes to run, the BIER bitstring length, and a snapshot
 interval.  Replaying the schedule records per-router state counts and,
 at every snapshot, reports one delivery row per active group per
-multicast mode.  A group whose membership or tree changed since its last
-verified probe is re-forwarded: one probe packet per multicast mode,
-comparing delivered receiver sets against the membership ground truth.
-Any other group's rows repeat that verified result, because nothing its
-packets read has changed since.  Any mismatch aborts the run so scaling
-numbers are never reported from an incorrect forwarding plane.
+multicast mode.
+
+Both records cost what changed since the previous snapshot, not the
+size of the network.  A state snapshot reuses every router row whose
+counts no event can have changed: the label and BIFT columns are fixed
+at construction, the unicast columns change only when a site is added,
+and the (S,G) column only at routers where a join or leave created or
+deleted an entry.  A group whose membership or tree changed since its
+last verified probe is re-forwarded: one probe packet per multicast
+mode, comparing delivered receiver sets against the membership ground
+truth.  Any other group's rows repeat that verified result, because
+nothing its packets read has changed since.  Any mismatch aborts the
+run so scaling numbers are never reported from an incorrect forwarding
+plane.
 """
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bier, multicast, workload
 from .errors import DeliveryMismatch, ScenarioError, SimError
@@ -33,6 +42,8 @@ from .unicast import (
 
 MODES = ("flat", "mapencap", "mpls", "stateful_mcast", "bier")
 UNICAST_MODES = ("flat", "mapencap", "mpls")
+# fault injections for testing the abort path; each perturbs BIER headers
+FAULTS = ("bier_drop_lowest_bit",)
 
 STATE_HEADER = "tick,router,role,fib,mapping,labels,sg,bift"
 DELIVERY_HEADER = "tick,group,mode,ok,delivered,expected"
@@ -56,8 +67,7 @@ class StateSnapshot:
     rows: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class DeliveryRow:
+class DeliveryRow(NamedTuple):
     tick: int
     group: int
     mode: str
@@ -166,8 +176,14 @@ def build_scenario(config, base_dir=None):
     if interval < 1:
         raise ScenarioError(f"snapshot_interval must be >= 1, got {interval}")
 
-    scenario = Scenario(topo, providers, params, modes, bsl, interval,
-                        config.get("fault"))
+    fault = config.get("fault")
+    if fault is not None:
+        if fault not in FAULTS:
+            raise ScenarioError(f"unknown fault {fault!r} (choose from {FAULTS})")
+        if "bier" not in modes:
+            raise ScenarioError(f"fault {fault!r} needs mode 'bier', which is not enabled")
+
+    scenario = Scenario(topo, providers, params, modes, bsl, interval, fault)
     # workload feasibility
     if params.n_groups > 0 and params.members_max > len(topo.edge_routers):
         raise ScenarioError("members_max exceeds number of edge routers")
@@ -213,6 +229,16 @@ class SimState:
         else:
             self.bift = None
             self.overlay = None
+        # router -> its report row, in router order; a row is rebuilt only
+        # when a count in it may have changed (see snapshot)
+        self._fixed = {r: (
+            topo.roles[r],
+            self.unicast.label_entries(r) if "mpls" in self.modes else 0,
+            self.bift.size(r) if self.bift is not None else 0,
+        ) for r in sorted(topo.roles)}
+        self._n_identifiers = len(self.unicast.identifiers) if self.unicast else 0
+        self._unicast_cols = self._unicast_columns()
+        self._rows = {r: self._row(r) for r in self._fixed}
 
     def apply(self, event):
         kind, args = event.kind, event.args
@@ -274,19 +300,46 @@ class SimState:
 
     # -- measurement ----------------------------------------------------
 
+    def _unicast_columns(self):
+        """role -> (fib, mapping): counts of the shared prefix tables that
+        depend on a router's role only."""
+        cols = {}
+        for router, (role, _, _) in self._fixed.items():
+            if role not in cols:
+                cols[role] = (
+                    self.unicast.flat_fib_size(router) if "flat" in self.modes else 0,
+                    self.unicast.mapping_entries(router) if "mapencap" in self.modes else 0,
+                )
+        return cols
+
+    def _row(self, router):
+        role, labels, bift_n = self._fixed[router]
+        fib, mapping = self._unicast_cols[role]
+        sg = self.sg_state.count(router) if self.sg_state is not None else 0
+        return (router, role, fib, mapping, labels, sg, bift_n)
+
     def snapshot(self, tick):
-        rows = []
-        for router in sorted(self.topo.roles):
-            rows.append((
-                router,
-                self.topo.roles[router],
-                self.unicast.flat_fib_size(router) if "flat" in self.modes else 0,
-                self.unicast.mapping_entries(router) if "mapencap" in self.modes else 0,
-                self.unicast.label_entries(router) if "mpls" in self.modes else 0,
-                self.sg_state.count(router) if self.sg_state is not None else 0,
-                self.bift.size(router) if self.bift is not None else 0,
-            ))
-        return StateSnapshot(tick, rows)
+        """Every router's state counts at ``tick``, sorted by router.
+
+        Only what an event may have changed since the previous snapshot
+        is re-read: the (S,G) count at each router where an entry was
+        created or deleted, and, after a site was added, the unicast
+        columns of every row.  The label and BIFT columns never change
+        after construction.  Rows that did not change are shared with
+        earlier snapshots; the returned list is never modified afterwards.
+        """
+        if self.sg_state is not None:
+            for router in self.sg_state.changed:
+                self._rows[router] = self._row(router)
+            self.sg_state.changed.clear()
+        # a site added since the last snapshot also changes the unicast
+        # columns of the rows just rebuilt
+        if self.unicast is not None and len(self.unicast.identifiers) != self._n_identifiers:
+            self._n_identifiers = len(self.unicast.identifiers)
+            cols = self._unicast_cols = self._unicast_columns()
+            self._rows = {router: (router, role, *cols[role], labels, sg, bift_n)
+                          for router, role, _, _, labels, sg, bift_n in self._rows.values()}
+        return StateSnapshot(tick, list(self._rows.values()))
 
     def probe(self, tick):
         """One row per active group per multicast mode; mismatch aborts.
@@ -340,8 +393,6 @@ class SimState:
                 else:
                     out.append(h)
             return out
-        if self.scenario.fault is not None:
-            raise ScenarioError(f"unknown fault {self.scenario.fault!r}")
         return headers
 
 
@@ -376,10 +427,16 @@ def emit_csv(snapshots, report, out_dir):
     state_path = out_dir / "state.csv"
     delivery_path = out_dir / "delivery.csv"
 
+    # snapshots share unchanged rows, so each distinct row is formatted once
+    state_text = {}
     lines = [STATE_HEADER]
     for snap in snapshots:
-        for router, role, fib, mapping, labels, sg, bift_n in snap.rows:
-            lines.append(f"{snap.tick},{router},{role},{fib},{mapping},{labels},{sg},{bift_n}")
+        tick = f"{snap.tick},"
+        for row in snap.rows:
+            text = state_text.get(row)
+            if text is None:
+                text = state_text[row] = "%s,%s,%s,%s,%s,%s,%s" % row
+            lines.append(tick + text)
     state_path.write_text("\n".join(lines) + "\n")
 
     # repeated rows share their receiver sets, so each is formatted once

@@ -8,14 +8,16 @@ different receivers merge into one consistent tree.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import NoState, NotJoined, RpfFailure
 
 LOCAL = "local"           # iif at the source edge; oif meaning local delivery
 
 
-@dataclass(frozen=True, order=True)
-class SgKey:
+class SgKey(NamedTuple):
+    """(S,G) of a source-specific group; hashed and ordered as a tuple."""
+
     source_edge: int
     group: int
 
@@ -27,10 +29,16 @@ class SgEntry:
 
 
 class SgState:
-    """Per-router map SgKey -> SgEntry."""
+    """Per-router map SgKey -> SgEntry.
+
+    ``changed`` collects every router where an entry was created or
+    deleted, the only writes that change a router's entry count; its
+    reader clears it.
+    """
 
     def __init__(self):
         self.entries = {}            # router -> {SgKey: SgEntry}
+        self.changed = set()
 
     def entry(self, router, sg):
         return self.entries.get(router, {}).get(sg)
@@ -41,11 +49,13 @@ class SgState:
         if entry is None:
             entry = SgEntry(iif)
             table[sg] = entry
+            self.changed.add(router)
         return entry
 
     def _delete(self, router, sg):
         table = self.entries[router]
         del table[sg]
+        self.changed.add(router)
         if not table:
             del self.entries[router]
 

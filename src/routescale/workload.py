@@ -7,6 +7,7 @@ Schedules round-trip through a line-oriented text format
 (``tick kind args...``) for regression fixtures.
 """
 
+import bisect
 import random
 from dataclasses import dataclass
 
@@ -104,32 +105,50 @@ def generate(topo, params):
         events.append(Event(tick, ADD_SITE, (site_id, rng.choice(edges))))
         tick += 1
 
-    membership = {}     # group -> set of receiver edges
+    members = {}        # group -> sorted receiver edges
+    outside = {}        # group -> sorted edges not receiving
     for group in range(params.n_groups):
         events.append(Event(tick, ADD_GROUP, (group, rng.choice(edges))))
         tick += 1
-        membership[group] = set()
-        for receiver in rng.sample(edges, rng.randint(params.members_min, params.members_max)):
+        receivers = rng.sample(edges, rng.randint(params.members_min, params.members_max))
+        for receiver in receivers:
             events.append(Event(tick, JOIN, (group, receiver)))
             tick += 1
-            membership[group].add(receiver)
+        members[group] = sorted(receivers)
+        outside[group] = sorted(set(edges) - set(receivers))
 
+    # groups that can take a join / a leave, kept sorted as membership
+    # changes so that each draw sees the same sequence as a fresh sort
+    joinable = [g for g in sorted(members) if outside[g]]
+    leavable = [g for g in sorted(members) if members[g]]
     for _ in range(params.churn_events):
-        joinable = sorted(g for g, m in membership.items() if len(m) < len(edges))
-        leavable = sorted(g for g, m in membership.items() if m)
         choices = (["join"] if joinable else []) + (["leave"] if leavable else [])
         if not choices:
             break
         if rng.choice(choices) == "join":
             group = rng.choice(joinable)
-            receiver = rng.choice(sorted(set(edges) - membership[group]))
+            receiver = rng.choice(outside[group])
             events.append(Event(tick, JOIN, (group, receiver)))
-            membership[group].add(receiver)
+            _move(receiver, outside[group], members[group])
+            if not outside[group]:
+                joinable.remove(group)
+            if len(members[group]) == 1:
+                bisect.insort(leavable, group)
         else:
             group = rng.choice(leavable)
-            receiver = rng.choice(sorted(membership[group]))
+            receiver = rng.choice(members[group])
             events.append(Event(tick, LEAVE, (group, receiver)))
-            membership[group].remove(receiver)
+            _move(receiver, members[group], outside[group])
+            if not members[group]:
+                leavable.remove(group)
+            if len(outside[group]) == 1:
+                bisect.insort(joinable, group)
         tick += 1
 
     return Schedule(params, events)
+
+
+def _move(item, source, dest):
+    """Move ``item`` from sorted list ``source`` into sorted list ``dest``."""
+    source.remove(item)
+    bisect.insort(dest, item)

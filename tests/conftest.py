@@ -13,7 +13,7 @@ from routescale.errors import (
     NoRoute,
     UnknownRouter,
 )
-from routescale.harness import DeliveryRow
+from routescale.harness import DeliveryRow, StateSnapshot
 from routescale.multicast import SgKey, SgState, join
 from routescale.topology import EDGE, build_topology
 from routescale.unicast import (
@@ -24,6 +24,7 @@ from routescale.unicast import (
     establish_lsp,
     host_address,
 )
+from routescale.workload import ADD_GROUP, ADD_SITE, JOIN, LEAVE, Event, Schedule
 
 
 def brute_min_cost(topo, source, dest):
@@ -182,6 +183,67 @@ def full_probe(sim, tick):
             if not ok:
                 raise DeliveryMismatch(tick, group, "bier", delivered, expected)
     return rows
+
+
+def full_snapshot(sim, tick):
+    """Every router's state counts of a ``SimState``, each read from its
+    source at this call; never reads the rows ``sim.snapshot`` keeps."""
+    rows = []
+    for router in sorted(sim.topo.roles):
+        rows.append((
+            router,
+            sim.topo.roles[router],
+            sim.unicast.flat_fib_size(router) if "flat" in sim.modes else 0,
+            sim.unicast.mapping_entries(router) if "mapencap" in sim.modes else 0,
+            sim.unicast.label_entries(router) if "mpls" in sim.modes else 0,
+            sim.sg_state.count(router) if sim.sg_state is not None else 0,
+            sim.bift.size(router) if sim.bift is not None else 0,
+        ))
+    return StateSnapshot(tick, rows)
+
+
+def reference_generate(topo, params):
+    """``workload.generate`` re-sorting the joinable groups, the leavable
+    groups and the chosen group's candidate receivers at every churn step
+    (no parameter validation)."""
+    edges = topo.edge_routers
+    rng = random.Random(params.seed)
+    events = []
+    tick = 0
+
+    for site_id in range(params.n_sites):
+        events.append(Event(tick, ADD_SITE, (site_id, rng.choice(edges))))
+        tick += 1
+
+    membership = {}     # group -> set of receiver edges
+    for group in range(params.n_groups):
+        events.append(Event(tick, ADD_GROUP, (group, rng.choice(edges))))
+        tick += 1
+        membership[group] = set()
+        for receiver in rng.sample(edges, rng.randint(params.members_min, params.members_max)):
+            events.append(Event(tick, JOIN, (group, receiver)))
+            tick += 1
+            membership[group].add(receiver)
+
+    for _ in range(params.churn_events):
+        joinable = sorted(g for g, m in membership.items() if len(m) < len(edges))
+        leavable = sorted(g for g, m in membership.items() if m)
+        choices = (["join"] if joinable else []) + (["leave"] if leavable else [])
+        if not choices:
+            break
+        if rng.choice(choices) == "join":
+            group = rng.choice(joinable)
+            receiver = rng.choice(sorted(set(edges) - membership[group]))
+            events.append(Event(tick, JOIN, (group, receiver)))
+            membership[group].add(receiver)
+        else:
+            group = rng.choice(leavable)
+            receiver = rng.choice(sorted(membership[group]))
+            events.append(Event(tick, LEAVE, (group, receiver)))
+            membership[group].remove(receiver)
+        tick += 1
+
+    return Schedule(params, events)
 
 
 class MaterialisedFibs:

@@ -31,6 +31,24 @@ class TestValidate:
         assert cli_main(["validate", "--scenario", str(scenario)]) == 1
         assert "/24" in capsys.readouterr().err
 
+    def write_fault_scenario(self, tmp_path, **overrides):
+        config = json.loads((FIXTURES / "fault_scenario.json").read_text())
+        config.update(overrides)
+        scenario = tmp_path / "fault.json"
+        scenario.write_text(json.dumps(config))
+        return str(scenario)
+
+    def test_unknown_fault(self, tmp_path, capsys):
+        scenario = self.write_fault_scenario(tmp_path, fault="no_such_fault")
+        assert cli_main(["validate", "--scenario", scenario]) == 1
+        assert "no_such_fault" in capsys.readouterr().err
+
+    def test_fault_needs_its_mode(self, tmp_path, capsys):
+        scenario = self.write_fault_scenario(tmp_path, modes=["stateful_mcast"])
+        assert cli_main(["validate", "--scenario", scenario]) == 1
+        assert "'bier'" in capsys.readouterr().err
+        assert cli_main(["run", "--scenario", scenario, "--out", str(tmp_path / "out")]) == 1
+
 
 class TestRun:
     def test_run_writes_both_csvs(self, tmp_path, capsys):

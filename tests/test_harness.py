@@ -2,11 +2,16 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import full_snapshot, random_topology, seeded
 from routescale import harness, workload
 from routescale.errors import DeliveryMismatch, ScenarioError
 from routescale.harness import (
+    MODES,
     DeliveryRow,
+    Scenario,
     SimState,
     StateSnapshot,
     auto_providers,
@@ -218,6 +223,51 @@ class TestRun:
         sim.apply(Event(1, workload.JOIN, (7, 2)))
         sim.apply(Event(2, workload.LEAVE, (7, 2)))
         assert {g: set(m) for g, m in sim.membership.items()} == before
+
+
+SNAPSHOT_OPS = ("add_site", "add_group", "join", "leave", "remove_group", "snapshot")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10),
+       st.integers(min_value=1, max_value=8), st.data())
+def test_incremental_snapshot_matches_full_snapshot(seed, n, bsl, data):
+    topo = random_topology(seeded(seed), n)
+    edges = topo.edge_routers
+    scenario = Scenario(topo, auto_providers(topo), workload.Params(), MODES, bsl, 1)
+    sim = SimState(scenario)
+    ops = data.draw(st.lists(st.tuples(st.sampled_from(SNAPSHOT_OPS), st.integers(0, 2),
+                                       st.integers(0, len(edges) - 1)),
+                             max_size=40))
+    taken = []      # (snapshot, a copy of its rows when it was taken)
+    n_sites = 0
+    for tick, (op, group, pick) in enumerate(ops + [("snapshot", 0, 0)]):
+        members = sorted(sim.membership.get(group, ()))
+        if op == "snapshot":
+            snap = sim.snapshot(tick)
+            assert snap.rows == full_snapshot(sim, tick).rows
+            taken.append((snap, list(snap.rows)))
+            continue
+        if op == "add_site":
+            events = [(workload.ADD_SITE, (n_sites, edges[pick]))]
+            n_sites += 1
+        elif group not in sim.groups:
+            events = [(workload.ADD_GROUP, (group, edges[pick]))]
+        elif op == "join":
+            # may re-join a current member
+            events = [(workload.JOIN, (group, edges[pick]))]
+        elif op == "leave" and members:
+            events = [(workload.LEAVE, (group, members[pick % len(members)]))]
+        elif op == "remove_group":
+            events = [(workload.LEAVE, (group, m)) for m in members]
+            events.append((workload.REMOVE_GROUP, (group,)))
+        else:
+            continue
+        for kind, args in events:
+            sim.apply(Event(tick, kind, args))
+    # later events never reach an earlier snapshot
+    for snap, rows in taken:
+        assert snap.rows == rows
 
 
 class TestCsv:

@@ -1,8 +1,10 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_topology, seeded
+from conftest import random_topology, reference_generate, seeded
 from routescale import workload
 from routescale.errors import InvalidParams
 from routescale.topology import build_topology
@@ -78,6 +80,24 @@ class TestWellFormedness:
                     group, receiver = ev.args
                     assert receiver in membership[group]
                     membership[group].remove(receiver)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10),
+       st.data())
+def test_generate_matches_resorting_reference(seed, n, data):
+    topo = random_topology(seeded(seed), n)
+    n_edges = len(topo.edge_routers)
+    # members_max up to every edge, so full groups leave the joinable
+    # list and emptied groups the leavable one
+    members_max = data.draw(st.integers(min_value=1, max_value=n_edges))
+    params = Params(seed=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
+                    n_sites=data.draw(st.integers(min_value=0, max_value=5)),
+                    n_groups=data.draw(st.integers(min_value=0, max_value=4)),
+                    members_min=data.draw(st.integers(min_value=1, max_value=members_max)),
+                    members_max=members_max,
+                    churn_events=data.draw(st.integers(min_value=0, max_value=80)))
+    assert generate(topo, params).events == reference_generate(topo, params).events
 
 
 class TestTextFormat:
