@@ -9,8 +9,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness
-from .errors import DeliveryMismatch, InvalidParams, ScenarioError, SimError, TopologyError
+from . import errors, harness
 from .generators import KINDS, gen_topology
 
 
@@ -74,13 +73,14 @@ def cli_main(argv=None):
         print(f"wrote {state_path} ({len(snapshots)} snapshots) and "
               f"{delivery_path} ({len(report)} delivery rows)")
         return 0
-    except DeliveryMismatch as exc:
+    except errors.DeliveryMismatch as exc:
         print(f"delivery failure: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, TopologyError, InvalidParams, ValueError) as exc:
+    except (errors.ScenarioError, errors.TopologyError, errors.InvalidParams,
+            errors.InvalidPrefix) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
-    except SimError as exc:
+    except errors.SimError as exc:
         print(f"run failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

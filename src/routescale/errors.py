@@ -15,8 +15,16 @@ class DuplicateRouter(TopologyError):
     pass
 
 
+class InvalidRouter(TopologyError):
+    """A negative router id or an unknown role."""
+
+
 class DuplicateLink(TopologyError):
     pass
+
+
+class InvalidLink(TopologyError):
+    """A link whose cost is not positive."""
 
 
 class SelfLoop(TopologyError):
@@ -36,6 +44,10 @@ class UnknownRouter(SimError):
 
 
 # -- unicast ----------------------------------------------------------------
+
+class InvalidPrefix(SimError):
+    """A prefix or id outside the address plan, or a duplicate prefix."""
+
 
 class UnattachedSite(SimError):
     pass

@@ -199,7 +199,10 @@ def load_scenario(path, modes=None):
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     if modes is not None:
         config["modes"] = list(modes)
-    return build_scenario(config, base_dir=path.parent)
+    try:
+        return build_scenario(config, base_dir=path.parent)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed scenario {path}: {exc}") from None
 
 
 class SimState:
@@ -211,7 +214,7 @@ class SimState:
         self.topo = topo
         self.modes = scenario.modes
         self.unicast = (
-            UnicastPlane(topo, scenario.providers, lsp_mesh="mpls" in scenario.modes)
+            UnicastPlane(topo, scenario.providers)
             if any(m in UNICAST_MODES for m in scenario.modes) else None
         )
         self.sg_state = SgState() if "stateful_mcast" in scenario.modes else None

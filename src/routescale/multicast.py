@@ -62,16 +62,6 @@ class SgState:
     def count(self, router):
         return len(self.entries.get(router, {}))
 
-    def total(self):
-        return sum(len(t) for t in self.entries.values())
-
-    def as_dict(self):
-        """Plain-data view for structural equality checks."""
-        return {
-            router: {sg: (e.iif, frozenset(e.oifs)) for sg, e in table.items()}
-            for router, table in self.entries.items()
-        }
-
 
 def join(state, topo, sg, receiver_edge):
     """Graft ``receiver_edge`` onto the (S,G) tree.

@@ -12,6 +12,8 @@ from .errors import (
     Disconnected,
     DuplicateLink,
     DuplicateRouter,
+    InvalidLink,
+    InvalidRouter,
     NoEdgeRouters,
     SelfLoop,
     UnknownRouter,
@@ -111,9 +113,9 @@ def build_topology(routers, links):
     for rid, role in routers:
         rid = int(rid)
         if rid < 0:
-            raise DuplicateRouter(f"router id {rid} must be non-negative")
+            raise InvalidRouter(f"router id {rid} must be non-negative")
         if role not in (CORE, EDGE):
-            raise DuplicateRouter(f"router {rid}: unknown role {role!r}")
+            raise InvalidRouter(f"router {rid}: unknown role {role!r}")
         if rid in roles:
             raise DuplicateRouter(f"router {rid} defined twice")
         roles[rid] = role
@@ -130,7 +132,7 @@ def build_topology(routers, links):
         if a not in roles or b not in roles:
             raise UnknownRouter(f"link ({a},{b}) references unknown router")
         if cost <= 0:
-            raise DuplicateLink(f"link ({a},{b}) needs positive cost, got {cost}")
+            raise InvalidLink(f"link ({a},{b}) needs positive cost, got {cost}")
         if b in adj[a]:
             raise DuplicateLink(f"duplicate link between {a} and {b}")
         adj[a][b] = cost
@@ -160,21 +162,3 @@ def shortest_paths(topo, source):
     """
     topo.require(source)
     return {dest: topo.toward(dest)[source] for dest in topo.roles}
-
-
-def path_to(topo, source, dest):
-    """Router sequence from ``source`` to ``dest`` following next hops.
-
-    Every hop reads the table toward ``dest``, so the path is a function
-    of (router, dest) only and merges consistently across sources.
-    """
-    topo.require(source)
-    hops = topo.toward(dest)
-    path = [source]
-    cur = source
-    while cur != dest:
-        cur = hops[cur]
-        path.append(cur)
-        if len(path) > len(topo):
-            raise AssertionError("next-hop loop detected")
-    return path

@@ -10,13 +10,19 @@ router.  To keep the core routable with exactly one FIB entry per
 provider aggregate, each provider owns at most one edge router, whose
 locator is the provider's own prefix.
 
+MPLS label state is the per-pair LSP mesh, one LSP per ordered pair of
+edge routers.  Its per-router entry counts are derived from the
+next-hop trees; the mesh itself is built on the first MPLS forward.
+
 Lookups are counted per router and mode, so the tests can assert the
 MPLS zero-lookup rule at transit routers.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import (
+    InvalidPrefix,
     NoLabelBinding,
     NoMapping,
     NoRoute,
@@ -43,16 +49,13 @@ class Prefix:
 
     def __post_init__(self):
         if not 0 <= self.length <= 32:
-            raise ValueError(f"prefix length {self.length} out of range")
+            raise InvalidPrefix(f"prefix length {self.length} out of range")
         mask = self.mask()
         if self.value & ~mask & 0xFFFF_FFFF:
-            raise ValueError("prefix has bits set beyond its length")
+            raise InvalidPrefix("prefix has bits set beyond its length")
 
     def mask(self):
         return ((1 << self.length) - 1) << (32 - self.length) if self.length else 0
-
-    def contains(self, addr):
-        return (addr & self.mask()) == self.value
 
     def __str__(self):
         return f"{self.value:#010x}/{self.length}"
@@ -61,14 +64,14 @@ class Prefix:
 def site_prefix(site_id):
     """Deterministic /24 identifier prefix for a site id."""
     if not 0 <= site_id < MAX_SITES:
-        raise ValueError(f"site id {site_id} out of range")
+        raise InvalidPrefix(f"site id {site_id} out of range")
     return Prefix(IDENTIFIER_BASE | (site_id << 8), SITE_PREFIX_LEN)
 
 
 def provider_prefix(provider_id):
     """Deterministic /8 locator prefix for a provider id."""
     if not 0 <= provider_id < MAX_PROVIDERS:
-        raise ValueError(f"provider id {provider_id} out of range")
+        raise InvalidPrefix(f"provider id {provider_id} out of range")
     return Prefix(provider_id << 24, PROVIDER_PREFIX_LEN)
 
 
@@ -135,7 +138,7 @@ class PrefixTable:
                 node[bit] = [None, None, None]
             node = node[bit]
         if node[2] is not None:
-            raise ValueError(f"duplicate prefix {prefix}")
+            raise InvalidPrefix(f"duplicate prefix {prefix}")
         node[2] = action
         self._count += 1
 
@@ -168,9 +171,6 @@ class LabelTables:
         label = self._next_label[router]
         self._next_label[router] = label + 1
         return label
-
-    def entries(self, router):
-        return len(self.ilm[router]) + len(self.fec[router])
 
 
 def establish_lsp(topo, labels, ingress, egress):
@@ -234,11 +234,12 @@ class UnicastPlane:
     Per-router FIB sizes are derived counts.  Lookups are counted per
     router and mode at each consultation of that router's FIB.
 
-    The edge-to-edge LSP mesh (the label tables) is built only with
-    ``lsp_mesh``; without it an MPLS ingress raises ``NoLabelBinding``.
+    The edge-to-edge LSP mesh (the label tables) is built on the first
+    MPLS forward; label counts are derived from the next-hop trees
+    without it.
     """
 
-    def __init__(self, topo, providers, lsp_mesh=True):
+    def __init__(self, topo, providers):
         check_providers(topo, providers)
         self.topo = topo
         self.identifiers = PrefixTable()   # site prefix -> EndSite
@@ -251,13 +252,37 @@ class UnicastPlane:
             self.locators.add(p.locator_prefix, edges[0] if edges else min(p.owned_routers))
             if edges:
                 self.edge_locator[edges[0]] = p.locator_prefix
-        self.labels = LabelTables(list(topo.roles))
         self._lookups = {mode: dict.fromkeys(topo.roles, 0)
                          for mode in ("flat", "mapencap", "mpls")}
-        if lsp_mesh:
-            for ingress in topo.edge_routers:
-                for egress in topo.edge_routers:
-                    establish_lsp(topo, self.labels, ingress, egress)
+
+    @cached_property
+    def labels(self):
+        """The per-pair LSP mesh, built on the first MPLS forward."""
+        labels = LabelTables(list(self.topo.roles))
+        for ingress in self.topo.edge_routers:
+            for egress in self.topo.edge_routers:
+                establish_lsp(self.topo, labels, ingress, egress)
+        return labels
+
+    @cached_property
+    def _label_counts(self):
+        # The LSP from ingress i to egress e follows toward(e), so it
+        # passes router r exactly when i is in r's subtree of that tree,
+        # and r holds an in-label for it unless r is i.  Every edge router
+        # also holds one FEC binding per egress.
+        topo = self.topo
+        is_edge = {r: int(role == EDGE) for r, role in topo.roles.items()}
+        counts = {r: len(topo.edge_routers) * edge for r, edge in is_edge.items()}
+        for egress in topo.edge_routers:
+            dist, hops = topo.distances(egress), topo.toward(egress)
+            below = dict(is_edge)    # edge routers in each router's subtree
+            # every parent is nearer the egress than its children, so a
+            # subtree's count is complete before it is added to its parent
+            for r in sorted(dist, key=dist.__getitem__, reverse=True):
+                if r != egress:
+                    below[hops[r]] += below[r]
+                counts[r] += below[r] - is_edge[r]
+        return counts
 
     # -- site management ----------------------------------------------------
 
@@ -287,7 +312,8 @@ class UnicastPlane:
         return len(self.identifiers) if self.topo.roles[router] == EDGE else 0
 
     def label_entries(self, router):
-        return self.labels.entries(router)
+        """Entries of ``router`` in :attr:`labels`, without building it."""
+        return self._label_counts[router]
 
     def lookup_counts(self, mode):
         return dict(self._lookups[mode])

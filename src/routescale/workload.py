@@ -3,8 +3,6 @@
 A schedule is an ordered list of integer-tick events.  Generation is
 fully determined by (seed, params, topology); the RNG algorithm name is
 recorded in the schedule so exported fixtures are self-describing.
-Schedules round-trip through a line-oriented text format
-(``tick kind args...``) for regression fixtures.
 """
 
 import bisect
@@ -54,30 +52,6 @@ class Schedule:
     params: Params
     events: list
     rng_algorithm: str = RNG_ALGORITHM
-
-    def to_text(self):
-        lines = [f"# rng {self.rng_algorithm}"]
-        for ev in self.events:
-            lines.append(" ".join([str(ev.tick), ev.kind, *map(str, ev.args)]))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text, params=None):
-        events = []
-        rng_name = RNG_ALGORITHM
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# rng "):
-                    rng_name = line[len("# rng "):]
-                continue
-            tick, kind, *args = line.split()
-            if kind not in KINDS:
-                raise InvalidParams(f"unknown event kind {kind!r}")
-            events.append(Event(int(tick), kind, tuple(int(a) for a in args)))
-        return cls(params or Params(), events, rng_name)
 
 
 def generate(topo, params):

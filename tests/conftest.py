@@ -7,6 +7,7 @@ from routescale import bier, multicast
 from routescale.bier import LOCAL, BierHeader, bit_mask
 from routescale.errors import (
     DeliveryMismatch,
+    InvalidParams,
     MissingBiftEntry,
     NoLabelBinding,
     NoMapping,
@@ -24,7 +25,58 @@ from routescale.unicast import (
     establish_lsp,
     host_address,
 )
-from routescale.workload import ADD_GROUP, ADD_SITE, JOIN, LEAVE, Event, Schedule
+from routescale.workload import (
+    ADD_GROUP,
+    ADD_SITE,
+    JOIN,
+    KINDS,
+    LEAVE,
+    RNG_ALGORITHM,
+    Event,
+    Params,
+    Schedule,
+)
+
+
+def path_to(topo, source, dest):
+    """Router sequence from ``source`` to ``dest`` following next hops.
+
+    Every hop reads the table toward ``dest``, so the path is a function
+    of (router, dest) only and merges consistently across sources.
+    """
+    topo.require(source)
+    hops = topo.toward(dest)
+    path = [source]
+    cur = source
+    while cur != dest:
+        cur = hops[cur]
+        path.append(cur)
+        if len(path) > len(topo):
+            raise AssertionError("next-hop loop detected")
+    return path
+
+
+def prefix_contains(prefix, addr):
+    return (addr & prefix.mask()) == prefix.value
+
+
+def mesh_entries(labels, router):
+    """Entries of ``router`` in a ``LabelTables``: its in-labels plus its
+    FEC bindings."""
+    return len(labels.ilm[router]) + len(labels.fec[router])
+
+
+def sg_total(state):
+    """(S,G) entries of an ``SgState`` over all routers."""
+    return sum(len(t) for t in state.entries.values())
+
+
+def sg_as_dict(state):
+    """Plain-data view of an ``SgState`` for structural equality checks."""
+    return {
+        router: {sg: (e.iif, frozenset(e.oifs)) for sg, e in table.items()}
+        for router, table in state.entries.items()
+    }
 
 
 def brute_min_cost(topo, source, dest):
@@ -202,6 +254,34 @@ def full_snapshot(sim, tick):
     return StateSnapshot(tick, rows)
 
 
+def schedule_to_text(schedule):
+    """A schedule in the fixture format: an ``# rng`` line, then one
+    ``tick kind args...`` line per event."""
+    lines = [f"# rng {schedule.rng_algorithm}"]
+    for ev in schedule.events:
+        lines.append(" ".join([str(ev.tick), ev.kind, *map(str, ev.args)]))
+    return "\n".join(lines) + "\n"
+
+
+def schedule_from_text(text, params=None):
+    """Parse :func:`schedule_to_text` output back into a ``Schedule``."""
+    events = []
+    rng_name = RNG_ALGORITHM
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.startswith("# rng "):
+                rng_name = line[len("# rng "):]
+            continue
+        tick, kind, *args = line.split()
+        if kind not in KINDS:
+            raise InvalidParams(f"unknown event kind {kind!r}")
+        events.append(Event(int(tick), kind, tuple(int(a) for a in args)))
+    return Schedule(params or Params(), events, rng_name)
+
+
 def reference_generate(topo, params):
     """``workload.generate`` re-sorting the joinable groups, the leavable
     groups and the chosen group's candidate receivers at every churn step
@@ -308,7 +388,7 @@ class MaterialisedFibs:
 
     def _local_site(self, at, addr):
         for site in self.local_sites[at]:
-            if site.identifier_prefix.contains(addr):
+            if prefix_contains(site.identifier_prefix, addr):
                 return site
         return None
 

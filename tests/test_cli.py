@@ -23,6 +23,13 @@ class TestValidate:
         bad.write_text(json.dumps({"topology": {"kind": "line", "size": 3}, "bsl": 0}))
         assert cli_main(["validate", "--scenario", str(bad)]) == 1
 
+    def test_value_of_the_wrong_type(self, tmp_path, capsys):
+        for bsl in ("eight", None):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({"topology": {"kind": "line", "size": 3}, "bsl": bsl}))
+            assert cli_main(["validate", "--scenario", str(bad)]) == 1
+            assert "malformed scenario" in capsys.readouterr().err
+
     def test_too_many_sites_for_unicast(self, tmp_path, capsys):
         config = json.loads(Path(EXAMPLE_SCENARIO).read_text())
         config["workload"]["n_sites"] = MAX_SITES + 1

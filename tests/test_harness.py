@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import full_snapshot, random_topology, seeded
-from routescale import harness, workload
+from routescale import harness, unicast, workload
 from routescale.errors import DeliveryMismatch, ScenarioError
 from routescale.harness import (
     MODES,
@@ -185,13 +186,18 @@ class TestRun:
         # mapencap core FIB unchanged: still |providers| at the core router
         assert sim.unicast.encap_fib_size(1) == 2
 
-    def test_lsp_mesh_only_with_mpls(self):
-        for modes, has_labels in ((["flat"], False), (["flat", "mapencap"], False),
-                                  (["flat", "mpls"], True)):
-            scenario = build_scenario(small_config(modes=modes))
-            sim = SimState(scenario)
-            total = sum(sim.unicast.label_entries(r) for r in scenario.topology.roles)
-            assert (total > 0) == has_labels, modes
+    def test_setup_builds_no_lsp_in_any_mode_combination(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(unicast, "establish_lsp", lambda *args: calls.append(args))
+        for n in range(1, len(MODES) + 1):
+            for modes in itertools.combinations(MODES, n):
+                sim = SimState(build_scenario(small_config(modes=list(modes))))
+                assert calls == [], modes
+                labels = [row[4] for row in sim.snapshot(0).rows]
+                if "mpls" in modes:
+                    assert labels == [3, 2, 3], modes
+                else:
+                    assert labels == [0, 0, 0], modes
 
     def test_add_group_and_joins_leave_bift_unchanged(self):
         scenario = build_scenario(small_config(workload={"seed": 1}))

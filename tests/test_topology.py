@@ -1,15 +1,17 @@
 import pytest
 
-from conftest import brute_min_cost, enumerate_min_paths, random_topology, seeded
+from conftest import brute_min_cost, enumerate_min_paths, path_to, random_topology, seeded
 from routescale.errors import (
     Disconnected,
     DuplicateLink,
     DuplicateRouter,
+    InvalidLink,
+    InvalidRouter,
     NoEdgeRouters,
     SelfLoop,
     UnknownRouter,
 )
-from routescale.topology import build_topology, path_to, shortest_paths
+from routescale.topology import build_topology, shortest_paths
 
 
 def line3():
@@ -43,9 +45,19 @@ class TestBuild:
         with pytest.raises(DuplicateRouter):
             build_topology([(0, "edge"), (0, "core")], [])
 
+    def test_bad_router_is_not_a_duplicate(self):
+        for routers in ([(-1, "edge")], [(0, "edge"), (1, "transit")]):
+            with pytest.raises(InvalidRouter):
+                build_topology(routers, [])
+
     def test_duplicate_link(self):
         with pytest.raises(DuplicateLink):
             build_topology([(0, "edge"), (1, "edge")], [(0, 1, 1), (1, 0, 2)])
+
+    def test_non_positive_cost_is_not_a_duplicate(self):
+        for cost in (0, -2):
+            with pytest.raises(InvalidLink):
+                build_topology([(0, "edge"), (1, "edge")], [(0, 1, cost)])
 
     def test_self_loop(self):
         with pytest.raises(SelfLoop):

@@ -2,13 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MaterialisedFibs, random_topology, seeded
-from routescale.errors import NoLabelBinding, NoMapping, NoRoute, SimError, UnattachedSite
+from conftest import MaterialisedFibs, mesh_entries, prefix_contains, random_topology, seeded
+from routescale import unicast
+from routescale.errors import InvalidPrefix, NoMapping, NoRoute, SimError, UnattachedSite
 from routescale.harness import auto_providers
 from routescale.topology import build_topology
 from routescale.unicast import (
     Deliver,
     LabelTables,
+    MAX_SITES,
     Packet,
     Prefix,
     PrefixTable,
@@ -17,6 +19,7 @@ from routescale.unicast import (
     establish_lsp,
     host_address,
     make_site,
+    provider_prefix,
     site_prefix,
 )
 
@@ -34,22 +37,28 @@ def plane_with_sites(topo, attachments):
 
 class TestPrefix:
     def test_rejects_bits_beyond_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidPrefix):
             Prefix(0x0000_0001, 8)
 
+    def test_ids_outside_the_address_plan(self):
+        for bad in (lambda: Prefix(0, 33), lambda: site_prefix(MAX_SITES),
+                    lambda: provider_prefix(-1)):
+            with pytest.raises(InvalidPrefix):
+                bad()
+
     def test_default_route_matches_everything(self):
-        assert Prefix(0, 0).contains(0xDEAD_BEEF)
+        assert prefix_contains(Prefix(0, 0), 0xDEAD_BEEF)
 
     def test_containment(self):
         p = Prefix(0x0A00_0000, 8)
-        assert p.contains(0x0A12_3456)
-        assert not p.contains(0x0B00_0000)
+        assert prefix_contains(p, 0x0A12_3456)
+        assert not prefix_contains(p, 0x0B00_0000)
 
 
 def brute_force_lpm(entries, addr):
     best = None
     for prefix, action in entries:
-        if prefix.contains(addr) and (best is None or prefix.length > best[0].length):
+        if prefix_contains(prefix, addr) and (best is None or prefix.length > best[0].length):
             best = (prefix, action)
     return None if best is None else best[1]
 
@@ -83,7 +92,7 @@ class TestLongestPrefixMatch:
     def test_duplicate_prefix_rejected(self):
         table = PrefixTable()
         table.add(Prefix(0, 8), "a")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidPrefix):
             table.add(Prefix(0, 8), "b")
 
 
@@ -218,13 +227,44 @@ class TestLsp:
         assert snapshot == ({r: dict(t) for r, t in labels.ilm.items()},
                             {r: dict(t) for r, t in labels.fec.items()})
 
-    def test_plane_without_mesh_has_no_bindings(self):
+
+class TestLabelCounts:
+    def test_first_mpls_forward_builds_the_mesh(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2:])
+            return establish_lsp(*args)
+
+        monkeypatch.setattr(unicast, "establish_lsp", counting)
+        topo = y_topology()
+        plane = plane_with_sites(topo, [(0, 4)])
+        assert [plane.label_entries(r) for r in topo.roles] == [5, 4, 6, 5, 5]
+        assert calls == []
+        site, path = plane.deliver("mpls", 0, host_address(site_prefix(0)))
+        assert (site, path) == (0, [0, 1, 2, 4])
+        assert calls == [(i, e) for i in (0, 3, 4) for e in (0, 3, 4)]
+        assert [mesh_entries(plane.labels, r) for r in topo.roles] == [5, 4, 6, 5, 5]
+        plane.deliver("mpls", 3, host_address(site_prefix(0)))
+        assert len(calls) == 9
+
+    def test_line_counts_by_hand(self):
+        # edges 0 and 2: each holds 2 FEC bindings and the pop label of
+        # the other's LSP; the core swaps for both directions
         topo = line3()
-        plane = UnicastPlane(topo, auto_providers(topo), lsp_mesh=False)
-        plane.add_site(make_site(0, 2))
-        assert all(plane.label_entries(r) == 0 for r in topo.roles)
-        with pytest.raises(NoLabelBinding):
-            plane.forward("mpls", Packet(host_address(site_prefix(0))), 0)
+        plane = UnicastPlane(topo, auto_providers(topo))
+        assert [plane.label_entries(r) for r in (0, 1, 2)] == [3, 2, 3]
+
+    def test_equal_cost_ties_follow_the_lowest_id(self):
+        # 0-1-3 and 0-2-3 tie: both LSPs between the edges 0 and 3 take
+        # router 1, and router 2 holds no label
+        topo = build_topology(
+            [(0, "edge"), (1, "core"), (2, "core"), (3, "edge")],
+            [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)],
+        )
+        plane = UnicastPlane(topo, auto_providers(topo))
+        assert [plane.label_entries(r) for r in (0, 1, 2, 3)] == [3, 2, 0, 3]
+        assert [mesh_entries(plane.labels, r) for r in (0, 1, 2, 3)] == [3, 2, 0, 3]
 
 
 class TestDeliveryEquivalence:
@@ -279,6 +319,7 @@ class TestDerivedTables:
             assert plane.flat_fib_size(r) == oracle.flat_fib_size(r)
             assert plane.encap_fib_size(r) == oracle.encap_fib_size(r)
             assert plane.mapping_entries(r) == oracle.mapping_entries(r)
+            assert plane.label_entries(r) == mesh_entries(oracle.labels, r)
         # every site, one unregistered site, every locator
         addrs = [host_address(site_prefix(i)) for i in range(n_sites + 1)]
         addrs += [host_address(p.locator_prefix) for p in providers]
