@@ -1,16 +1,18 @@
 """BIER data plane: BFR-id assignment, BIFT construction, bitstring forwarding.
 
 Every edge router is both an ingress (BFIR) and an egress (BFER); core
-routers are pure transit BFRs.  The per-router BIFT is derived solely
-from the topology and the BFER placement: entry (SI, bit) -> (next hop,
-F-BM), where the F-BM is the OR of all same-SI bits routed via that next
-hop.  Forwarding partitions a packet's bitstring by next hop, so each
-BFER receives exactly one copy regardless of how many groups are active.
+routers are pure transit BFRs.  The BFIR encapsulates a group's egress
+set as one bitstring per Set Identifier (RFC 8279 section 4), so a
+header is a function of the receivers alone.  The BIFT is a plain table
+derived solely from the topology and the BFER placement,
+``{router: {(SI, bit): (next hop, F-BM)}}``; the F-BM is the OR of all
+same-SI bits routed via that next hop.  Forwarding partitions a packet's
+bitstring by next hop, so each BFER receives exactly one copy.
 """
 
 from dataclasses import dataclass
 
-from .errors import MissingBiftEntry, NoEdgeRouters, UnknownGroup
+from .errors import MissingBiftEntry, NoEdgeRouters
 
 LOCAL = "local"
 
@@ -52,23 +54,14 @@ def id_to_si_bit(bfr_id, bsl):
     return si, bit + 1
 
 
-class Bift:
-    """Per-router (SI, bit) -> (next hop or LOCAL, F-BM)."""
-
-    def __init__(self):
-        self.entries = {}     # router -> {(si, bit): (next_hop, fbm)}
-
-    def size(self, router):
-        return len(self.entries.get(router, {}))
-
-
 def build_bift(topo, bfr_ids, bsl):
-    """Build every router's BIFT from the unicast shortest-path topology.
+    """Every router's BIFT from the unicast shortest-path topology; the
+    next hop is LOCAL at the BFER itself.
 
     A pure function of (topology, BFER set, BSL): group churn never
     touches it.
     """
-    bift = Bift()
+    bift = {}
     placements = {}    # bfer router -> (si, bit)
     for bfer, bfr_id in bfr_ids.items():
         topo.require(bfer)
@@ -81,21 +74,17 @@ def build_bift(topo, bfr_ids, bsl):
             nh = LOCAL if router == bfer else topo.next_hop(router, bfer)
             hop_of[(si, bit)] = nh
             groups[(si, nh)] = groups.get((si, nh), 0) | bit_mask(bit)
-        bift.entries[router] = {
+        bift[router] = {
             (si, bit): (nh, groups[(si, nh)]) for (si, bit), nh in hop_of.items()
         }
     return bift
 
 
-def encapsulate_bier(overlay, group, bsl):
-    """BFIR encapsulation: one header per Set Identifier in use.
-
-    ``overlay`` maps group id -> set of (si, bit) egress positions.
-    """
-    if group not in overlay:
-        raise UnknownGroup(f"group {group} not in overlay table")
+def encapsulate_bier(positions):
+    """BFIR encapsulation of the egress set's ``(si, bit)`` positions:
+    one header per Set Identifier in use."""
     per_si = {}
-    for si, bit in overlay[group]:
+    for si, bit in positions:
         per_si[si] = per_si.get(si, 0) | bit_mask(bit)
     return [BierHeader(si, per_si[si]) for si in sorted(per_si)]
 
@@ -109,7 +98,7 @@ def forward_bier(bift, header, at):
     bits in ascending order, no two copies share a bit and their OR
     equals the input.
     """
-    row = bift.entries.get(at, {})
+    row = bift.get(at, {})
     si = header.si
     copies = []
     working = header.bits

@@ -24,7 +24,7 @@ class DuplicateLink(TopologyError):
 
 
 class InvalidLink(TopologyError):
-    """A link whose cost is not positive."""
+    """A link whose cost is not positive, or one to an undefined router."""
 
 
 class SelfLoop(TopologyError):
@@ -82,10 +82,6 @@ class RpfFailure(SimError):
 # -- BIER -------------------------------------------------------------------
 
 class MissingBiftEntry(SimError):
-    pass
-
-
-class UnknownGroup(SimError):
     pass
 
 

@@ -21,7 +21,7 @@ plane.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -224,20 +224,18 @@ class SimState:
         # verified probe; dropped by every event on that group
         self.verified = {}
         if "bier" in scenario.modes:
-            self.bfr_ids = bier.assign_bfr_ids(topo.edge_routers)
+            bfr_ids = bier.assign_bfr_ids(topo.edge_routers)
             self.bit_of = {r: bier.id_to_si_bit(i, scenario.bsl)
-                           for r, i in self.bfr_ids.items()}
-            self.bift = bier.build_bift(topo, self.bfr_ids, scenario.bsl)
-            self.overlay = {}   # group -> set of (si, bit)
+                           for r, i in bfr_ids.items()}
+            self.bift = bier.build_bift(topo, bfr_ids, scenario.bsl)
         else:
             self.bift = None
-            self.overlay = None
         # router -> its report row, in router order; a row is rebuilt only
         # when a count in it may have changed (see snapshot)
         self._fixed = {r: (
             topo.roles[r],
             self.unicast.label_entries(r) if "mpls" in self.modes else 0,
-            self.bift.size(r) if self.bift is not None else 0,
+            len(self.bift[r]) if self.bift is not None else 0,
         ) for r in sorted(topo.roles)}
         self._n_identifiers = len(self.unicast.identifiers) if self.unicast else 0
         self._unicast_cols = self._unicast_columns()
@@ -245,61 +243,46 @@ class SimState:
 
     def apply(self, event):
         kind, args = event.kind, event.args
+        if kind not in workload.KINDS:
+            raise SimError(f"unknown event kind {kind!r}")
         if kind == workload.ADD_SITE:
             site_id, edge = args
             if self.topo.roles.get(edge) != EDGE:
                 raise SimError(f"add_site targets non-edge router {edge}")
             if self.unicast is not None:
                 self.unicast.add_site(make_site(site_id, edge))
-        elif kind == workload.ADD_GROUP:
+            return
+        # every other event is on group args[0] and may change what its probe reads
+        group = args[0]
+        self.verified.pop(group, None)
+        if kind != workload.ADD_GROUP and group not in self.groups:
+            raise SimError(f"event references unknown group {group}")
+        if kind == workload.ADD_GROUP:
             group, source_edge = args
-            self.verified.pop(group, None)
             self.topo.require(source_edge)
-            if group not in self.groups:
-                self.groups[group] = source_edge
-                self.membership[group] = set()
-                if self.overlay is not None:
-                    self.overlay[group] = set()
-            elif self.groups[group] != source_edge:
+            if self.groups.setdefault(group, source_edge) != source_edge:
                 raise SimError(f"group {group} re-added with a different source")
+            self.membership.setdefault(group, set())
         elif kind == workload.JOIN:
             group, receiver = args
-            self.verified.pop(group, None)
-            self._require_group(group)
             self.membership[group].add(receiver)
             if self.sg_state is not None:
                 sg = SgKey(self.groups[group], group)
                 multicast.join(self.sg_state, self.topo, sg, receiver)
-            if self.overlay is not None:
-                self.overlay[group].add(self.bit_of[receiver])
         elif kind == workload.LEAVE:
             group, receiver = args
-            self.verified.pop(group, None)
-            self._require_group(group)
             if receiver not in self.membership[group]:
                 raise SimError(f"leave for non-member edge {receiver} of group {group}")
             self.membership[group].discard(receiver)
             if self.sg_state is not None:
                 sg = SgKey(self.groups[group], group)
                 multicast.leave(self.sg_state, self.topo, sg, receiver)
-            if self.overlay is not None:
-                self.overlay[group].discard(self.bit_of[receiver])
         elif kind == workload.REMOVE_GROUP:
             (group,) = args
-            self.verified.pop(group, None)
-            self._require_group(group)
             if self.membership[group]:
                 raise SimError(f"remove_group {group} while members remain")
             del self.groups[group]
             del self.membership[group]
-            if self.overlay is not None:
-                del self.overlay[group]
-        else:
-            raise SimError(f"unknown event kind {kind!r}")
-
-    def _require_group(self, group):
-        if group not in self.groups:
-            raise SimError(f"event references unknown group {group}")
 
     # -- measurement ----------------------------------------------------
 
@@ -350,8 +333,8 @@ class SimState:
         A group whose membership or tree changed since its last verified
         probe gets one packet per multicast mode, checked against its
         membership.  Any other group's rows repeat that verified result at
-        this tick: only events on a group write its (S,G) entries, overlay
-        bits and membership, and the BIFT never changes.
+        this tick: only events on a group write its (S,G) entries and the
+        membership its BIER headers encode, and the BIFT never changes.
         """
         rows = []
         for group in sorted(self.groups):
@@ -364,48 +347,38 @@ class SimState:
 
     def _probe_group(self, tick, group):
         """Probe ``group`` in every multicast mode; returns its
-        ``(mode, delivered, expected)`` results or raises DeliveryMismatch."""
+        ``(mode, delivered, expected)`` results or raises DeliveryMismatch
+        unless each mode delivers one copy to each member and no other."""
         results = []
         expected = frozenset(self.membership[group])
-        if self.sg_state is not None:
-            sg = SgKey(self.groups[group], group)
-            delivered_list = multicast.simulate_delivery(self.sg_state, sg)
-            delivered = frozenset(delivered_list)
-            if delivered != expected or len(delivered_list) != len(delivered):
-                raise DeliveryMismatch(tick, group, "stateful", delivered, expected)
-            results.append(("stateful", delivered, expected))
-        if self.bift is not None:
-            delivered_list = []
-            headers = bier.encapsulate_bier(self.overlay, group, self.scenario.bsl)
-            headers = self._inject_fault(headers)
-            for header in headers:
-                delivered_list.extend(
-                    bier.flood_deliver(self.bift, header, self.groups[group]))
-            delivered = frozenset(r for r, _ in delivered_list)
-            if delivered != expected or len(delivered_list) != len(delivered):
-                raise DeliveryMismatch(tick, group, "bier", delivered, expected)
-            results.append(("bier", delivered, expected))
+        for mode, copies in self._copies(group):
+            delivered = frozenset(copies)
+            if delivered != expected or len(copies) != len(delivered):
+                raise DeliveryMismatch(tick, group, mode, delivered, expected)
+            results.append((mode, delivered, expected))
         return tuple(results)
 
-    def _inject_fault(self, headers):
-        if self.scenario.fault == "bier_drop_lowest_bit":
-            out = []
-            for h in headers:
-                if h.bits:
-                    out.append(bier.BierHeader(h.si, h.bits & (h.bits - 1)))
-                else:
-                    out.append(h)
-            return out
-        return headers
+    def _copies(self, group):
+        """Yield ``(mode, receiver of each delivered copy)`` per multicast
+        mode in report order, forwarding each mode's packet only when asked."""
+        source = self.groups[group]
+        if self.sg_state is not None:
+            yield "stateful", multicast.simulate_delivery(self.sg_state, SgKey(source, group))
+        if self.bift is not None:
+            copies = []
+            positions = [self.bit_of[r] for r in self.membership[group]]
+            for header in bier.encapsulate_bier(positions):
+                if self.scenario.fault == "bier_drop_lowest_bit":
+                    header = bier.BierHeader(header.si, header.bits & (header.bits - 1))
+                copies.extend(r for r, _ in bier.flood_deliver(self.bift, header, source))
+            yield "bier", copies
 
 
 def run(scenario, seed=None):
     """Replay the scenario's schedule; returns (snapshots, delivery rows)."""
     params = scenario.workload
     if seed is not None:
-        params = workload.Params(seed, params.n_sites, params.n_groups,
-                                 params.members_min, params.members_max,
-                                 params.churn_events)
+        params = replace(params, seed=seed)
     schedule = workload.generate(scenario.topology, params)
     sim = SimState(scenario)
     snapshots = []

@@ -47,8 +47,7 @@ class SgState:
         table = self.entries.setdefault(router, {})
         entry = table.get(sg)
         if entry is None:
-            entry = SgEntry(iif)
-            table[sg] = entry
+            entry = table[sg] = SgEntry(iif)
             self.changed.add(router)
         return entry
 
@@ -99,23 +98,24 @@ def leave(state, topo, sg, receiver_edge):
     cur = receiver_edge
     oif = LOCAL
     while True:
-        entry = state.entry(cur, sg)
         entry.oifs.discard(oif)
         if entry.oifs:
             return state
-        upstream = entry.iif
         state._delete(cur, sg)
-        if upstream == LOCAL:
+        if entry.iif == LOCAL:
             return state
         oif = cur
-        cur = upstream
+        cur = entry.iif
+        entry = state.entry(cur, sg)
 
 
 def forward_multicast(state, sg, at, arrived_from):
-    """Replicate at one router: returns the set of outgoing interfaces.
+    """Replicate at one router: returns the entry's outgoing interfaces.
 
     ``arrived_from`` must equal the entry's incoming interface (RPF
-    check); LOCAL means the packet was injected by the source.
+    check); LOCAL means the packet was injected by the source.  The
+    returned set is the entry's own, not a copy: callers must not
+    modify it.
     """
     entry = state.entry(at, sg)
     if entry is None:
@@ -124,7 +124,7 @@ def forward_multicast(state, sg, at, arrived_from):
         raise RpfFailure(
             f"router {at}: {sg} arrived from {arrived_from}, expected {entry.iif}"
         )
-    return set(entry.oifs)
+    return entry.oifs
 
 
 def simulate_delivery(state, sg):

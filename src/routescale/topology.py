@@ -40,9 +40,6 @@ class Topology:
         self._dist = {}                   # source -> {dest: cost}
         self._toward = {}                 # dest -> {router: next hop}
 
-    def __contains__(self, router):
-        return router in self.roles
-
     def __len__(self):
         return len(self.roles)
 
@@ -130,7 +127,7 @@ def build_topology(routers, links):
         if a == b:
             raise SelfLoop(f"self-loop at router {a}")
         if a not in roles or b not in roles:
-            raise UnknownRouter(f"link ({a},{b}) references unknown router")
+            raise InvalidLink(f"link ({a},{b}) references unknown router")
         if cost <= 0:
             raise InvalidLink(f"link ({a},{b}) needs positive cost, got {cost}")
         if b in adj[a]:

@@ -38,6 +38,15 @@ class Params:
     members_max: int = 1
     churn_events: int = 0
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidParams(f"workload {name} must be an integer, got {value!r}")
+        if min(self.n_sites, self.n_groups, self.churn_events) < 0:
+            raise InvalidParams("counts must be non-negative")
+        if self.n_groups > 0 and not 1 <= self.members_min <= self.members_max:
+            raise InvalidParams("need 1 <= members_min <= members_max")
+
     @classmethod
     def from_dict(cls, d):
         known = {f for f in cls.__dataclass_fields__}
@@ -61,15 +70,10 @@ def generate(topo, params):
     Every Leave matches a live Join by construction.
     """
     edges = topo.edge_routers
-    if params.n_groups > 0:
-        if not 1 <= params.members_min <= params.members_max:
-            raise InvalidParams("need 1 <= members_min <= members_max")
-        if params.members_max > len(edges):
-            raise InvalidParams(
-                f"members_max {params.members_max} exceeds {len(edges)} edge routers"
-            )
-    if min(params.n_sites, params.n_groups, params.churn_events) < 0:
-        raise InvalidParams("counts must be non-negative")
+    if params.n_groups > 0 and params.members_max > len(edges):
+        raise InvalidParams(
+            f"members_max {params.members_max} exceeds {len(edges)} edge routers"
+        )
 
     rng = random.Random(params.seed)
     events = []

@@ -159,7 +159,7 @@ def scan_forward_bier(bift, header, at):
     bit = 1
     while working:
         if working & bit_mask(bit):
-            entry = bift.entries.get(at, {}).get((header.si, bit))
+            entry = bift.get(at, {}).get((header.si, bit))
             if entry is None:
                 raise MissingBiftEntry(
                     f"router {at}: no BIFT entry for SI {header.si} bit {bit}"
@@ -208,7 +208,11 @@ def sorted_simulate_delivery(state, sg):
 def full_probe(sim, tick):
     """Re-forward one packet per active group per multicast mode of a
     ``SimState``, whatever changed since its last probe; a mismatch raises
-    DeliveryMismatch.  Never reads or writes ``sim.verified``."""
+    DeliveryMismatch.  Never reads or writes ``sim.verified``, and places
+    each member's bit from its own BFR-id assignment, not ``sim.bit_of``."""
+    bsl = sim.scenario.bsl
+    bit_of = {r: bier.id_to_si_bit(i, bsl)
+              for r, i in bier.assign_bfr_ids(sim.topo.edge_routers).items()}
     rows = []
     for group in sorted(sim.groups):
         expected = frozenset(sim.membership[group])
@@ -223,9 +227,9 @@ def full_probe(sim, tick):
                 raise DeliveryMismatch(tick, group, "stateful", delivered, expected)
         if sim.bift is not None:
             delivered_list = []
-            headers = bier.encapsulate_bier(sim.overlay, group, sim.scenario.bsl)
-            headers = sim._inject_fault(headers)
-            for header in headers:
+            for header in bier.encapsulate_bier([bit_of[r] for r in expected]):
+                if sim.scenario.fault == "bier_drop_lowest_bit":
+                    header = BierHeader(header.si, header.bits & (header.bits - 1))
                 delivered_list.extend(
                     bier.flood_deliver(sim.bift, header, sim.groups[group]))
             delivered = frozenset(r for r, _ in delivered_list)
@@ -249,7 +253,7 @@ def full_snapshot(sim, tick):
             sim.unicast.mapping_entries(router) if "mapencap" in sim.modes else 0,
             sim.unicast.label_entries(router) if "mpls" in sim.modes else 0,
             sim.sg_state.count(router) if sim.sg_state is not None else 0,
-            sim.bift.size(router) if sim.bift is not None else 0,
+            len(sim.bift[router]) if sim.bift is not None else 0,
         ))
     return StateSnapshot(tick, rows)
 

@@ -140,8 +140,7 @@ def test_criterion_5_si_partitioning():
     ids = assign_bfr_ids(topo.edge_routers)
     placements = {r: id_to_si_bit(i, 4) for r, i in ids.items()}
     assert {si for si, _ in placements.values()} == {0, 1, 2}
-    overlay = {1: set(placements.values())}
-    headers = encapsulate_bier(overlay, 1, 4)
+    headers = encapsulate_bier(placements.values())
     assert len(headers) == 3
     bift = build_bift(topo, ids, 4)
     delivered = []

@@ -14,7 +14,7 @@ from routescale.bier import (
     forward_bier,
     id_to_si_bit,
 )
-from routescale.errors import MissingBiftEntry, NoEdgeRouters, UnknownGroup
+from routescale.errors import MissingBiftEntry, NoEdgeRouters
 from routescale.multicast import SgKey, SgState
 from routescale.topology import build_topology
 
@@ -56,13 +56,13 @@ class TestBuildBift:
     def test_line_example(self):
         topo = line3()
         bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 8)
-        assert bift.entries[1] == {(0, 1): (0, 0b01), (0, 2): (2, 0b10)}
-        assert bift.entries[0] == {(0, 1): (LOCAL, 0b01), (0, 2): (1, 0b10)}
+        assert bift[1] == {(0, 1): (0, 0b01), (0, 2): (2, 0b10)}
+        assert bift[0] == {(0, 1): (LOCAL, 0b01), (0, 2): (1, 0b10)}
 
     def test_single_router_domain(self):
         topo = build_topology([(5, "edge")], [])
         bift = build_bift(topo, assign_bfr_ids([5]), 4)
-        assert bift.entries[5] == {(0, 1): (LOCAL, 0b1)}
+        assert bift == {5: {(0, 1): (LOCAL, 0b1)}}
 
     def test_star_center_has_distinct_single_bit_fbms(self):
         topo = build_topology(
@@ -70,27 +70,20 @@ class TestBuildBift:
             [(0, 1, 1), (0, 2, 1), (0, 3, 1)],
         )
         bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 8)
-        fbms = [fbm for _, fbm in bift.entries[0].values()]
+        fbms = [fbm for _, fbm in bift[0].values()]
         assert sorted(fbms) == [0b001, 0b010, 0b100]
 
 
 class TestEncapsulate:
     def test_or_of_member_bits(self):
-        overlay = {5: {(0, 1), (0, 3)}}
-        headers = encapsulate_bier(overlay, 5, 8)
-        assert headers == [BierHeader(0, 0b101)]
+        assert encapsulate_bier([(0, 1), (0, 3)]) == [BierHeader(0, 0b101)]
 
     def test_empty_egress_set(self):
-        assert encapsulate_bier({5: set()}, 5, 8) == []
+        assert encapsulate_bier([]) == []
 
     def test_two_sis_give_two_copies(self):
-        overlay = {5: {(0, 2), (1, 3)}}
-        headers = encapsulate_bier(overlay, 5, 4)
+        headers = encapsulate_bier([(1, 3), (0, 2)])
         assert headers == [BierHeader(0, 0b10), BierHeader(1, 0b100)]
-
-    def test_unknown_group(self):
-        with pytest.raises(UnknownGroup):
-            encapsulate_bier({}, 5, 8)
 
 
 class TestForward:
@@ -126,19 +119,18 @@ class TestBiftSize:
     def test_size_equals_bfer_count_everywhere(self):
         topo = self.star20()
         bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 256)
-        assert all(bift.size(r) == 20 for r in topo.roles)
+        assert all(len(bift[r]) == 20 for r in topo.roles)
 
     def test_group_churn_never_touches_the_table(self):
         topo = self.star20()
         ids = assign_bfr_ids(topo.edge_routers)
         before = build_bift(topo, ids, 256)
-        # a thousand groups' worth of overlay churn later, rebuild
-        overlay = {g: {id_to_si_bit(1 + g % 20, 256)} for g in range(1000)}
-        for g in overlay:
-            encapsulate_bier(overlay, g, 256)
+        # a thousand groups' worth of encapsulations later, rebuild
+        for g in range(1000):
+            encapsulate_bier([id_to_si_bit(1 + g % 20, 256)])
         after = build_bift(topo, ids, 256)
-        assert before.entries == after.entries
-        assert all(after.size(r) == 20 for r in topo.roles)
+        assert before == after
+        assert all(len(after[r]) == 20 for r in topo.roles)
 
 
 class TestProperties:
@@ -179,7 +171,7 @@ class TestProperties:
             for _, bfr_id in ids.items():
                 si, bit = id_to_si_bit(bfr_id, bsl)
                 all_bits[si] = all_bits.get(si, 0) | bit_mask(bit)
-            for router, entries in bift.entries.items():
+            for router, entries in bift.items():
                 per_nh = {}
                 for (si, bit), (nh, fbm) in entries.items():
                     assert fbm & bit_mask(bit)
@@ -212,9 +204,8 @@ class TestProperties:
                 multicast.join(state, topo, sg, receiver)
             stateful = set(multicast.simulate_delivery(state, sg))
 
-            overlay = {1: {id_to_si_bit(ids[r], bsl) for r in members}}
             delivered = []
-            for header in encapsulate_bier(overlay, 1, bsl):
+            for header in encapsulate_bier([id_to_si_bit(ids[r], bsl) for r in members]):
                 delivered.extend(flood_deliver(bift, header, source))
             assert {r for r, _ in delivered} == stateful == members
             assert len(delivered) == len(members)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from routescale.cli import cli_main
 from routescale.unicast import MAX_SITES
 
@@ -30,6 +32,12 @@ class TestValidate:
             assert cli_main(["validate", "--scenario", str(bad)]) == 1
             assert "malformed scenario" in capsys.readouterr().err
 
+    def test_link_to_undefined_router(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"topology": {"routers": [[0, "edge"]], "links": [[0, 5, 1]]}}))
+        assert cli_main(["validate", "--scenario", str(bad)]) == 1
+        assert "validation failure" in capsys.readouterr().err
+
     def test_too_many_sites_for_unicast(self, tmp_path, capsys):
         config = json.loads(Path(EXAMPLE_SCENARIO).read_text())
         config["workload"]["n_sites"] = MAX_SITES + 1
@@ -55,6 +63,36 @@ class TestValidate:
         assert cli_main(["validate", "--scenario", scenario]) == 1
         assert "'bier'" in capsys.readouterr().err
         assert cli_main(["run", "--scenario", scenario, "--out", str(tmp_path / "out")]) == 1
+
+
+# workload values that a scenario must reject when it loads, not when it runs
+BAD_WORKLOADS = [
+    {"churn_events": "5"},
+    {"n_groups": 1.5},
+    {"seed": None},
+    {"n_sites": True},
+    {"members_min": 3, "members_max": 2},
+    {"members_min": 0},
+    {"n_sites": -1},
+    {"n_groups": -1},
+    {"churn_events": -1},
+]
+
+
+@pytest.mark.parametrize("overrides", BAD_WORKLOADS,
+                         ids=lambda d: ",".join(f"{k}={v!r}" for k, v in d.items()))
+def test_bad_workload_value_exits_1(tmp_path, capsys, overrides):
+    scenario = tmp_path / "bad_workload.json"
+    scenario.write_text(json.dumps({
+        "topology": {"kind": "star", "size": 5},
+        "workload": {"seed": 1, "n_groups": 2, "members_min": 1, "members_max": 2,
+                     "churn_events": 5, **overrides},
+        "modes": ["bier"],
+        "bsl": 8,
+    }))
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert cli_main([*argv, "--scenario", str(scenario)]) == 1, argv
+        assert "validation failure" in capsys.readouterr().err
 
 
 class TestRun:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_snapshot, random_topology, seeded
+from conftest import full_snapshot, random_topology, seeded, sg_as_dict
 from routescale import harness, unicast, workload
-from routescale.errors import DeliveryMismatch, ScenarioError
+from routescale.errors import DeliveryMismatch, ScenarioError, SimError
 from routescale.harness import (
     MODES,
     DeliveryRow,
@@ -202,13 +202,40 @@ class TestRun:
     def test_add_group_and_joins_leave_bift_unchanged(self):
         scenario = build_scenario(small_config(workload={"seed": 1}))
         sim = SimState(scenario)
-        bift_before = {r: sim.bift.size(r) for r in scenario.topology.roles}
+        bift_before = {r: len(sim.bift[r]) for r in scenario.topology.roles}
         sim.apply(Event(0, workload.ADD_GROUP, (7, 0)))
         sim.apply(Event(1, workload.JOIN, (7, 2)))
         sim.apply(Event(2, workload.JOIN, (7, 0)))
-        assert {r: sim.bift.size(r) for r in scenario.topology.roles} == bift_before
+        assert {r: len(sim.bift[r]) for r in scenario.topology.roles} == bift_before
         holding = {r for r in scenario.topology.roles if sim.sg_state.count(r)}
         assert len(holding) >= 2
+
+    def test_probe_leaves_sg_state_unchanged(self):
+        # a probe replicates over each entry's own oif set, not a copy
+        scenario = build_scenario(small_config(
+            topology={"kind": "fat-edge", "size": 12}, modes=["stateful_mcast"],
+            workload={"seed": 3, "n_groups": 3, "members_min": 1, "members_max": 4,
+                      "churn_events": 40}))
+        sim = SimState(scenario)
+        for event in workload.generate(scenario.topology, scenario.workload).events:
+            sim.apply(event)
+            before = sg_as_dict(sim.sg_state)
+            sim.probe(event.tick)
+            assert sg_as_dict(sim.sg_state) == before
+
+    def test_unknown_event_kind_rejected(self):
+        sim = SimState(build_scenario(small_config(workload={"seed": 1})))
+        for args in ((), (7, 0)):
+            with pytest.raises(SimError, match="unknown event kind"):
+                sim.apply(Event(0, "teleport", args))
+
+    def test_event_on_unknown_group_rejected(self):
+        sim = SimState(build_scenario(small_config(workload={"seed": 1})))
+        for kind, args in ((workload.JOIN, (7, 0)), (workload.LEAVE, (7, 0)),
+                           (workload.REMOVE_GROUP, (7,))):
+            with pytest.raises(SimError, match="unknown group 7"):
+                sim.apply(Event(0, kind, args))
+        assert sim.groups == {} and sim.membership == {}
 
     def test_remove_group_requires_empty_membership(self):
         scenario = build_scenario(small_config(workload={"seed": 1}))

@@ -68,7 +68,7 @@ class TestBuild:
             build_topology([(0, "core"), (1, "core")], [(0, 1, 1)])
 
     def test_link_to_unknown_router(self):
-        with pytest.raises(UnknownRouter):
+        with pytest.raises(InvalidLink):
             build_topology([(0, "edge")], [(0, 5, 1)])
 
 
