@@ -3,11 +3,12 @@
 Every edge router is both an ingress (BFIR) and an egress (BFER); core
 routers are pure transit BFRs.  The BFIR encapsulates a group's egress
 set as one bitstring per Set Identifier (RFC 8279 section 4), so a
-header is a function of the receivers alone.  The BIFT is a plain table
-derived solely from the topology and the BFER placement,
-``{router: {(SI, bit): (next hop, F-BM)}}``; the F-BM is the OR of all
-same-SI bits routed via that next hop.  Forwarding partitions a packet's
-bitstring by next hop, so each BFER receives exactly one copy.
+header is a function of the receivers alone.  A run computes each
+BFER's placement ``(SI, bit)`` once, from its BFR-id and the BSL.  The
+BIFT is a plain table derived solely from the topology and those
+placements, ``{router: {(SI, bit): (next hop, F-BM)}}``; the F-BM is the
+OR of all same-SI bits routed via that next hop.  Forwarding partitions
+a packet's bitstring by next hop, so each BFER receives exactly one copy.
 """
 
 from dataclasses import dataclass
@@ -54,18 +55,16 @@ def id_to_si_bit(bfr_id, bsl):
     return si, bit + 1
 
 
-def build_bift(topo, bfr_ids, bsl):
-    """Every router's BIFT from the unicast shortest-path topology; the
-    next hop is LOCAL at the BFER itself.
+def build_bift(topo, placements):
+    """Every router's BIFT from the unicast shortest-path topology and the
+    BFER placements ``{router: (si, bit)}``; the next hop is LOCAL at the
+    BFER itself.
 
-    A pure function of (topology, BFER set, BSL): group churn never
-    touches it.
+    A pure function of (topology, placements): group churn never touches it.
     """
-    bift = {}
-    placements = {}    # bfer router -> (si, bit)
-    for bfer, bfr_id in bfr_ids.items():
+    for bfer in placements:
         topo.require(bfer)
-        placements[bfer] = id_to_si_bit(bfr_id, bsl)
+    bift = {}
     for router in topo.roles:
         # group same-SI bits by next hop to form the F-BMs
         groups = {}    # (si, next_hop) -> fbm

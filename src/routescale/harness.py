@@ -14,10 +14,10 @@ and the (S,G) column only at routers where a join or leave created or
 deleted an entry.  A group whose membership or tree changed since its
 last verified probe is re-forwarded: one probe packet per multicast
 mode, comparing delivered receiver sets against the membership ground
-truth.  Any other group's rows repeat that verified result, because
-nothing its packets read has changed since.  Any mismatch aborts the
-run so scaling numbers are never reported from an incorrect forwarding
-plane.
+truth.  Any other group's rows repeat the receiver set that probe
+verified, because nothing its packets read has changed since.  Any
+mismatch aborts the run so scaling numbers are never reported from an
+incorrect forwarding plane.
 """
 
 import json
@@ -68,12 +68,13 @@ class StateSnapshot:
 
 
 class DeliveryRow(NamedTuple):
+    """A verified probe: ``mode`` delivered one copy to each of
+    ``receivers``, the group's membership, and no other."""
+
     tick: int
     group: int
     mode: str
-    ok: bool
-    delivered: frozenset
-    expected: frozenset
+    receivers: frozenset
 
 
 def auto_providers(topo):
@@ -220,16 +221,19 @@ class SimState:
         self.sg_state = SgState() if "stateful_mcast" in scenario.modes else None
         self.groups = {}        # group -> source edge
         self.membership = {}    # group -> set of receiver edges
-        # group -> ((mode, delivered, expected), ...) from its last
-        # verified probe; dropped by every event on that group
+        # group -> the membership its last probe verified in every
+        # multicast mode; dropped by every event on that group
         self.verified = {}
         if "bier" in scenario.modes:
-            bfr_ids = bier.assign_bfr_ids(topo.edge_routers)
             self.bit_of = {r: bier.id_to_si_bit(i, scenario.bsl)
-                           for r, i in bfr_ids.items()}
-            self.bift = bier.build_bift(topo, bfr_ids, scenario.bsl)
+                           for r, i in bier.assign_bfr_ids(topo.edge_routers).items()}
+            self.bift = bier.build_bift(topo, self.bit_of)
         else:
             self.bift = None
+        # the multicast modes a probe checks, by report name, in report order
+        self.probe_modes = tuple(name for name, plane in (("stateful", self.sg_state),
+                                                          ("bier", self.bift))
+                                 if plane is not None)
         # router -> its report row, in router order; a row is rebuilt only
         # when a count in it may have changed (see snapshot)
         self._fixed = {r: (
@@ -265,6 +269,8 @@ class SimState:
             self.membership.setdefault(group, set())
         elif kind == workload.JOIN:
             group, receiver = args
+            if self.topo.roles.get(receiver) != EDGE:
+                raise SimError(f"join of group {group} targets non-edge router {receiver}")
             self.membership[group].add(receiver)
             if self.sg_state is not None:
                 sg = SgKey(self.groups[group], group)
@@ -293,7 +299,7 @@ class SimState:
         for router, (role, _, _) in self._fixed.items():
             if role not in cols:
                 cols[role] = (
-                    self.unicast.flat_fib_size(router) if "flat" in self.modes else 0,
+                    self.unicast.flat_fib_size() if "flat" in self.modes else 0,
                     self.unicast.mapping_entries(router) if "mapencap" in self.modes else 0,
                 )
         return cols
@@ -328,35 +334,34 @@ class SimState:
         return StateSnapshot(tick, list(self._rows.values()))
 
     def probe(self, tick):
-        """One row per active group per multicast mode; mismatch aborts.
+        """One verified row per active group per multicast mode; a
+        mismatch raises DeliveryMismatch, so no row ever records one.
 
         A group whose membership or tree changed since its last verified
         probe gets one packet per multicast mode, checked against its
-        membership.  Any other group's rows repeat that verified result at
-        this tick: only events on a group write its (S,G) entries and the
-        membership its BIER headers encode, and the BIFT never changes.
+        membership.  Any other group's rows repeat the receiver set that
+        probe verified: only events on a group write its (S,G) entries and
+        the membership its BIER headers encode, and the BIFT never changes.
         """
         rows = []
         for group in sorted(self.groups):
-            verified = self.verified.get(group)
-            if verified is None:
-                verified = self.verified[group] = self._probe_group(tick, group)
-            for mode, delivered, expected in verified:
-                rows.append(DeliveryRow(tick, group, mode, True, delivered, expected))
+            receivers = self.verified.get(group)
+            if receivers is None:
+                receivers = self.verified[group] = self._probe_group(tick, group)
+            for mode in self.probe_modes:
+                rows.append(DeliveryRow(tick, group, mode, receivers))
         return rows
 
     def _probe_group(self, tick, group):
-        """Probe ``group`` in every multicast mode; returns its
-        ``(mode, delivered, expected)`` results or raises DeliveryMismatch
-        unless each mode delivers one copy to each member and no other."""
-        results = []
+        """Probe ``group`` in every multicast mode; returns its membership,
+        or raises DeliveryMismatch unless each mode delivers one copy to
+        each member and no other."""
         expected = frozenset(self.membership[group])
         for mode, copies in self._copies(group):
             delivered = frozenset(copies)
             if delivered != expected or len(copies) != len(delivered):
                 raise DeliveryMismatch(tick, group, mode, delivered, expected)
-            results.append((mode, delivered, expected))
-        return tuple(results)
+        return expected
 
     def _copies(self, group):
         """Yield ``(mode, receiver of each delivered copy)`` per multicast
@@ -415,20 +420,14 @@ def emit_csv(snapshots, report, out_dir):
             lines.append(tick + text)
     state_path.write_text("\n".join(lines) + "\n")
 
-    # repeated rows share their receiver sets, so each is formatted once
+    # every row is a verified probe: ok is 1 and delivered equals expected.
+    # Repeated rows share their receiver sets, so each is formatted once.
     formatted = {}
-
-    def fmt(receivers):
-        text = formatted.get(receivers)
-        if text is None:
-            text = formatted[receivers] = "|".join(str(r) for r in sorted(receivers))
-        return text
-
     lines = [DELIVERY_HEADER]
     for row in sorted(report, key=lambda r: (r.tick, r.group, r.mode)):
-        lines.append(
-            f"{row.tick},{row.group},{row.mode},{int(row.ok)},"
-            f"{fmt(row.delivered)},{fmt(row.expected)}"
-        )
+        text = formatted.get(row.receivers)
+        if text is None:
+            text = formatted[row.receivers] = "|".join(map(str, sorted(row.receivers)))
+        lines.append(f"{row.tick},{row.group},{row.mode},1,{text},{text}")
     delivery_path.write_text("\n".join(lines) + "\n")
     return state_path, delivery_path

@@ -119,42 +119,36 @@ class Send:
 
 
 class PrefixTable:
-    """Longest-prefix-match table (binary trie)."""
+    """Longest-prefix-match table: one exact-match dict per prefix length,
+    ``{length: {value: action}}`` with the longest length first, so the
+    first dict holding an address's masked value gives the longest match."""
 
-    __slots__ = ("_root", "_count")
+    __slots__ = ("_by_length", "_count")
 
     def __init__(self):
-        self._root = [None, None, None]   # [zero-child, one-child, action]
+        self._by_length = {}
         self._count = 0
 
     def __len__(self):
         return self._count
 
     def add(self, prefix, action):
-        node = self._root
-        for i in range(prefix.length):
-            bit = (prefix.value >> (31 - i)) & 1
-            if node[bit] is None:
-                node[bit] = [None, None, None]
-            node = node[bit]
-        if node[2] is not None:
+        table = self._by_length.get(prefix.length)
+        if table is None:
+            self._by_length[prefix.length] = table = {}
+            self._by_length = dict(sorted(self._by_length.items(), reverse=True))
+        if prefix.value in table:
             raise InvalidPrefix(f"duplicate prefix {prefix}")
-        node[2] = action
+        table[prefix.value] = action
         self._count += 1
 
     def lookup(self, addr):
         """Longest matching action for ``addr``; raises NoRoute on miss."""
-        node = self._root
-        best = node[2]
-        for i in range(32):
-            node = node[(addr >> (31 - i)) & 1]
-            if node is None:
-                break
-            if node[2] is not None:
-                best = node[2]
-        if best is None:
-            raise NoRoute(f"no matching prefix for {addr:#010x}")
-        return best
+        for length, table in self._by_length.items():
+            value = addr >> (32 - length) << (32 - length)
+            if value in table:
+                return table[value]
+        raise NoRoute(f"no matching prefix for {addr:#010x}")
 
 
 class LabelTables:
@@ -302,10 +296,10 @@ class UnicastPlane:
 
     # -- state counts -------------------------------------------------------
 
-    def flat_fib_size(self, router):
+    def flat_fib_size(self):
         return len(self.locators) + len(self.identifiers)
 
-    def encap_fib_size(self, router):
+    def encap_fib_size(self):
         return len(self.locators)
 
     def mapping_entries(self, router):

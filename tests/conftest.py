@@ -31,10 +31,12 @@ from routescale.workload import (
     JOIN,
     KINDS,
     LEAVE,
+    REMOVE_GROUP,
     RNG_ALGORITHM,
     Event,
     Params,
     Schedule,
+    generate,
 )
 
 
@@ -210,35 +212,56 @@ def full_probe(sim, tick):
     ``SimState``, whatever changed since its last probe; a mismatch raises
     DeliveryMismatch.  Never reads or writes ``sim.verified``, and places
     each member's bit from its own BFR-id assignment, not ``sim.bit_of``."""
-    bsl = sim.scenario.bsl
-    bit_of = {r: bier.id_to_si_bit(i, bsl)
-              for r, i in bier.assign_bfr_ids(sim.topo.edge_routers).items()}
+    bit_of = bfer_placements(sim.topo.edge_routers, sim.scenario.bsl)
     rows = []
+
+    def check(group, mode, delivered_list, expected):
+        delivered = frozenset(delivered_list)
+        if delivered != expected or len(delivered_list) != len(delivered):
+            raise DeliveryMismatch(tick, group, mode, delivered, expected)
+        rows.append(DeliveryRow(tick, group, mode, expected))
+
     for group in sorted(sim.groups):
         expected = frozenset(sim.membership[group])
         if sim.sg_state is not None:
             sg = SgKey(sim.groups[group], group)
-            delivered_list = multicast.simulate_delivery(sim.sg_state, sg)
-            delivered = frozenset(delivered_list)
-            ok = (delivered == expected
-                  and len(delivered_list) == len(delivered))
-            rows.append(DeliveryRow(tick, group, "stateful", ok, delivered, expected))
-            if not ok:
-                raise DeliveryMismatch(tick, group, "stateful", delivered, expected)
+            check(group, "stateful", multicast.simulate_delivery(sim.sg_state, sg), expected)
         if sim.bift is not None:
             delivered_list = []
             for header in bier.encapsulate_bier([bit_of[r] for r in expected]):
                 if sim.scenario.fault == "bier_drop_lowest_bit":
                     header = BierHeader(header.si, header.bits & (header.bits - 1))
                 delivered_list.extend(
-                    bier.flood_deliver(sim.bift, header, sim.groups[group]))
-            delivered = frozenset(r for r, _ in delivered_list)
-            ok = (delivered == expected
-                  and len(delivered_list) == len(delivered))
-            rows.append(DeliveryRow(tick, group, "bier", ok, delivered, expected))
-            if not ok:
-                raise DeliveryMismatch(tick, group, "bier", delivered, expected)
+                    r for r, _ in bier.flood_deliver(sim.bift, header, sim.groups[group]))
+            check(group, "bier", delivered_list, expected)
     return rows
+
+
+def assert_rows_match_schedule(scenario, report):
+    """Each delivery row's receivers are its group's membership, replayed
+    from the scenario's schedule alone up to the row's tick."""
+    events = iter(generate(scenario.topology, scenario.workload).events)
+    event = next(events, None)
+    members = {}    # group -> receivers after every event up to ``tick``
+    for row in sorted(report, key=lambda r: r.tick):
+        while event is not None and event.tick <= row.tick:
+            group, *rest = event.args
+            if event.kind == ADD_GROUP:
+                members.setdefault(group, set())
+            elif event.kind == JOIN:
+                members[group].add(rest[0])
+            elif event.kind == LEAVE:
+                members[group].remove(rest[0])
+            elif event.kind == REMOVE_GROUP:
+                del members[group]
+            event = next(events, None)
+        assert row.receivers == members[row.group], row
+
+
+def bfer_placements(edge_routers, bsl):
+    """``{router: (si, bit)}`` for BFR-ids assigned in router-id order."""
+    return {r: bier.id_to_si_bit(i, bsl)
+            for r, i in bier.assign_bfr_ids(edge_routers).items()}
 
 
 def full_snapshot(sim, tick):
@@ -249,7 +272,7 @@ def full_snapshot(sim, tick):
         rows.append((
             router,
             sim.topo.roles[router],
-            sim.unicast.flat_fib_size(router) if "flat" in sim.modes else 0,
+            sim.unicast.flat_fib_size() if "flat" in sim.modes else 0,
             sim.unicast.mapping_entries(router) if "mapencap" in sim.modes else 0,
             sim.unicast.label_entries(router) if "mpls" in sim.modes else 0,
             sim.sg_state.count(router) if sim.sg_state is not None else 0,

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_topology, seeded
+from conftest import bfer_placements, random_topology, seeded
 from routescale import multicast
 from routescale.bier import (
     LOCAL,
@@ -55,13 +55,13 @@ class TestSiBit:
 class TestBuildBift:
     def test_line_example(self):
         topo = line3()
-        bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 8)
+        bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
         assert bift[1] == {(0, 1): (0, 0b01), (0, 2): (2, 0b10)}
         assert bift[0] == {(0, 1): (LOCAL, 0b01), (0, 2): (1, 0b10)}
 
     def test_single_router_domain(self):
         topo = build_topology([(5, "edge")], [])
-        bift = build_bift(topo, assign_bfr_ids([5]), 4)
+        bift = build_bift(topo, bfer_placements([5], 4))
         assert bift == {5: {(0, 1): (LOCAL, 0b1)}}
 
     def test_star_center_has_distinct_single_bit_fbms(self):
@@ -69,9 +69,25 @@ class TestBuildBift:
             [(0, "core"), (1, "edge"), (2, "edge"), (3, "edge")],
             [(0, 1, 1), (0, 2, 1), (0, 3, 1)],
         )
-        bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 8)
+        bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
         fbms = [fbm for _, fbm in bift[0].values()]
         assert sorted(fbms) == [0b001, 0b010, 0b100]
+
+    def test_keys_are_the_given_placements(self):
+        # ten BFERs at BSL 4 over three SIs, placed out of router-id order
+        routers = [(0, "core")] + [(i, "edge") for i in range(1, 11)]
+        topo = build_topology(routers, [(0, i, 1) for i in range(1, 11)])
+        placements = {
+            1: (2, 2), 2: (2, 1), 3: (1, 4), 4: (1, 3), 5: (1, 2),
+            6: (1, 1), 7: (0, 4), 8: (0, 3), 9: (0, 2), 10: (0, 1),
+        }
+        bift = build_bift(topo, placements)
+        assert set(bift) == set(topo.roles)
+        for router, row in bift.items():
+            assert set(row) == set(placements.values())
+        for bfer, place in placements.items():
+            assert bift[0][place][0] == bfer
+            assert bift[bfer][place][0] == LOCAL
 
 
 class TestEncapsulate:
@@ -89,24 +105,24 @@ class TestEncapsulate:
 class TestForward:
     def test_partition_at_transit(self):
         topo = line3()
-        bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 8)
+        bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
         copies = forward_bier(bift, BierHeader(0, 0b11), 1)
         assert sorted(copies) == [(0, BierHeader(0, 0b01)), (2, BierHeader(0, 0b10))]
 
     def test_all_zero_bits(self):
         topo = line3()
-        bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 8)
+        bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
         assert forward_bier(bift, BierHeader(0, 0), 1) == []
 
     def test_local_bit_plus_downstream_bit(self):
         topo = line3()
-        bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 8)
+        bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
         copies = forward_bier(bift, BierHeader(0, 0b11), 0)
         assert copies == [(LOCAL, BierHeader(0, 0b01)), (1, BierHeader(0, 0b10))]
 
     def test_missing_entry(self):
         topo = line3()
-        bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 8)
+        bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
         with pytest.raises(MissingBiftEntry):
             forward_bier(bift, BierHeader(0, 0b100), 1)
 
@@ -118,17 +134,17 @@ class TestBiftSize:
 
     def test_size_equals_bfer_count_everywhere(self):
         topo = self.star20()
-        bift = build_bift(topo, assign_bfr_ids(topo.edge_routers), 256)
+        bift = build_bift(topo, bfer_placements(topo.edge_routers, 256))
         assert all(len(bift[r]) == 20 for r in topo.roles)
 
     def test_group_churn_never_touches_the_table(self):
         topo = self.star20()
-        ids = assign_bfr_ids(topo.edge_routers)
-        before = build_bift(topo, ids, 256)
+        placements = bfer_placements(topo.edge_routers, 256)
+        before = build_bift(topo, placements)
         # a thousand groups' worth of encapsulations later, rebuild
         for g in range(1000):
             encapsulate_bier([id_to_si_bit(1 + g % 20, 256)])
-        after = build_bift(topo, ids, 256)
+        after = build_bift(topo, placements)
         assert before == after
         assert all(len(after[r]) == 20 for r in topo.roles)
 
@@ -140,7 +156,7 @@ class TestProperties:
             topo = random_topology(rng, rng.randint(1, 8))
             bsl = rng.choice([4, 8])
             ids = assign_bfr_ids(topo.edge_routers)
-            bift = build_bift(topo, ids, bsl)
+            bift = build_bift(topo, bfer_placements(topo.edge_routers, bsl))
             sis = sorted({id_to_si_bit(i, bsl)[0] for i in ids.values()})
             si = rng.choice(sis)
             valid_bits = []
@@ -166,7 +182,7 @@ class TestProperties:
             topo = random_topology(rng, rng.randint(1, 8))
             bsl = rng.choice([4, 8])
             ids = assign_bfr_ids(topo.edge_routers)
-            bift = build_bift(topo, ids, bsl)
+            bift = build_bift(topo, bfer_placements(topo.edge_routers, bsl))
             all_bits = {}
             for _, bfr_id in ids.items():
                 si, bit = id_to_si_bit(bfr_id, bsl)
@@ -194,7 +210,7 @@ class TestProperties:
             edges = topo.edge_routers
             bsl = rng.choice([4, 8])
             ids = assign_bfr_ids(edges)
-            bift = build_bift(topo, ids, bsl)
+            bift = build_bift(topo, bfer_placements(edges, bsl))
             source = rng.choice(edges)
             members = set(rng.sample(edges, rng.randint(0, len(edges))))
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_snapshot, random_topology, seeded, sg_as_dict
+from conftest import (
+    assert_rows_match_schedule,
+    full_snapshot,
+    random_topology,
+    seeded,
+    sg_as_dict,
+)
 from routescale import harness, unicast, workload
 from routescale.errors import DeliveryMismatch, ScenarioError, SimError
 from routescale.harness import (
@@ -151,8 +157,10 @@ class TestRun:
             assert bift_n == len(scenario.topology.edge_routers)
 
     def test_all_delivery_rows_match(self):
-        snapshots, report = run(build_scenario(small_config()))
-        assert report and all(row.ok for row in report)
+        scenario = build_scenario(small_config())
+        snapshots, report = run(scenario)
+        assert report
+        assert_rows_match_schedule(scenario, report)
 
     def test_report_covers_every_active_group_at_every_probe(self):
         scenario = build_scenario(small_config(modes=["stateful_mcast", "bier"]))
@@ -183,8 +191,8 @@ class TestRun:
         after = sim.snapshot(1)
         for b, a in zip(before.rows, after.rows):
             assert a[2] == b[2] + 1          # flat FIB grew by one everywhere
-        # mapencap core FIB unchanged: still |providers| at the core router
-        assert sim.unicast.encap_fib_size(1) == 2
+        # mapencap FIB unchanged: still |providers| at every router
+        assert sim.unicast.encap_fib_size() == 2
 
     def test_setup_builds_no_lsp_in_any_mode_combination(self, monkeypatch):
         calls = []
@@ -236,6 +244,18 @@ class TestRun:
             with pytest.raises(SimError, match="unknown group 7"):
                 sim.apply(Event(0, kind, args))
         assert sim.groups == {} and sim.membership == {}
+
+    @pytest.mark.parametrize("modes, mode", [(["bier"], "bier"),
+                                             (["stateful_mcast"], "stateful")])
+    def test_join_of_non_edge_router_rejected(self, modes, mode):
+        # line3: routers 0 and 2 are edges, router 1 is core
+        sim = SimState(build_scenario(small_config(modes=modes, workload={"seed": 1})))
+        sim.apply(Event(0, workload.ADD_GROUP, (7, 0)))
+        for router in (1, 99):
+            with pytest.raises(SimError, match=f"non-edge router {router}"):
+                sim.apply(Event(1, workload.JOIN, (7, router)))
+        assert sim.membership[7] == set()
+        assert sim.probe(1) == [DeliveryRow(1, 7, mode, frozenset())]
 
     def test_remove_group_requires_empty_membership(self):
         scenario = build_scenario(small_config(workload={"seed": 1}))
@@ -320,8 +340,8 @@ class TestCsv:
 
     def test_delivery_row_order_and_format(self, tmp_path):
         rows = [
-            DeliveryRow(10, 1, "stateful", True, frozenset({2, 0}), frozenset({0, 2})),
-            DeliveryRow(0, 1, "bier", True, frozenset(), frozenset()),
+            DeliveryRow(10, 1, "stateful", frozenset({2, 0})),
+            DeliveryRow(0, 1, "bier", frozenset()),
         ]
         _, delivery_path = emit_csv([], rows, tmp_path)
         lines = delivery_path.read_text().splitlines()

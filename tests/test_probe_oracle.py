@@ -53,7 +53,7 @@ def as_multiset(result):
 def test_bier_forwarding_matches_bit_by_bit_scan(seed, n, bsl, data):
     topo = random_topology(seeded(seed), n)
     ids = assign_bfr_ids(topo.edge_routers)
-    bift = build_bift(topo, ids, bsl)
+    bift = build_bift(topo, {r: id_to_si_bit(i, bsl) for r, i in ids.items()})
     owned = {}    # si -> bits some BFER holds
     for bfr_id in ids.values():
         si, bit = id_to_si_bit(bfr_id, bsl)

@@ -78,7 +78,7 @@ def prefix_sets(draw):
 class TestLongestPrefixMatch:
     @settings(max_examples=200, deadline=None)
     @given(prefix_sets(), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_trie_matches_brute_force_scan(self, entries, addr):
+    def test_lpm_matches_brute_force_scan(self, entries, addr):
         table = PrefixTable()
         for prefix, action in entries:
             table.add(prefix, action)
@@ -107,22 +107,20 @@ class TestFlatFib:
     def test_zero_sites_one_provider(self):
         topo = build_topology([(0, "edge"), (1, "core")], [(0, 1, 1)])
         plane = plane_with_sites(topo, [])
-        assert all(plane.flat_fib_size(r) == 1 for r in topo.roles)
+        assert plane.flat_fib_size() == 1
 
     def test_core_entry_count_is_sites_plus_providers(self):
         topo = y_topology()
         assert len(auto_providers(topo)) == 3
         plane = plane_with_sites(topo, [(i, [0, 3, 4][i % 3]) for i in range(100)])
-        assert plane.flat_fib_size(1) == 103
-        assert plane.flat_fib_size(2) == 103
+        assert plane.flat_fib_size() == 103
 
     def test_adding_one_site_increments_every_router_by_one(self):
         topo = line3()
         plane = plane_with_sites(topo, [(0, 0), (1, 2)])
-        before = {r: plane.flat_fib_size(r) for r in topo.roles}
+        before = plane.flat_fib_size()
         plane.add_site(make_site(2, 2))
-        after = {r: plane.flat_fib_size(r) for r in topo.roles}
-        assert all(after[r] == before[r] + 1 for r in topo.roles)
+        assert plane.flat_fib_size() == before + 1
 
     def test_site_on_non_edge_router_rejected(self):
         with pytest.raises(UnattachedSite):
@@ -133,15 +131,14 @@ class TestMapEncapTables:
     def test_core_fib_holds_only_locators(self):
         topo = y_topology()
         plane = plane_with_sites(topo, [(i, [0, 3, 4][i % 3]) for i in range(100)])
-        assert plane.encap_fib_size(1) == 3
-        assert plane.encap_fib_size(2) == 3
+        assert plane.encap_fib_size() == 3
         assert [plane.mapping_entries(r) for r in range(5)] == [100, 0, 0, 100, 100]
 
     def test_zero_sites(self):
         topo = line3()
         plane = plane_with_sites(topo, [])
         assert all(plane.mapping_entries(r) == 0 for r in topo.roles)
-        assert all(plane.encap_fib_size(r) == 2 for r in topo.roles)
+        assert plane.encap_fib_size() == 2
 
 
 class TestForwarding:
@@ -316,8 +313,8 @@ class TestDerivedTables:
         plane, oracle, providers, n_sites = drawn
         topo = plane.topo
         for r in topo.roles:
-            assert plane.flat_fib_size(r) == oracle.flat_fib_size(r)
-            assert plane.encap_fib_size(r) == oracle.encap_fib_size(r)
+            assert plane.flat_fib_size() == oracle.flat_fib_size(r)
+            assert plane.encap_fib_size() == oracle.encap_fib_size(r)
             assert plane.mapping_entries(r) == oracle.mapping_entries(r)
             assert plane.label_entries(r) == mesh_entries(oracle.labels, r)
         # every site, one unregistered site, every locator
