@@ -9,6 +9,10 @@ BIFT is a plain table derived solely from the topology and those
 placements, ``{router: {(SI, bit): (next hop, F-BM)}}``; the F-BM is the
 OR of all same-SI bits routed via that next hop.  Forwarding partitions
 a packet's bitstring by next hop, so each BFER receives exactly one copy.
+
+``BierHeader`` exists only at encapsulation: a flood reads its SI once,
+and every copy inside it is a ``(next hop, bits)`` pair of plain ints
+within that SI.
 """
 
 from dataclasses import dataclass
@@ -88,8 +92,9 @@ def encapsulate_bier(positions):
     return [BierHeader(si, per_si[si]) for si in sorted(per_si)]
 
 
-def forward_bier(bift, header, at):
-    """Partition a bitstring by next hop and emit one filtered copy each.
+def forward_bier(bift, si, bits, at):
+    """Partition bitstring ``bits`` of Set Identifier ``si`` by next hop;
+    returns one ``(next hop, bits)`` copy per next hop, in the same SI.
 
     RFC 8279 section 6.5: take the lowest set bit of the working copy,
     look up its entry, emit ``working & F-BM`` toward the entry's next
@@ -98,35 +103,36 @@ def forward_bier(bift, header, at):
     equals the input.
     """
     row = bift.get(at, {})
-    si = header.si
     copies = []
-    working = header.bits
+    working = bits
     while working:
         bit = (working & -working).bit_length()
         entry = row.get((si, bit))
         if entry is None:
             raise MissingBiftEntry(f"router {at}: no BIFT entry for SI {si} bit {bit}")
         next_hop, fbm = entry
-        copies.append((next_hop, BierHeader(si, working & fbm)))
+        copies.append((next_hop, working & fbm))
         working &= ~fbm
     return copies
 
 
 def flood_deliver(bift, header, at):
-    """Recursively forward until every copy terminates; list of (BFER, bit).
+    """Inject ``header`` at router ``at`` and forward until every copy
+    terminates; list of (BFER, bit).
 
-    The returned list is a multiset: the exactly-one-copy property means
-    it has one element per set bit of the injected header.
+    The header's SI is read once; the copies in flight are ``(router,
+    bits)`` ints.  The returned list is a multiset: the exactly-one-copy
+    property means it has one element per set bit of the injected header.
     """
+    si = header.si
     delivered = []
-    stack = [(at, header)]
+    stack = [(at, header.bits)]
     while stack:
-        router, h = stack.pop()
-        for next_hop, copy in forward_bier(bift, h, router):
+        router, bits = stack.pop()
+        for next_hop, copy in forward_bier(bift, si, bits, router):
             if next_hop == LOCAL:
-                for bit in bit_positions(copy.bits):
+                for bit in bit_positions(copy):
                     delivered.append((router, bit))
             else:
                 stack.append((next_hop, copy))
     return delivered
-

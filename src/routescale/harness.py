@@ -263,7 +263,8 @@ class SimState:
             raise SimError(f"event references unknown group {group}")
         if kind == workload.ADD_GROUP:
             group, source_edge = args
-            self.topo.require(source_edge)
+            if self.topo.roles.get(source_edge) != EDGE:
+                raise SimError(f"add_group {group} sourced at non-edge router {source_edge}")
             if self.groups.setdefault(group, source_edge) != source_edge:
                 raise SimError(f"group {group} re-added with a different source")
             self.membership.setdefault(group, set())

@@ -67,14 +67,15 @@ def join(state, topo, sg, receiver_edge):
 
     Walks from the receiver toward the source edge; stops as soon as a
     router already has the required downstream interface (the tree above
-    is already in place).  Idempotent.
+    is already in place).  Idempotent.  The next-hop table toward the
+    source, ``topo.toward``, is read once per join.
     """
     topo.require(receiver_edge)
-    topo.require(sg.source_edge)
+    toward = topo.toward(sg.source_edge)    # UnknownRouter for an unknown source
     cur = receiver_edge
     downstream = LOCAL
     while True:
-        iif = LOCAL if cur == sg.source_edge else topo.next_hop(cur, sg.source_edge)
+        iif = LOCAL if cur == sg.source_edge else toward[cur]
         entry = state._install(cur, sg, iif)
         if downstream in entry.oifs:
             return state

@@ -153,21 +153,20 @@ def rebuild_from_membership(topo, groups, membership):
     return state
 
 
-def scan_forward_bier(bift, header, at):
+def scan_forward_bier(bift, si, bits, at):
     """Bit-by-bit BIER forwarding: tests every position up to the highest
-    set bit, one BIFT lookup per set bit still in the working copy."""
+    set bit, one BIFT lookup per set bit still in the working copy;
+    ``(next hop, bits)`` copies."""
     copies = []
-    working = header.bits
+    working = bits
     bit = 1
     while working:
         if working & bit_mask(bit):
-            entry = bift.get(at, {}).get((header.si, bit))
+            entry = bift.get(at, {}).get((si, bit))
             if entry is None:
-                raise MissingBiftEntry(
-                    f"router {at}: no BIFT entry for SI {header.si} bit {bit}"
-                )
+                raise MissingBiftEntry(f"router {at}: no BIFT entry for SI {si} bit {bit}")
             next_hop, fbm = entry
-            copies.append((next_hop, BierHeader(header.si, working & fbm)))
+            copies.append((next_hop, working & fbm))
             working &= ~fbm
         bit += 1
     return copies
@@ -177,17 +176,33 @@ def scan_flood_deliver(bift, header, at):
     """``flood_deliver`` over :func:`scan_forward_bier`, bit by bit at the
     BFERs too."""
     delivered = []
-    stack = [(at, header)]
+    stack = [(at, header.bits)]
     while stack:
-        router, h = stack.pop()
-        for next_hop, copy in scan_forward_bier(bift, h, router):
+        router, bits = stack.pop()
+        for next_hop, copy in scan_forward_bier(bift, header.si, bits, router):
             if next_hop == LOCAL:
-                for bit in range(1, copy.bits.bit_length() + 1):
-                    if copy.bits & bit_mask(bit):
+                for bit in range(1, copy.bit_length() + 1):
+                    if copy & bit_mask(bit):
                         delivered.append((router, bit))
             else:
                 stack.append((next_hop, copy))
     return delivered
+
+
+def reference_bift(topo, placements):
+    """Every router's BIFT built one BFER at a time, with next hops from
+    :func:`scan_next_hop` (never the table ``build_bift`` reads): LOCAL at
+    the BFER itself, and each F-BM the OR of the same-SI bits routed via
+    the same next hop."""
+    hop_of = {router: {} for router in topo.roles}    # router -> (si, bit) -> next hop
+    fbm_of = {router: {} for router in topo.roles}    # router -> (si, next hop) -> F-BM
+    for bfer, (si, bit) in placements.items():
+        for router in topo.roles:
+            nh = LOCAL if router == bfer else scan_next_hop(topo, router, bfer)
+            hop_of[router][(si, bit)] = nh
+            fbm_of[router][(si, nh)] = fbm_of[router].get((si, nh), 0) | bit_mask(bit)
+    return {router: {place: (nh, fbm_of[router][(place[0], nh)]) for place, nh in hops.items()}
+            for router, hops in hop_of.items()}
 
 
 def sorted_simulate_delivery(state, sg):

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import bfer_placements, random_topology, seeded
+from conftest import bfer_placements, random_topology, reference_bift, seeded
 from routescale import multicast
 from routescale.bier import (
     LOCAL,
@@ -106,25 +108,25 @@ class TestForward:
     def test_partition_at_transit(self):
         topo = line3()
         bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
-        copies = forward_bier(bift, BierHeader(0, 0b11), 1)
-        assert sorted(copies) == [(0, BierHeader(0, 0b01)), (2, BierHeader(0, 0b10))]
+        copies = forward_bier(bift, 0, 0b11, 1)
+        assert sorted(copies) == [(0, 0b01), (2, 0b10)]
 
     def test_all_zero_bits(self):
         topo = line3()
         bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
-        assert forward_bier(bift, BierHeader(0, 0), 1) == []
+        assert forward_bier(bift, 0, 0, 1) == []
 
     def test_local_bit_plus_downstream_bit(self):
         topo = line3()
         bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
-        copies = forward_bier(bift, BierHeader(0, 0b11), 0)
-        assert copies == [(LOCAL, BierHeader(0, 0b01)), (1, BierHeader(0, 0b10))]
+        copies = forward_bier(bift, 0, 0b11, 0)
+        assert copies == [(LOCAL, 0b01), (1, 0b10)]
 
     def test_missing_entry(self):
         topo = line3()
         bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
         with pytest.raises(MissingBiftEntry):
-            forward_bier(bift, BierHeader(0, 0b100), 1)
+            forward_bier(bift, 0, 0b100, 1)
 
 
 class TestBiftSize:
@@ -169,11 +171,11 @@ class TestProperties:
                 if rng.random() < 0.6:
                     bits |= bit_mask(b)
             at = rng.choice(sorted(topo.roles))
-            copies = forward_bier(bift, BierHeader(si, bits), at)
+            copies = forward_bier(bift, si, bits, at)
             combined = 0
             for _, copy in copies:
-                assert combined & copy.bits == 0   # pairwise disjoint
-                combined |= copy.bits
+                assert combined & copy == 0   # pairwise disjoint
+                combined |= copy
             assert combined == bits
 
     def test_fbms_partition_reachable_bits_per_si(self):
@@ -225,6 +227,17 @@ class TestProperties:
                 delivered.extend(flood_deliver(bift, header, source))
             assert {r for r, _ in delivered} == stateful == members
             assert len(delivered) == len(members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10),
+       st.integers(min_value=1, max_value=8), st.data())
+def test_build_bift_matches_reference(seed, n, bsl, data):
+    topo = random_topology(seeded(seed), n)
+    # BFR-ids handed out in a drawn router order, often not router-id order
+    order = data.draw(st.permutations(topo.edge_routers))
+    placements = {r: id_to_si_bit(i, bsl) for i, r in enumerate(order, start=1)}
+    assert build_bift(topo, placements) == reference_bift(topo, placements)
 
 
 def test_bit_positions_roundtrip():

@@ -257,6 +257,18 @@ class TestRun:
         assert sim.membership[7] == set()
         assert sim.probe(1) == [DeliveryRow(1, 7, mode, frozenset())]
 
+    @pytest.mark.parametrize("modes", [["bier"], ["stateful_mcast"]])
+    def test_add_group_with_non_edge_source_rejected(self, modes):
+        # line3: routers 0 and 2 are edges, router 1 is core
+        sim = SimState(build_scenario(small_config(modes=modes, workload={"seed": 1})))
+        for router in (1, 99):
+            with pytest.raises(SimError, match=f"non-edge router {router}"):
+                sim.apply(Event(0, workload.ADD_GROUP, (7, router)))
+        assert sim.groups == {} and sim.membership == {}
+        with pytest.raises(SimError, match="unknown group 7"):
+            sim.apply(Event(1, workload.JOIN, (7, 2)))
+        assert sim.probe(1) == []
+
     def test_remove_group_requires_empty_membership(self):
         scenario = build_scenario(small_config(workload={"seed": 1}))
         sim = SimState(scenario)

@@ -8,7 +8,7 @@ from conftest import (
     sg_as_dict,
     sg_total,
 )
-from routescale.errors import NoState, NotJoined, RpfFailure
+from routescale.errors import NoState, NotJoined, RpfFailure, UnknownRouter
 from routescale.multicast import (
     LOCAL,
     SgKey,
@@ -52,6 +52,14 @@ class TestJoin:
         snapshot = sg_as_dict(state)
         join(state, topo, sg, 2)
         assert sg_as_dict(state) == snapshot
+
+    def test_unknown_receiver_or_source_installs_nothing(self):
+        topo = line3()
+        state = SgState()
+        for sg, receiver in ((SgKey(0, 1), 99), (SgKey(99, 1), 2)):
+            with pytest.raises(UnknownRouter, match="router 99"):
+                join(state, topo, sg, receiver)
+        assert state.entries == {} and state.changed == set()
 
 
 class TestLeave:
