@@ -5,10 +5,15 @@ routers are pure transit BFRs.  The BFIR encapsulates a group's egress
 set as one bitstring per Set Identifier (RFC 8279 section 4), so a
 header is a function of the receivers alone.  A run computes each
 BFER's placement ``(SI, bit)`` once, from its BFR-id and the BSL.  The
-BIFT is a plain table derived solely from the topology and those
-placements, ``{router: {(SI, bit): (next hop, F-BM)}}``; the F-BM is the
-OR of all same-SI bits routed via that next hop.  Forwarding partitions
-a packet's bitstring by next hop, so each BFER receives exactly one copy.
+BIFT is derived solely from the topology and those placements.
+Logically it holds one entry per BFER, ``(SI, bit) -> (next hop,
+F-BM)``, where the F-BM is the OR of all same-SI bits routed via that
+next hop.  It is stored as ``{router: {SI: slots}}``: ``slots[bit]`` is
+the entry for that bit position (slot 0 and positions no BFER holds are
+None), and every slot that shares a next hop holds the same ``(next
+hop, F-BM)`` pair, so a router stores one pair per next hop in each SI.
+Forwarding partitions a packet's bitstring by next hop, so each BFER
+receives exactly one copy.
 
 ``BierHeader`` exists only at encapsulation: a flood reads its SI once,
 and every copy inside it is a ``(next hop, bits)`` pair of plain ints
@@ -17,7 +22,7 @@ within that SI.
 
 from dataclasses import dataclass
 
-from .errors import MissingBiftEntry, NoEdgeRouters
+from .errors import BiftLoop, MissingBiftEntry, NoEdgeRouters
 
 LOCAL = "local"
 
@@ -62,24 +67,30 @@ def id_to_si_bit(bfr_id, bsl):
 def build_bift(topo, placements):
     """Every router's BIFT from the unicast shortest-path topology and the
     BFER placements ``{router: (si, bit)}``; the next hop is LOCAL at the
-    BFER itself.
+    BFER itself.  Returns ``{router: {si: slots}}``, the compact form the
+    module docstring describes.
 
     A pure function of (topology, placements): group churn never touches it.
     """
     for bfer in placements:
         topo.require(bfer)
+    width = {}     # si -> highest bit position in use
+    for si, bit in placements.values():
+        width[si] = max(width.get(si, 0), bit)
     bift = {}
     for router in topo.roles:
         # group same-SI bits by next hop to form the F-BMs
-        groups = {}    # (si, next_hop) -> fbm
+        fbms = {}      # (si, next_hop) -> fbm
         hop_of = {}    # (si, bit) -> next_hop
         for bfer, (si, bit) in placements.items():
             nh = LOCAL if router == bfer else topo.next_hop(router, bfer)
             hop_of[(si, bit)] = nh
-            groups[(si, nh)] = groups.get((si, nh), 0) | bit_mask(bit)
-        bift[router] = {
-            (si, bit): (nh, groups[(si, nh)]) for (si, bit), nh in hop_of.items()
-        }
+            fbms[(si, nh)] = fbms.get((si, nh), 0) | bit_mask(bit)
+        pairs = {key: (key[1], fbm) for key, fbm in fbms.items()}
+        slots = {si: [None] * (w + 1) for si, w in width.items()}
+        for (si, bit), nh in hop_of.items():
+            slots[si][bit] = pairs[(si, nh)]
+        bift[router] = {si: tuple(row) for si, row in slots.items()}
     return bift
 
 
@@ -102,12 +113,15 @@ def forward_bier(bift, si, bits, at):
     bits in ascending order, no two copies share a bit and their OR
     equals the input.
     """
-    row = bift.get(at, {})
+    try:
+        slots = bift[at][si]
+    except KeyError:
+        slots = ()
     copies = []
     working = bits
     while working:
         bit = (working & -working).bit_length()
-        entry = row.get((si, bit))
+        entry = slots[bit] if bit < len(slots) else None
         if entry is None:
             raise MissingBiftEntry(f"router {at}: no BIFT entry for SI {si} bit {bit}")
         next_hop, fbm = entry
@@ -123,11 +137,20 @@ def flood_deliver(bift, header, at):
     The header's SI is read once; the copies in flight are ``(router,
     bits)`` ints.  The returned list is a multiset: the exactly-one-copy
     property means it has one element per set bit of the injected header.
+
+    Each bit follows one path through a loop-free table, visiting each
+    router at most once, and every ``forward_bier`` call after the
+    injection carries at least one bit.  So a flood that needs more than
+    ``popcount(bits) * len(bift)`` further calls has met a loop, and
+    raises BiftLoop.
     """
     si = header.si
+    budget = header.bits.bit_count() * len(bift)
     delivered = []
     stack = [(at, header.bits)]
-    while stack:
+    for _ in range(budget + 1):
+        if not stack:
+            return delivered
         router, bits = stack.pop()
         for next_hop, copy in forward_bier(bift, si, bits, router):
             if next_hop == LOCAL:
@@ -135,4 +158,7 @@ def flood_deliver(bift, header, at):
                     delivered.append((router, bit))
             else:
                 stack.append((next_hop, copy))
+    if stack:
+        raise BiftLoop(f"SI {si} flood from router {at} looped: more than "
+                       f"{budget} forwarding steps after the injection")
     return delivered

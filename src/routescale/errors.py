@@ -85,6 +85,10 @@ class MissingBiftEntry(SimError):
     pass
 
 
+class BiftLoop(SimError):
+    """A BIER flood forwarded more copies than a loop-free BIFT allows."""
+
+
 # -- workload / harness -----------------------------------------------------
 
 class InvalidParams(SimError):

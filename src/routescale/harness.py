@@ -12,12 +12,15 @@ counts no event can have changed: the label and BIFT columns are fixed
 at construction, the unicast columns change only when a site is added,
 and the (S,G) column only at routers where a join or leave created or
 deleted an entry.  A group whose membership or tree changed since its
-last verified probe is re-forwarded: one probe packet per multicast
-mode, comparing delivered receiver sets against the membership ground
-truth.  Any other group's rows repeat the receiver set that probe
-verified, because nothing its packets read has changed since.  Any
-mismatch aborts the run so scaling numbers are never reported from an
-incorrect forwarding plane.
+last verified probe is re-probed in every multicast mode, comparing the
+delivered receivers against the membership ground truth.  What is
+re-forwarded is the (S,G) packet and each BIER packet whose header
+changed: the BFIR sends one BIER packet per Set Identifier, and a packet
+whose header equals the one last flooded for that SI delivers what that
+flood delivered.  Any other group's rows repeat the receiver set its
+last probe verified, because nothing its packets read has changed since.
+Any mismatch aborts the run so scaling numbers are never reported from
+an incorrect forwarding plane.
 """
 
 import json
@@ -224,6 +227,11 @@ class SimState:
         # group -> the membership its last probe verified in every
         # multicast mode; dropped by every event on that group
         self.verified = {}
+        # group -> {si: (bits, receivers)}: the header last flooded for each
+        # Set Identifier and the BFER of each copy it delivered; dropped
+        # when the group is removed, since a re-added group may have
+        # another source
+        self.floods = {}
         if "bier" in scenario.modes:
             self.bit_of = {r: bier.id_to_si_bit(i, scenario.bsl)
                            for r, i in bier.assign_bfr_ids(topo.edge_routers).items()}
@@ -239,7 +247,7 @@ class SimState:
         self._fixed = {r: (
             topo.roles[r],
             self.unicast.label_entries(r) if "mpls" in self.modes else 0,
-            len(self.bift[r]) if self.bift is not None else 0,
+            len(self.bit_of) if self.bift is not None else 0,
         ) for r in sorted(topo.roles)}
         self._n_identifiers = len(self.unicast.identifiers) if self.unicast else 0
         self._unicast_cols = self._unicast_columns()
@@ -290,6 +298,7 @@ class SimState:
                 raise SimError(f"remove_group {group} while members remain")
             del self.groups[group]
             del self.membership[group]
+            self.floods.pop(group, None)
 
     # -- measurement ----------------------------------------------------
 
@@ -339,10 +348,12 @@ class SimState:
         mismatch raises DeliveryMismatch, so no row ever records one.
 
         A group whose membership or tree changed since its last verified
-        probe gets one packet per multicast mode, checked against its
-        membership.  Any other group's rows repeat the receiver set that
-        probe verified: only events on a group write its (S,G) entries and
-        the membership its BIER headers encode, and the BIFT never changes.
+        probe is checked against its membership in every multicast mode;
+        re-forwarded are the (S,G) packet and each BIER packet whose header
+        changed (see ``_copies``).  Any other group's rows repeat the
+        receiver set that probe verified: only events on a group write its
+        (S,G) entries and the membership its BIER headers encode, and the
+        BIFT never changes.
         """
         rows = []
         for group in sorted(self.groups):
@@ -366,17 +377,30 @@ class SimState:
 
     def _copies(self, group):
         """Yield ``(mode, receiver of each delivered copy)`` per multicast
-        mode in report order, forwarding each mode's packet only when asked."""
+        mode in report order, forwarding each mode's packet only when asked.
+
+        The (S,G) packet is always re-forwarded.  Of the BIER packets, one
+        per Set Identifier, only those whose header differs from the one
+        last flooded for that SI are: a flood reads only its ingress, its
+        header and the BIFT, and neither the group's source nor the BIFT
+        changes while the group exists.  The fault, if any, is applied to
+        the header before that comparison.
+        """
         source = self.groups[group]
         if self.sg_state is not None:
             yield "stateful", multicast.simulate_delivery(self.sg_state, SgKey(source, group))
         if self.bift is not None:
+            floods = self.floods.setdefault(group, {})
             copies = []
             positions = [self.bit_of[r] for r in self.membership[group]]
             for header in bier.encapsulate_bier(positions):
                 if self.scenario.fault == "bier_drop_lowest_bit":
                     header = bier.BierHeader(header.si, header.bits & (header.bits - 1))
-                copies.extend(r for r, _ in bier.flood_deliver(self.bift, header, source))
+                flood = floods.get(header.si)
+                if flood is None or flood[0] != header.bits:
+                    flood = floods[header.si] = (header.bits, [
+                        r for r, _ in bier.flood_deliver(self.bift, header, source)])
+                copies.extend(flood[1])
             yield "bier", copies
 
 

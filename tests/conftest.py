@@ -153,16 +153,26 @@ def rebuild_from_membership(topo, groups, membership):
     return state
 
 
+def expand_bift(bift):
+    """A BIFT as ``{router: {(si, bit): (next hop, F-BM)}}``, one entry per
+    occupied slot of ``build_bift``'s per-SI slot tuples."""
+    return {router: {(si, bit): entry
+                     for si, slots in row.items()
+                     for bit, entry in enumerate(slots) if entry is not None}
+            for router, row in bift.items()}
+
+
 def scan_forward_bier(bift, si, bits, at):
     """Bit-by-bit BIER forwarding: tests every position up to the highest
-    set bit, one BIFT lookup per set bit still in the working copy;
-    ``(next hop, bits)`` copies."""
+    set bit, one lookup in the expanded BIFT per set bit still in the
+    working copy; ``(next hop, bits)`` copies."""
+    row = expand_bift(bift).get(at, {})
     copies = []
     working = bits
     bit = 1
     while working:
         if working & bit_mask(bit):
-            entry = bift.get(at, {}).get((si, bit))
+            entry = row.get((si, bit))
             if entry is None:
                 raise MissingBiftEntry(f"router {at}: no BIFT entry for SI {si} bit {bit}")
             next_hop, fbm = entry
@@ -282,6 +292,7 @@ def bfer_placements(edge_routers, bsl):
 def full_snapshot(sim, tick):
     """Every router's state counts of a ``SimState``, each read from its
     source at this call; never reads the rows ``sim.snapshot`` keeps."""
+    bift = expand_bift(sim.bift) if sim.bift is not None else None
     rows = []
     for router in sorted(sim.topo.roles):
         rows.append((
@@ -291,7 +302,7 @@ def full_snapshot(sim, tick):
             sim.unicast.mapping_entries(router) if "mapencap" in sim.modes else 0,
             sim.unicast.label_entries(router) if "mpls" in sim.modes else 0,
             sim.sg_state.count(router) if sim.sg_state is not None else 0,
-            len(sim.bift[router]) if sim.bift is not None else 0,
+            len(bift[router]) if bift is not None else 0,
         ))
     return StateSnapshot(tick, rows)
 

@@ -1,8 +1,10 @@
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfer_placements, random_topology, reference_bift, seeded
+from conftest import bfer_placements, expand_bift, random_topology, reference_bift, seeded
 from routescale import multicast
 from routescale.bier import (
     LOCAL,
@@ -16,7 +18,7 @@ from routescale.bier import (
     forward_bier,
     id_to_si_bit,
 )
-from routescale.errors import MissingBiftEntry, NoEdgeRouters
+from routescale.errors import BiftLoop, MissingBiftEntry, NoEdgeRouters
 from routescale.multicast import SgKey, SgState
 from routescale.topology import build_topology
 
@@ -57,13 +59,13 @@ class TestSiBit:
 class TestBuildBift:
     def test_line_example(self):
         topo = line3()
-        bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
+        bift = expand_bift(build_bift(topo, bfer_placements(topo.edge_routers, 8)))
         assert bift[1] == {(0, 1): (0, 0b01), (0, 2): (2, 0b10)}
         assert bift[0] == {(0, 1): (LOCAL, 0b01), (0, 2): (1, 0b10)}
 
     def test_single_router_domain(self):
         topo = build_topology([(5, "edge")], [])
-        bift = build_bift(topo, bfer_placements([5], 4))
+        bift = expand_bift(build_bift(topo, bfer_placements([5], 4)))
         assert bift == {5: {(0, 1): (LOCAL, 0b1)}}
 
     def test_star_center_has_distinct_single_bit_fbms(self):
@@ -71,7 +73,7 @@ class TestBuildBift:
             [(0, "core"), (1, "edge"), (2, "edge"), (3, "edge")],
             [(0, 1, 1), (0, 2, 1), (0, 3, 1)],
         )
-        bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
+        bift = expand_bift(build_bift(topo, bfer_placements(topo.edge_routers, 8)))
         fbms = [fbm for _, fbm in bift[0].values()]
         assert sorted(fbms) == [0b001, 0b010, 0b100]
 
@@ -83,7 +85,7 @@ class TestBuildBift:
             1: (2, 2), 2: (2, 1), 3: (1, 4), 4: (1, 3), 5: (1, 2),
             6: (1, 1), 7: (0, 4), 8: (0, 3), 9: (0, 2), 10: (0, 1),
         }
-        bift = build_bift(topo, placements)
+        bift = expand_bift(build_bift(topo, placements))
         assert set(bift) == set(topo.roles)
         for router, row in bift.items():
             assert set(row) == set(placements.values())
@@ -128,6 +130,27 @@ class TestForward:
         with pytest.raises(MissingBiftEntry):
             forward_bier(bift, 0, 0b100, 1)
 
+    # line 0 - 1 - 2: bit 2 (router 2) sent back to router 1 at router 1,
+    # or bounced between routers 1 and 2
+    @pytest.mark.parametrize("at_1, at_2", [(1, LOCAL), (2, 1)])
+    def test_looping_slot_raises_bift_loop(self, at_1, at_2):
+        bift = {0: {0: (None, (LOCAL, 0b01), (1, 0b10))},
+                1: {0: (None, (0, 0b01), (at_1, 0b10))},
+                2: {0: (None, (1, 0b01), (at_2, 0b10))}}
+        raised = []
+
+        def flood():
+            try:
+                flood_deliver(bift, BierHeader(0, 0b11), 0)
+            except BiftLoop as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=flood, daemon=True)
+        worker.start()
+        worker.join(timeout=1.0)
+        assert not worker.is_alive(), "flood still running after 1 s"
+        assert len(raised) == 1
+
 
 class TestBiftSize:
     def star20(self):
@@ -136,17 +159,17 @@ class TestBiftSize:
 
     def test_size_equals_bfer_count_everywhere(self):
         topo = self.star20()
-        bift = build_bift(topo, bfer_placements(topo.edge_routers, 256))
+        bift = expand_bift(build_bift(topo, bfer_placements(topo.edge_routers, 256)))
         assert all(len(bift[r]) == 20 for r in topo.roles)
 
     def test_group_churn_never_touches_the_table(self):
         topo = self.star20()
         placements = bfer_placements(topo.edge_routers, 256)
-        before = build_bift(topo, placements)
+        before = expand_bift(build_bift(topo, placements))
         # a thousand groups' worth of encapsulations later, rebuild
         for g in range(1000):
             encapsulate_bier([id_to_si_bit(1 + g % 20, 256)])
-        after = build_bift(topo, placements)
+        after = expand_bift(build_bift(topo, placements))
         assert before == after
         assert all(len(after[r]) == 20 for r in topo.roles)
 
@@ -184,7 +207,7 @@ class TestProperties:
             topo = random_topology(rng, rng.randint(1, 8))
             bsl = rng.choice([4, 8])
             ids = assign_bfr_ids(topo.edge_routers)
-            bift = build_bift(topo, bfer_placements(topo.edge_routers, bsl))
+            bift = expand_bift(build_bift(topo, bfer_placements(topo.edge_routers, bsl)))
             all_bits = {}
             for _, bfr_id in ids.items():
                 si, bit = id_to_si_bit(bfr_id, bsl)
@@ -237,7 +260,14 @@ def test_build_bift_matches_reference(seed, n, bsl, data):
     # BFR-ids handed out in a drawn router order, often not router-id order
     order = data.draw(st.permutations(topo.edge_routers))
     placements = {r: id_to_si_bit(i, bsl) for i, r in enumerate(order, start=1)}
-    assert build_bift(topo, placements) == reference_bift(topo, placements)
+    bift = build_bift(topo, placements)
+    assert expand_bift(bift) == reference_bift(topo, placements)
+    # one stored (next hop, F-BM) pair per distinct (si, next hop) at each router
+    for router, row in bift.items():
+        pairs = {(si, id(entry)) for si, slots in row.items() for entry in slots
+                 if entry is not None}
+        hops = {(si, nh) for (si, _), (nh, _) in expand_bift(bift)[router].items()}
+        assert len(pairs) == len(hops)
 
 
 def test_bit_positions_roundtrip():

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_rows_match_schedule,
+    expand_bift,
+    full_probe,
     full_snapshot,
     random_topology,
     seeded,
     sg_as_dict,
 )
-from routescale import harness, unicast, workload
+from routescale import bier, harness, unicast, workload
 from routescale.errors import DeliveryMismatch, ScenarioError, SimError
 from routescale.harness import (
     MODES,
@@ -210,11 +212,11 @@ class TestRun:
     def test_add_group_and_joins_leave_bift_unchanged(self):
         scenario = build_scenario(small_config(workload={"seed": 1}))
         sim = SimState(scenario)
-        bift_before = {r: len(sim.bift[r]) for r in scenario.topology.roles}
+        bift_before = {r: len(expand_bift(sim.bift)[r]) for r in scenario.topology.roles}
         sim.apply(Event(0, workload.ADD_GROUP, (7, 0)))
         sim.apply(Event(1, workload.JOIN, (7, 2)))
         sim.apply(Event(2, workload.JOIN, (7, 0)))
-        assert {r: len(sim.bift[r]) for r in scenario.topology.roles} == bift_before
+        assert {r: len(expand_bift(sim.bift)[r]) for r in scenario.topology.roles} == bift_before
         holding = {r for r in scenario.topology.roles if sim.sg_state.count(r)}
         assert len(holding) >= 2
 
@@ -288,6 +290,66 @@ class TestRun:
         sim.apply(Event(1, workload.JOIN, (7, 2)))
         sim.apply(Event(2, workload.LEAVE, (7, 2)))
         assert {g: set(m) for g, m in sim.membership.items()} == before
+
+
+class TestBierFloodReuse:
+    """A re-probed group floods only the BIER packets whose header changed."""
+
+    # BFR-ids follow router ids: at BSL 4, edges 1-4 are SI 0, 5-8 SI 1
+    # and 9-10 SI 2
+    def sim(self):
+        routers = [(0, "core")] + [(i, "edge") for i in range(1, 11)]
+        topo = build_topology(routers, [(0, i, 1) for i in range(1, 11)])
+        return SimState(Scenario(topo, [], workload.Params(), ("bier",), 4, 1))
+
+    def count_floods(self, monkeypatch):
+        headers = []
+        original = bier.flood_deliver
+
+        def counting(bift, header, at):
+            headers.append((header.si, header.bits))
+            return original(bift, header, at)
+
+        monkeypatch.setattr(bier, "flood_deliver", counting)
+        return headers
+
+    def probe(self, sim, tick, headers):
+        """The ``(si, bits)`` headers ``sim.probe`` flooded; its rows must
+        equal a full re-probe's."""
+        expected = full_probe(sim, tick)
+        headers.clear()
+        assert sim.probe(tick) == expected
+        return list(headers)
+
+    def apply(self, sim, tick, *events):
+        for kind, args in events:
+            sim.apply(Event(tick, kind, args))
+
+    def test_change_on_one_si_refloods_one_header(self, monkeypatch):
+        sim = self.sim()
+        headers = self.count_floods(monkeypatch)
+        self.apply(sim, 0, (workload.ADD_GROUP, (1, 1)),
+                   *[(workload.JOIN, (1, r)) for r in (2, 6, 10)])
+        assert self.probe(sim, 0, headers) == [(0, 0b10), (1, 0b10), (2, 0b10)]
+        self.apply(sim, 1, (workload.JOIN, (1, 7)))
+        assert self.probe(sim, 1, headers) == [(1, 0b110)]
+        self.apply(sim, 2, (workload.LEAVE, (1, 10)), (workload.JOIN, (1, 9)))
+        assert self.probe(sim, 2, headers) == [(2, 0b01)]
+        assert self.probe(sim, 3, headers) == []
+
+    def test_group_readded_at_another_source_refloods_every_si(self, monkeypatch):
+        sim = self.sim()
+        headers = self.count_floods(monkeypatch)
+        members = (2, 6, 10)
+        self.apply(sim, 0, (workload.ADD_GROUP, (1, 1)),
+                   *[(workload.JOIN, (1, r)) for r in members])
+        assert len(self.probe(sim, 0, headers)) == 3
+        # no probe between the removal and the re-add, which would clear
+        # the group's floods whatever remove_group does
+        self.apply(sim, 1, *[(workload.LEAVE, (1, r)) for r in members],
+                   (workload.REMOVE_GROUP, (1,)), (workload.ADD_GROUP, (1, 5)),
+                   *[(workload.JOIN, (1, r)) for r in members])
+        assert self.probe(sim, 1, headers) == [(0, 0b10), (1, 0b10), (2, 0b10)]
 
 
 SNAPSHOT_OPS = ("add_site", "add_group", "join", "leave", "remove_group", "snapshot")
