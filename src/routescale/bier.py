@@ -111,7 +111,8 @@ def forward_bier(bift, si, bits, at):
     look up its entry, emit ``working & F-BM`` toward the entry's next
     hop and clear the F-BM from the working copy.  One lookup per copy,
     bits in ascending order, no two copies share a bit and their OR
-    equals the input.
+    equals the input.  An entry whose F-BM lacks its own bit would never
+    clear that bit, so it raises MissingBiftEntry like an absent one.
     """
     try:
         slots = bift[at][si]
@@ -120,11 +121,16 @@ def forward_bier(bift, si, bits, at):
     copies = []
     working = bits
     while working:
-        bit = (working & -working).bit_length()
+        low = working & -working
+        bit = low.bit_length()
         entry = slots[bit] if bit < len(slots) else None
         if entry is None:
             raise MissingBiftEntry(f"router {at}: no BIFT entry for SI {si} bit {bit}")
         next_hop, fbm = entry
+        if not fbm & low:
+            raise MissingBiftEntry(
+                f"router {at}: the BIFT entry for SI {si} bit {bit} has an F-BM "
+                f"without bit {bit}")
         copies.append((next_hop, working & fbm))
         working &= ~fbm
     return copies

@@ -70,8 +70,9 @@ def cli_main(argv=None):
         scenario = harness.load_scenario(args.scenario, modes)
         snapshots, report = harness.run(scenario, seed=args.seed)
         state_path, delivery_path = harness.emit_csv(snapshots, report, args.out)
+        n_rows = sum(len(record.modes) * len(record.groups) for record in report)
         print(f"wrote {state_path} ({len(snapshots)} snapshots) and "
-              f"{delivery_path} ({len(report)} delivery rows)")
+              f"{delivery_path} ({n_rows} delivery rows)")
         return 0
     except errors.DeliveryMismatch as exc:
         print(f"delivery failure: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 A scenario bundles a topology, providers, workload parameters, the set
 of forwarding modes to run, the BIER bitstring length, and a snapshot
-interval.  Replaying the schedule records per-router state counts and,
-at every snapshot, reports one delivery row per active group per
-multicast mode.
+interval.  Replaying the schedule records, at every snapshot, each
+router's state counts and one delivery record: every active group with
+the receivers its probe verified, for all multicast modes at once.
+``emit_csv`` expands a record into one delivery row per group and mode.
 
 Both records cost what changed since the previous snapshot, not the
 size of the network.  A state snapshot reuses every router row whose
@@ -17,10 +18,12 @@ delivered receivers against the membership ground truth.  What is
 re-forwarded is the (S,G) packet and each BIER packet whose header
 changed: the BFIR sends one BIER packet per Set Identifier, and a packet
 whose header equals the one last flooded for that SI delivers what that
-flood delivered.  Any other group's rows repeat the receiver set its
-last probe verified, because nothing its packets read has changed since.
+flood delivered.  Any other group repeats the receiver set its last
+probe verified, because nothing its packets read has changed since.
 Any mismatch aborts the run so scaling numbers are never reported from
-an incorrect forwarding plane.
+an incorrect forwarding plane.  Writing the CSVs also costs what
+changed: a state row or a group's receivers shared with an earlier
+snapshot is formatted once.
 """
 
 import json
@@ -70,14 +73,15 @@ class StateSnapshot:
     rows: list = field(default_factory=list)
 
 
-class DeliveryRow(NamedTuple):
-    """A verified probe: ``mode`` delivered one copy to each of
-    ``receivers``, the group's membership, and no other."""
+class DeliverySnapshot(NamedTuple):
+    """The probes verified at ``tick``: for each ``(group, receivers)``
+    pair of ``groups``, in group order, every mode in ``modes`` delivered
+    one copy to each of ``receivers``, the group's membership, and no
+    other."""
 
     tick: int
-    group: int
-    mode: str
-    receivers: frozenset
+    modes: tuple
+    groups: list
 
 
 def auto_providers(topo):
@@ -344,25 +348,25 @@ class SimState:
         return StateSnapshot(tick, list(self._rows.values()))
 
     def probe(self, tick):
-        """One verified row per active group per multicast mode; a
-        mismatch raises DeliveryMismatch, so no row ever records one.
+        """One ``DeliverySnapshot`` of every active group's verified
+        receivers in every multicast mode; a mismatch raises
+        DeliveryMismatch, so no record ever holds one.
 
         A group whose membership or tree changed since its last verified
         probe is checked against its membership in every multicast mode;
         re-forwarded are the (S,G) packet and each BIER packet whose header
-        changed (see ``_copies``).  Any other group's rows repeat the
-        receiver set that probe verified: only events on a group write its
-        (S,G) entries and the membership its BIER headers encode, and the
-        BIFT never changes.
+        changed (see ``_copies``).  Any other group repeats the receiver
+        set that probe verified: only events on a group write its (S,G)
+        entries and the membership its BIER headers encode, and the BIFT
+        never changes.
         """
-        rows = []
+        groups = []
         for group in sorted(self.groups):
             receivers = self.verified.get(group)
             if receivers is None:
                 receivers = self.verified[group] = self._probe_group(tick, group)
-            for mode in self.probe_modes:
-                rows.append(DeliveryRow(tick, group, mode, receivers))
-        return rows
+            groups.append((group, receivers))
+        return DeliverySnapshot(tick, self.probe_modes, groups)
 
     def _probe_group(self, tick, group):
         """Probe ``group`` in every multicast mode; returns its membership,
@@ -405,7 +409,8 @@ class SimState:
 
 
 def run(scenario, seed=None):
-    """Replay the scenario's schedule; returns (snapshots, delivery rows)."""
+    """Replay the scenario's schedule; returns (state snapshots, delivery
+    snapshots), one of each per snapshot tick, in tick order."""
     params = scenario.workload
     if seed is not None:
         params = replace(params, seed=seed)
@@ -422,37 +427,59 @@ def run(scenario, seed=None):
             i += 1
         if tick % scenario.snapshot_interval == 0 or tick == max_tick:
             snapshots.append(sim.snapshot(tick))
-            report.extend(sim.probe(tick))
+            report.append(sim.probe(tick))
     return snapshots, report
 
 
 def emit_csv(snapshots, report, out_dir):
-    """Write state.csv and delivery.csv with stable row order."""
+    """Write state.csv and delivery.csv from the snapshots ``run`` returns,
+    which are in tick order.
+
+    state.csv has one row per router per snapshot, in router order.
+    delivery.csv has one row per group and multicast mode per delivery
+    snapshot, in group order and then mode name order.  Each snapshot's
+    lines are written as one string.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     state_path = out_dir / "state.csv"
     delivery_path = out_dir / "delivery.csv"
 
-    # snapshots share unchanged rows, so each distinct row is formatted once
-    state_text = {}
+    # a row that no event changed is the same object as the row at its
+    # position in the previous snapshot (see SimState.snapshot), so it
+    # reuses the text formatted there
     lines = [STATE_HEADER]
+    prev_rows = prev_texts = ()
     for snap in snapshots:
-        tick = f"{snap.tick},"
-        for row in snap.rows:
-            text = state_text.get(row)
-            if text is None:
-                text = state_text[row] = "%s,%s,%s,%s,%s,%s,%s" % row
-            lines.append(tick + text)
+        rows = snap.rows
+        if len(rows) == len(prev_rows):
+            texts = [text if row is prev else "%s,%s,%s,%s,%s,%s,%s" % row
+                     for row, prev, text in zip(rows, prev_rows, prev_texts)]
+        else:
+            texts = ["%s,%s,%s,%s,%s,%s,%s" % row for row in rows]
+        if texts:
+            lines.append(f"{snap.tick}," + f"\n{snap.tick},".join(texts))
+        prev_rows, prev_texts = rows, texts
     state_path.write_text("\n".join(lines) + "\n")
 
-    # every row is a verified probe: ok is 1 and delivered equals expected.
-    # Repeated rows share their receiver sets, so each is formatted once.
-    formatted = {}
+    # every record is a verified probe: ok is 1 and delivered equals
+    # expected.  A group repeats its receivers until an event on it, so
+    # each distinct (group, receivers) pair is formatted once per mode.
+    formatted = {}      # modes -> (group, receivers) -> line per mode, no tick
     lines = [DELIVERY_HEADER]
-    for row in sorted(report, key=lambda r: (r.tick, r.group, r.mode)):
-        text = formatted.get(row.receivers)
-        if text is None:
-            text = formatted[row.receivers] = "|".join(map(str, sorted(row.receivers)))
-        lines.append(f"{row.tick},{row.group},{row.mode},1,{text},{text}")
+    for record in report:
+        modes = tuple(sorted(record.modes))
+        known = formatted.setdefault(modes, {})
+        texts = []
+        for pair in record.groups:
+            group_texts = known.get(pair)
+            if group_texts is None:
+                group, receivers = pair
+                members = "|".join(map(str, sorted(receivers)))
+                group_texts = known[pair] = [f"{group},{mode},1,{members},{members}"
+                                             for mode in modes]
+            texts += group_texts
+        if texts:
+            lines.append(f"{record.tick}," + f"\n{record.tick},".join(texts))
     delivery_path.write_text("\n".join(lines) + "\n")
     return state_path, delivery_path

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from typing import NamedTuple
 
 from routescale import bier, multicast
 from routescale.bier import LOCAL, BierHeader, bit_mask
@@ -14,7 +15,7 @@ from routescale.errors import (
     NoRoute,
     UnknownRouter,
 )
-from routescale.harness import DeliveryRow, StateSnapshot
+from routescale.harness import DELIVERY_HEADER, STATE_HEADER, StateSnapshot
 from routescale.multicast import SgKey, SgState, join
 from routescale.topology import EDGE, build_topology
 from routescale.unicast import (
@@ -38,6 +39,40 @@ from routescale.workload import (
     Schedule,
     generate,
 )
+
+
+class DeliveryRow(NamedTuple):
+    """One delivery.csv row: ``mode`` delivered one copy to each of
+    ``receivers``, the group's membership, and no other."""
+
+    tick: int
+    group: int
+    mode: str
+    receivers: frozenset
+
+
+def expand_report(report):
+    """``run``'s delivery snapshots as one ``DeliveryRow`` per group and
+    mode: in record order, then each record's group order, then its mode
+    order."""
+    return [DeliveryRow(record.tick, group, mode, receivers)
+            for record in report
+            for group, receivers in record.groups
+            for mode in record.modes]
+
+
+def reference_emit_csv(snapshots, report):
+    """The text of state.csv and delivery.csv, formatted one row at a
+    time, with the expanded delivery rows sorted by (tick, group, mode)."""
+    state = [STATE_HEADER]
+    for snap in snapshots:
+        for row in snap.rows:
+            state.append(",".join(map(str, (snap.tick, *row))))
+    delivery = [DELIVERY_HEADER]
+    for row in sorted(expand_report(report), key=lambda r: (r.tick, r.group, r.mode)):
+        members = "|".join(str(r) for r in sorted(row.receivers))
+        delivery.append(f"{row.tick},{row.group},{row.mode},1,{members},{members}")
+    return "\n".join(state) + "\n", "\n".join(delivery) + "\n"
 
 
 def path_to(topo, source, dest):
@@ -165,7 +200,8 @@ def expand_bift(bift):
 def scan_forward_bier(bift, si, bits, at):
     """Bit-by-bit BIER forwarding: tests every position up to the highest
     set bit, one lookup in the expanded BIFT per set bit still in the
-    working copy; ``(next hop, bits)`` copies."""
+    working copy; ``(next hop, bits)`` copies.  An entry whose F-BM lacks
+    its own bit raises MissingBiftEntry, as in ``forward_bier``."""
     row = expand_bift(bift).get(at, {})
     copies = []
     working = bits
@@ -176,6 +212,10 @@ def scan_forward_bier(bift, si, bits, at):
             if entry is None:
                 raise MissingBiftEntry(f"router {at}: no BIFT entry for SI {si} bit {bit}")
             next_hop, fbm = entry
+            if not fbm & bit_mask(bit):
+                raise MissingBiftEntry(
+                    f"router {at}: the BIFT entry for SI {si} bit {bit} has an F-BM "
+                    f"without bit {bit}")
             copies.append((next_hop, working & fbm))
             working &= ~fbm
         bit += 1

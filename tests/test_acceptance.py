@@ -9,6 +9,7 @@ from pathlib import Path
 
 from conftest import (
     assert_rows_match_schedule,
+    expand_report,
     random_topology,
     rebuild_from_membership,
     sg_as_dict,
@@ -133,8 +134,9 @@ def test_criterion_4_mode_delivery_equivalence():
             "snapshot_interval": 7,
         })
         _snapshots, report = run(scenario)   # raises on any mismatch
-        assert_rows_match_schedule(scenario, report)
-        assert {row.mode for row in report} == {"stateful", "bier"}
+        rows = expand_report(report)
+        assert_rows_match_schedule(scenario, rows)
+        assert {row.mode for row in rows} == {"stateful", "bier"}
     _passed(4, "stateful/BIER/membership delivery equivalence")
 
 

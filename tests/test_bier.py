@@ -1,10 +1,19 @@
+import sys
 import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfer_placements, expand_bift, random_topology, reference_bift, seeded
+from conftest import (
+    bfer_placements,
+    expand_bift,
+    random_topology,
+    reference_bift,
+    scan_forward_bier,
+    seeded,
+)
 from routescale import multicast
 from routescale.bier import (
     LOCAL,
@@ -21,6 +30,28 @@ from routescale.bier import (
 from routescale.errors import BiftLoop, MissingBiftEntry, NoEdgeRouters
 from routescale.multicast import SgKey, SgState
 from routescale.topology import build_topology
+
+
+@contextmanager
+def line_budget(func, lines):
+    """Make ``func``, called in this thread, raise RuntimeError once its
+    frames have run ``lines`` lines, so a call that loops forever fails."""
+    left = lines
+
+    def count(frame, event, arg):
+        nonlocal left
+        if event == "line":
+            left -= 1
+            if left < 0:
+                raise RuntimeError(f"{func.__name__} ran more than {lines} lines")
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is func.__code__ else None)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)
 
 
 def line3():
@@ -150,6 +181,15 @@ class TestForward:
         worker.join(timeout=1.0)
         assert not worker.is_alive(), "flood still running after 1 s"
         assert len(raised) == 1
+
+    # slot 1 holds an F-BM without bit 1: clearing that F-BM from the
+    # working copy never clears bit 1
+    @pytest.mark.parametrize("forward", [forward_bier, scan_forward_bier])
+    def test_slot_whose_fbm_lacks_its_own_bit_raises(self, forward):
+        bift = {0: {0: (None, (LOCAL, 0b10), (LOCAL, 0b10))}}
+        with pytest.raises(MissingBiftEntry, match="F-BM without bit 1"):
+            with line_budget(forward, 1000):
+                forward(bift, 0, 0b01, 0)
 
 
 class TestBiftSize:

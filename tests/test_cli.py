@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,17 @@ class TestRun:
         assert rc == 0
         assert (tmp_path / "state.csv").exists()
         assert (tmp_path / "delivery.csv").exists()
+
+    @pytest.mark.parametrize("scenario", [EXAMPLE_SCENARIO, BIER_WIDE_SCENARIO])
+    def test_printed_counts_match_the_csvs(self, tmp_path, capsys, scenario):
+        assert cli_main(["run", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        match = re.search(r"\((\d+) snapshots\).*\((\d+) delivery rows\)",
+                          capsys.readouterr().out)
+        n_snapshots, n_rows = int(match[1]), int(match[2])
+        delivery = (tmp_path / "delivery.csv").read_text().splitlines()[1:]
+        assert n_rows == len(delivery) > 0
+        state = (tmp_path / "state.csv").read_text().splitlines()[1:]
+        assert n_snapshots == len({line.split(",")[0] for line in state}) > 1
 
     def test_broken_delivery_exits_2(self, tmp_path, capsys):
         rc = cli_main(["run", "--scenario", str(FIXTURES / "fault_scenario.json"),

@@ -1,17 +1,21 @@
 import itertools
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DeliveryRow,
     assert_rows_match_schedule,
     expand_bift,
+    expand_report,
     full_probe,
     full_snapshot,
     random_topology,
+    reference_emit_csv,
     seeded,
     sg_as_dict,
 )
@@ -19,7 +23,7 @@ from routescale import bier, harness, unicast, workload
 from routescale.errors import DeliveryMismatch, ScenarioError, SimError
 from routescale.harness import (
     MODES,
-    DeliveryRow,
+    DeliverySnapshot,
     Scenario,
     SimState,
     StateSnapshot,
@@ -153,7 +157,8 @@ class TestRun:
         scenario = build_scenario(small_config(workload={"seed": 1}))
         snapshots, report = run(scenario)
         assert len(snapshots) == 1 and snapshots[0].tick == 0
-        assert report == []
+        assert len(report) == 1 and report[0].tick == 0
+        assert expand_report(report) == []
         for _, _, _, _, _, sg, bift_n in snapshots[0].rows:
             assert sg == 0
             assert bift_n == len(scenario.topology.edge_routers)
@@ -161,12 +166,14 @@ class TestRun:
     def test_all_delivery_rows_match(self):
         scenario = build_scenario(small_config())
         snapshots, report = run(scenario)
-        assert report
-        assert_rows_match_schedule(scenario, report)
+        rows = expand_report(report)
+        assert rows
+        assert_rows_match_schedule(scenario, rows)
 
     def test_report_covers_every_active_group_at_every_probe(self):
         scenario = build_scenario(small_config(modes=["stateful_mcast", "bier"]))
         snapshots, report = run(scenario)
+        rows = expand_report(report)
         ticks = [s.tick for s in snapshots]
         active_from = {}   # group -> add tick
         schedule = workload.generate(scenario.topology, scenario.workload)
@@ -176,7 +183,7 @@ class TestRun:
         for tick in ticks:
             expected_groups = {g for g, t0 in active_from.items() if t0 <= tick}
             for mode in ("stateful", "bier"):
-                got = {r.group for r in report if r.tick == tick and r.mode == mode}
+                got = {r.group for r in rows if r.tick == tick and r.mode == mode}
                 assert got == expected_groups
 
     def test_fault_injection_aborts_with_context(self):
@@ -257,7 +264,7 @@ class TestRun:
             with pytest.raises(SimError, match=f"non-edge router {router}"):
                 sim.apply(Event(1, workload.JOIN, (7, router)))
         assert sim.membership[7] == set()
-        assert sim.probe(1) == [DeliveryRow(1, 7, mode, frozenset())]
+        assert expand_report([sim.probe(1)]) == [DeliveryRow(1, 7, mode, frozenset())]
 
     @pytest.mark.parametrize("modes", [["bier"], ["stateful_mcast"]])
     def test_add_group_with_non_edge_source_rejected(self, modes):
@@ -269,7 +276,7 @@ class TestRun:
         assert sim.groups == {} and sim.membership == {}
         with pytest.raises(SimError, match="unknown group 7"):
             sim.apply(Event(1, workload.JOIN, (7, 2)))
-        assert sim.probe(1) == []
+        assert expand_report([sim.probe(1)]) == []
 
     def test_remove_group_requires_empty_membership(self):
         scenario = build_scenario(small_config(workload={"seed": 1}))
@@ -318,7 +325,7 @@ class TestBierFloodReuse:
         equal a full re-probe's."""
         expected = full_probe(sim, tick)
         headers.clear()
-        assert sim.probe(tick) == expected
+        assert expand_report([sim.probe(tick)]) == expected
         return list(headers)
 
     def apply(self, sim, tick, *events):
@@ -413,14 +420,22 @@ class TestCsv:
         assert len(lines) == 1 + 6
 
     def test_delivery_row_order_and_format(self, tmp_path):
-        rows = [
-            DeliveryRow(10, 1, "stateful", frozenset({2, 0})),
-            DeliveryRow(0, 1, "bier", frozenset()),
+        # modes in probe order, not name order; group 1 keeps its receivers
+        # from tick 0 to tick 10 but gains a mode, group 3 joins at tick 10
+        report = [
+            DeliverySnapshot(0, ("bier",), [(1, frozenset())]),
+            DeliverySnapshot(10, ("stateful", "bier"),
+                             [(1, frozenset()), (3, frozenset({2, 0}))]),
         ]
-        _, delivery_path = emit_csv([], rows, tmp_path)
-        lines = delivery_path.read_text().splitlines()
-        assert lines[1] == "0,1,bier,1,,"
-        assert lines[2] == "10,1,stateful,1,0|2,0|2"
+        _, delivery_path = emit_csv([], report, tmp_path)
+        assert delivery_path.read_text().splitlines()[1:] == [
+            "0,1,bier,1,,",
+            "10,1,bier,1,,",
+            "10,1,stateful,1,,",
+            "10,3,bier,1,0|2,0|2",
+            "10,3,stateful,1,0|2,0|2",
+        ]
+        assert delivery_path.read_text() == reference_emit_csv([], report)[1]
 
     def test_same_seed_rerun_is_byte_identical(self, tmp_path):
         outs = []
@@ -440,3 +455,32 @@ class TestCsv:
         # overriding with the scenario's own seed changes nothing
         assert run(scenario, seed=params.seed) == run(scenario)
         assert run(scenario, seed=1) != run(scenario, seed=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=8),
+       modes=st.sets(st.sampled_from(MODES), min_size=1).map(
+           lambda chosen: tuple(m for m in MODES if m in chosen)),
+       bsl=st.integers(min_value=1, max_value=8), interval=st.integers(min_value=1, max_value=4),
+       n_sites=st.integers(min_value=0, max_value=4), n_groups=st.integers(min_value=0, max_value=3),
+       members_max=st.integers(min_value=1, max_value=4),
+       churn=st.integers(min_value=0, max_value=20))
+@example(seed=1, n=6, modes=MODES, bsl=2, interval=1, n_sites=3, n_groups=3, members_max=3,
+         churn=20)
+@example(seed=2, n=6, modes=("stateful_mcast",), bsl=2, interval=2, n_sites=0, n_groups=3,
+         members_max=3, churn=20)
+@example(seed=3, n=6, modes=("bier",), bsl=2, interval=3, n_sites=0, n_groups=3,
+         members_max=3, churn=20)
+@example(seed=4, n=6, modes=MODES, bsl=2, interval=1, n_sites=3, n_groups=0, members_max=1,
+         churn=0)
+def test_emit_csv_matches_reference_writer(seed, n, modes, bsl, interval, n_sites, n_groups,
+                                           members_max, churn):
+    topo = random_topology(seeded(seed), n)
+    params = workload.Params(seed=seed, n_sites=n_sites, n_groups=n_groups,
+                             members_max=min(members_max, len(topo.edge_routers)),
+                             churn_events=churn)
+    scenario = Scenario(topo, auto_providers(topo), params, modes, bsl, interval)
+    snapshots, report = run(scenario)
+    with tempfile.TemporaryDirectory() as out:
+        got = tuple(path.read_bytes() for path in emit_csv(snapshots, report, out))
+    assert got == tuple(text.encode() for text in reference_emit_csv(snapshots, report))
