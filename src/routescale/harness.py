@@ -23,7 +23,9 @@ probe verified, because nothing its packets read has changed since.
 Any mismatch aborts the run so scaling numbers are never reported from
 an incorrect forwarding plane.  Writing the CSVs also costs what
 changed: a state row or a group's receivers shared with an earlier
-snapshot is formatted once.
+snapshot is formatted once, and each snapshot's text is written to the
+file as soon as it is formatted, so the writer holds no more than one
+snapshot's text.
 """
 
 import json
@@ -35,7 +37,7 @@ from . import bier, multicast, workload
 from .errors import DeliveryMismatch, ScenarioError, SimError
 from .generators import gen_topology
 from .multicast import SgKey, SgState
-from .topology import EDGE, build_topology
+from .topology import EDGE, build_topology, is_int
 from .unicast import (
     MAX_PROVIDERS,
     MAX_SITES,
@@ -107,6 +109,13 @@ def auto_providers(topo):
     ]
 
 
+def _integer(value, name):
+    """``value`` if it is an ``int`` (not a bool); else a ScenarioError."""
+    if not is_int(value):
+        raise ScenarioError(f"malformed scenario: {name} must be an integer, got {value!r}")
+    return value
+
+
 def _build_topology_section(section, base_dir):
     if "file" in section:
         path = Path(base_dir or ".") / section["file"]
@@ -114,7 +123,7 @@ def _build_topology_section(section, base_dir):
         if "topology" in section:
             section = section["topology"]
     if "kind" in section:
-        section = gen_topology(section["kind"], int(section["size"]))
+        section = gen_topology(section["kind"], _integer(section["size"], "topology size"))
     try:
         return build_topology(section["routers"], section["links"])
     except KeyError as exc:
@@ -136,7 +145,8 @@ def _build_providers(section, topo):
     providers = []
     for p in section:
         try:
-            pid, routers = int(p["id"]), frozenset(int(r) for r in p["routers"])
+            pid = _integer(p["id"], "provider id")
+            routers = frozenset(_integer(r, f"provider {pid} router") for r in p["routers"])
         except KeyError as exc:
             raise ScenarioError(f"provider entry missing key {exc}") from None
         if not 0 <= pid < MAX_PROVIDERS:
@@ -177,10 +187,10 @@ def build_scenario(config, base_dir=None):
             f"n_sites {params.n_sites} exceeds {MAX_SITES}, the number of /24 site "
             "identifiers under 1/1 that unicast modes use"
         )
-    bsl = int(config.get("bsl", bier.DEFAULT_BSL))
+    bsl = _integer(config.get("bsl", bier.DEFAULT_BSL), "bsl")
     if bsl < 1:
         raise ScenarioError(f"bsl must be >= 1, got {bsl}")
-    interval = int(config.get("snapshot_interval", 10))
+    interval = _integer(config.get("snapshot_interval", 10), "snapshot_interval")
     if interval < 1:
         raise ScenarioError(f"snapshot_interval must be >= 1, got {interval}")
 
@@ -438,7 +448,8 @@ def emit_csv(snapshots, report, out_dir):
     state.csv has one row per router per snapshot, in router order.
     delivery.csv has one row per group and multicast mode per delivery
     snapshot, in group order and then mode name order.  Each snapshot's
-    lines are written as one string.
+    lines are joined into one string and written to the open file, so
+    the writer holds one snapshot's text at a time, not the file's.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -448,38 +459,40 @@ def emit_csv(snapshots, report, out_dir):
     # a row that no event changed is the same object as the row at its
     # position in the previous snapshot (see SimState.snapshot), so it
     # reuses the text formatted there
-    lines = [STATE_HEADER]
-    prev_rows = prev_texts = ()
-    for snap in snapshots:
-        rows = snap.rows
-        if len(rows) == len(prev_rows):
-            texts = [text if row is prev else "%s,%s,%s,%s,%s,%s,%s" % row
-                     for row, prev, text in zip(rows, prev_rows, prev_texts)]
-        else:
-            texts = ["%s,%s,%s,%s,%s,%s,%s" % row for row in rows]
-        if texts:
-            lines.append(f"{snap.tick}," + f"\n{snap.tick},".join(texts))
-        prev_rows, prev_texts = rows, texts
-    state_path.write_text("\n".join(lines) + "\n")
+    with open(state_path, "w") as out:
+        out.write(STATE_HEADER + "\n")
+        prev_rows = prev_texts = ()
+        for snap in snapshots:
+            rows = snap.rows
+            if len(rows) == len(prev_rows):
+                texts = [text if row is prev else "%s,%s,%s,%s,%s,%s,%s" % row
+                         for row, prev, text in zip(rows, prev_rows, prev_texts)]
+            else:
+                texts = ["%s,%s,%s,%s,%s,%s,%s" % row for row in rows]
+            if texts:
+                out.write(f"{snap.tick}," + f"\n{snap.tick},".join(texts))
+                out.write("\n")
+            prev_rows, prev_texts = rows, texts
 
     # every record is a verified probe: ok is 1 and delivered equals
     # expected.  A group repeats its receivers until an event on it, so
     # each distinct (group, receivers) pair is formatted once per mode.
     formatted = {}      # modes -> (group, receivers) -> line per mode, no tick
-    lines = [DELIVERY_HEADER]
-    for record in report:
-        modes = tuple(sorted(record.modes))
-        known = formatted.setdefault(modes, {})
-        texts = []
-        for pair in record.groups:
-            group_texts = known.get(pair)
-            if group_texts is None:
-                group, receivers = pair
-                members = "|".join(map(str, sorted(receivers)))
-                group_texts = known[pair] = [f"{group},{mode},1,{members},{members}"
-                                             for mode in modes]
-            texts += group_texts
-        if texts:
-            lines.append(f"{record.tick}," + f"\n{record.tick},".join(texts))
-    delivery_path.write_text("\n".join(lines) + "\n")
+    with open(delivery_path, "w") as out:
+        out.write(DELIVERY_HEADER + "\n")
+        for record in report:
+            modes = tuple(sorted(record.modes))
+            known = formatted.setdefault(modes, {})
+            texts = []
+            for pair in record.groups:
+                group_texts = known.get(pair)
+                if group_texts is None:
+                    group, receivers = pair
+                    members = "|".join(map(str, sorted(receivers)))
+                    group_texts = known[pair] = [f"{group},{mode},1,{members},{members}"
+                                                 for mode in modes]
+                texts += group_texts
+            if texts:
+                out.write(f"{record.tick}," + f"\n{record.tick},".join(texts))
+                out.write("\n")
     return state_path, delivery_path

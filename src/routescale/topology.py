@@ -26,18 +26,19 @@ EDGE = "edge"
 class Topology:
     """Validated, immutable network graph.
 
-    Build via :func:`build_topology`.  Next hops come from one table per
-    destination, :meth:`toward`: a single Dijkstra from the destination
-    gives every router's next hop toward it.  Distances and tables are
-    computed lazily and cached on the instance, so every caller (unicast
-    FIBs, the LSP mesh, BIFTs, multicast joins) reads the same table.
+    Build via :func:`build_topology`.  One Dijkstra from a router gives
+    every router's cost to it, in settle order, and every router's next
+    hop toward it (:meth:`distances`, :meth:`toward`).  Both are computed
+    lazily, once per router, and cached on the instance, so every caller
+    (unicast FIBs and label counts, BIFTs, multicast joins) reads the
+    same table.
     """
 
     def __init__(self, roles, adjacency):
         self.roles = roles                # router id -> "core" | "edge"
         self.adj = adjacency              # router id -> {neighbor: cost}
         self.edge_routers = sorted(r for r, role in roles.items() if role == EDGE)
-        self._dist = {}                   # source -> {dest: cost}
+        self._dist = {}                   # source -> {dest: cost}, settle order
         self._toward = {}                 # dest -> {router: next hop}
 
     def __len__(self):
@@ -48,46 +49,53 @@ class Topology:
             raise UnknownRouter(f"router {router} not in topology")
 
     def distances(self, source):
-        """All-destination minimum path costs from ``source`` (Dijkstra)."""
+        """All-destination minimum path costs from ``source`` (Dijkstra).
+
+        The dict is in settle order, so its costs never decrease as it is
+        iterated.  Links are undirected, so the same pass records every
+        router's next hop toward ``source`` (see :meth:`toward`): a router
+        first reached from ``u`` takes ``u``, and one reached again at
+        equal cost from a smaller ``u`` takes that instead.  Costs are
+        positive, so every equal-cost neighbour settles, and relaxes the
+        router, before the router itself settles.
+        """
         self.require(source)
         cached = self._dist.get(source)
         if cached is not None:
             return cached
-        dist = {source: 0}
+        dist = {}
+        tentative = {source: 0}
+        hop = {source: source}
         heap = [(0, source)]
         while heap:
             d, u = heapq.heappop(heap)
-            if d > dist.get(u, float("inf")):
+            if u in dist:
                 continue
+            dist[u] = d
             for v, cost in self.adj[u].items():
                 nd = d + cost
-                if nd < dist.get(v, float("inf")):
-                    dist[v] = nd
+                best = tentative.get(v)
+                if best is None or nd < best:
+                    tentative[v] = nd
+                    hop[v] = u
                     heapq.heappush(heap, (nd, v))
+                elif nd == best and u < hop[v]:
+                    hop[v] = u
         self._dist[source] = dist
+        self._toward[source] = hop
         return dist
 
     def toward(self, dest):
         """Next-hop table toward ``dest``: router -> neighbor on a shortest path.
 
-        Links are undirected, so one Dijkstra from ``dest`` gives every
-        router's remaining cost.  Among neighbors ``n`` with
-        ``cost(at, n) + dist(n) == dist(at)`` the smallest router id wins;
-        ``dest`` maps to itself.
+        Among neighbors ``n`` with ``cost(at, n) + dist(n) == dist(at)``
+        the smallest router id wins; ``dest`` maps to itself.  The table
+        comes from the Dijkstra of :meth:`distances` from ``dest``.
         """
         table = self._toward.get(dest)
-        if table is not None:
-            return table
-        dist = self.distances(dest)
-        table = {}
-        for at, nbrs in self.adj.items():
-            if at == dest:
-                table[at] = at
-            else:
-                remaining = dist[at]
-                table[at] = min(n for n, cost in nbrs.items()
-                                if cost + dist[n] == remaining)
-        self._toward[dest] = table
+        if table is None:
+            self.distances(dest)
+            table = self._toward[dest]
         return table
 
     def next_hop(self, at, dest):
@@ -100,15 +108,23 @@ class Topology:
         return self.toward(dest)[at]
 
 
+def is_int(value):
+    """True for an ``int`` that is not a ``bool``: a JSON file can also
+    hold ``2.5``, ``true`` or ``"3"``, none of which is rounded or parsed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_topology(routers, links):
     """Validate a (routers, links) spec and return a :class:`Topology`.
 
     ``routers`` is an iterable of ``(id, role)``; ``links`` an iterable of
-    ``(a, b, cost)`` undirected links with positive integer cost.
+    ``(a, b, cost)`` undirected links with positive integer cost.  Ids
+    and costs must be ``int`` values (see :func:`is_int`).
     """
     roles = {}
     for rid, role in routers:
-        rid = int(rid)
+        if not is_int(rid):
+            raise InvalidRouter(f"router id {rid!r} must be an integer")
         if rid < 0:
             raise InvalidRouter(f"router id {rid} must be non-negative")
         if role not in (CORE, EDGE):
@@ -123,7 +139,10 @@ def build_topology(routers, links):
 
     adj = {rid: {} for rid in roles}
     for a, b, cost in links:
-        a, b, cost = int(a), int(b), int(cost)
+        if not (is_int(a) and is_int(b)):
+            raise InvalidLink(f"link ({a!r},{b!r}) endpoints must be integer router ids")
+        if not is_int(cost):
+            raise InvalidLink(f"link ({a},{b}) cost must be an integer, got {cost!r}")
         if a == b:
             raise SelfLoop(f"self-loop at router {a}")
         if a not in roles or b not in roles:

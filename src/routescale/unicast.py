@@ -270,9 +270,10 @@ class UnicastPlane:
         for egress in topo.edge_routers:
             dist, hops = topo.distances(egress), topo.toward(egress)
             below = dict(is_edge)    # edge routers in each router's subtree
-            # every parent is nearer the egress than its children, so a
-            # subtree's count is complete before it is added to its parent
-            for r in sorted(dist, key=dist.__getitem__, reverse=True):
+            # every parent is nearer the egress than its children, and the
+            # distances are in settle order, so walking them backwards
+            # completes a subtree's count before it is added to its parent
+            for r in reversed(dist):
                 if r != egress:
                     below[hops[r]] += below[r]
                 counts[r] += below[r] - is_edge[r]

@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidParams
+from .topology import is_int
 
 ADD_SITE = "add_site"          # args: site_id, edge_router
 ADD_GROUP = "add_group"        # args: group, source_edge
@@ -40,7 +41,7 @@ class Params:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_int(value):
                 raise InvalidParams(f"workload {name} must be an integer, got {value!r}")
         if min(self.n_sites, self.n_groups, self.churn_events) < 0:
             raise InvalidParams("counts must be non-negative")

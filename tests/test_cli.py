@@ -39,6 +39,11 @@ class TestValidate:
         assert cli_main(["validate", "--scenario", str(bad)]) == 1
         assert "validation failure" in capsys.readouterr().err
 
+    def test_fractional_link_cost_fixture(self, capsys):
+        scenario = str(FIXTURES / "fractional_cost_scenario.json")
+        assert cli_main(["validate", "--scenario", scenario]) == 1
+        assert "cost must be an integer, got 1.5" in capsys.readouterr().err
+
     def test_too_many_sites_for_unicast(self, tmp_path, capsys):
         config = json.loads(Path(EXAMPLE_SCENARIO).read_text())
         config["workload"]["n_sites"] = MAX_SITES + 1
@@ -94,6 +99,57 @@ def test_bad_workload_value_exits_1(tmp_path, capsys, overrides):
     for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
         assert cli_main([*argv, "--scenario", str(scenario)]) == 1, argv
         assert "validation failure" in capsys.readouterr().err
+
+
+# scenario numbers that must be ints: a fraction, a bool or a string is
+# rejected when the scenario loads, never truncated or parsed
+TWO_EDGES = {"routers": [[0, "edge"], [1, "edge"]], "links": [[0, 1, 1]]}
+BAD_NUMBERS = [
+    {"bsl": 32.9},
+    {"bsl": True},
+    {"snapshot_interval": True},
+    {"snapshot_interval": 2.5},
+    {"topology": {"kind": "star", "size": 5.0}},
+    {"topology": {"kind": "star", "size": "5"}},
+    {"topology": {**TWO_EDGES, "routers": [[0, "edge"], [1.0, "edge"]]}},
+    {"topology": {**TWO_EDGES, "routers": [[0, "edge"], [True, "edge"]]}},
+    {"topology": {**TWO_EDGES, "links": [[0, 1, 2.5]]}},
+    {"topology": {**TWO_EDGES, "links": [[0, 1, True]]}},
+    {"topology": {**TWO_EDGES, "links": [[0, "1", 1]]}},
+    {"providers": [{"id": 0.0, "routers": [0]}, {"id": 1, "routers": [1]}]},
+    {"providers": [{"id": 0, "routers": [0]}, {"id": True, "routers": [1]}]},
+    {"providers": [{"id": 0, "routers": [0]}, {"id": 1, "routers": ["1"]}]},
+    {"providers": [{"id": 0, "routers": [0]}, {"id": 1, "routers": [1.0]}]},
+]
+
+
+def write_two_edge_scenario(tmp_path, **overrides):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "topology": TWO_EDGES,
+        "providers": [{"id": 0, "routers": [0]}, {"id": 1, "routers": [1]}],
+        "workload": {"seed": 1, "n_sites": 2, "n_groups": 1, "members_min": 1,
+                     "members_max": 2, "churn_events": 2},
+        "modes": ["flat", "bier"],
+        "bsl": 8,
+        "snapshot_interval": 1,
+        **overrides,
+    }))
+    return str(scenario)
+
+
+def test_two_edge_scenario_is_valid(tmp_path):
+    assert cli_main(["validate", "--scenario", write_two_edge_scenario(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("overrides", BAD_NUMBERS,
+                         ids=lambda d: ",".join(f"{k}={v!r}" for k, v in d.items()))
+def test_non_integer_number_exits_1(tmp_path, capsys, overrides):
+    scenario = write_two_edge_scenario(tmp_path, **overrides)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert cli_main([*argv, "--scenario", scenario]) == 1, argv
+        err = capsys.readouterr().err
+        assert "validation failure" in err and "integer" in err, err
 
 
 class TestRun:

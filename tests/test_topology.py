@@ -71,6 +71,18 @@ class TestBuild:
         with pytest.raises(InvalidLink):
             build_topology([(0, "edge")], [(0, 5, 1)])
 
+    # a number that is not an int is rejected, never truncated or parsed
+    @pytest.mark.parametrize("rid", [1.0, 2.5, True, "3", None])
+    def test_non_integer_router_id(self, rid):
+        with pytest.raises(InvalidRouter):
+            build_topology([(0, "edge"), (rid, "edge")], [])
+
+    @pytest.mark.parametrize("link", [(0, 1, 2.5), (0, 1, 1.0), (0, 1, True), (0, 1, "3"),
+                                      (0, 1.0, 1), ("0", 1, 1), (False, 1, 1)])
+    def test_non_integer_link_value(self, link):
+        with pytest.raises(InvalidLink):
+            build_topology([(0, "edge"), (1, "edge")], [link])
+
 
 class TestShortestPaths:
     def test_line_next_hop_via_middle(self):

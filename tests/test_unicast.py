@@ -295,8 +295,10 @@ def outcome(fibs, mode, packet, at):
 def planes(draw):
     """A random topology with auto providers and random site attachments,
     as a plane and as its materialised per-router tables."""
+    # max_cost 1 gives unit costs, whose equal-cost ties are dense
     topo = random_topology(seeded(draw(st.integers(0, 2**32 - 1))),
-                           draw(st.integers(min_value=1, max_value=8)))
+                           draw(st.integers(min_value=1, max_value=8)),
+                           max_cost=draw(st.sampled_from([1, 3])))
     providers = auto_providers(topo)
     edges = draw(st.lists(st.sampled_from(topo.edge_routers), max_size=8))
     sites = [make_site(i, edge) for i, edge in enumerate(edges)]
