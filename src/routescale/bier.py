@@ -20,7 +20,7 @@ and every copy inside it is a ``(next hop, bits)`` pair of plain ints
 within that SI.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BiftLoop, MissingBiftEntry, NoEdgeRouters
 
@@ -29,8 +29,7 @@ LOCAL = "local"
 DEFAULT_BSL = 256
 
 
-@dataclass(frozen=True)
-class BierHeader:
+class BierHeader(NamedTuple):
     si: int
     bits: int        # bit k of the bitstring is integer bit (k-1)
 
@@ -160,8 +159,10 @@ def flood_deliver(bift, header, at):
         router, bits = stack.pop()
         for next_hop, copy in forward_bier(bift, si, bits, router):
             if next_hop == LOCAL:
-                for bit in bit_positions(copy):
-                    delivered.append((router, bit))
+                if copy & (copy - 1):
+                    delivered.extend((router, bit) for bit in bit_positions(copy))
+                else:       # one bit, as in every copy a built BIFT delivers
+                    delivered.append((router, copy.bit_length()))
             else:
                 stack.append((next_hop, copy))
     if stack:

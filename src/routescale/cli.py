@@ -65,7 +65,7 @@ def cli_main(argv=None):
             return 0
 
         modes = None
-        if args.modes:
+        if args.modes is not None:
             modes = [m.strip() for m in args.modes.split(",") if m.strip()]
         scenario = harness.load_scenario(args.scenario, modes)
         snapshots, report = harness.run(scenario, seed=args.seed)

@@ -170,9 +170,13 @@ def build_scenario(config, base_dir=None):
     topo = _build_topology_section(config["topology"], base_dir)
 
     modes = tuple(config.get("modes", MODES))
+    if not modes:
+        raise ScenarioError(f"no mode enabled (choose from {MODES})")
     for m in modes:
         if m not in MODES:
             raise ScenarioError(f"unknown mode {m!r} (choose from {MODES})")
+    if len(set(modes)) != len(modes):
+        raise ScenarioError(f"mode listed more than once in {list(modes)}")
     unicast = any(m in UNICAST_MODES for m in modes)
     # providers exist only for the unicast modes
     providers = []

@@ -4,7 +4,9 @@ Joins walk the reverse shortest path from the receiver's edge router
 toward the source's edge router, installing per-router (S,G) entries of
 {incoming interface, outgoing interface set}.  Because next hops are a
 deterministic function of (router, destination), join paths from
-different receivers merge into one consistent tree.
+different receivers merge into one consistent tree.  A tree is only
+ever written and read as a whole, one (S,G) at a time, so the state is
+stored tree-first: each join, prune or delivery walk reads one dict.
 """
 
 from dataclasses import dataclass, field
@@ -22,44 +24,29 @@ class SgKey(NamedTuple):
     group: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SgEntry:
     iif: object                      # upstream neighbor RouterId, or LOCAL
     oifs: set = field(default_factory=set)   # neighbor ids and/or LOCAL
 
 
 class SgState:
-    """Per-router map SgKey -> SgEntry.
+    """(S,G) trees, ``trees[sg] = {router: SgEntry}``, and each router's
+    entry count, ``counts[router]``: the number of trees that hold it.
 
-    ``changed`` collects every router where an entry was created or
-    deleted, the only writes that change a router's entry count; its
-    reader clears it.
+    ``join`` and ``leave`` keep both; a tree whose last entry is deleted
+    is dropped.  ``changed`` collects every router where an entry was
+    created or deleted, the only writes that change a router's count;
+    its reader clears it.
     """
 
     def __init__(self):
-        self.entries = {}            # router -> {SgKey: SgEntry}
+        self.trees = {}              # SgKey -> {router: SgEntry}
+        self.counts = {}             # router -> entries
         self.changed = set()
 
-    def entry(self, router, sg):
-        return self.entries.get(router, {}).get(sg)
-
-    def _install(self, router, sg, iif):
-        table = self.entries.setdefault(router, {})
-        entry = table.get(sg)
-        if entry is None:
-            entry = table[sg] = SgEntry(iif)
-            self.changed.add(router)
-        return entry
-
-    def _delete(self, router, sg):
-        table = self.entries[router]
-        del table[sg]
-        self.changed.add(router)
-        if not table:
-            del self.entries[router]
-
     def count(self, router):
-        return len(self.entries.get(router, {}))
+        return self.counts.get(router, 0)
 
 
 def join(state, topo, sg, receiver_edge):
@@ -71,29 +58,39 @@ def join(state, topo, sg, receiver_edge):
     source, ``topo.toward``, is read once per join.
     """
     topo.require(receiver_edge)
-    toward = topo.toward(sg.source_edge)    # UnknownRouter for an unknown source
+    source = sg.source_edge
+    toward = topo.toward(source)            # UnknownRouter for an unknown source
+    tree = state.trees.get(sg)
+    if tree is None:
+        tree = state.trees[sg] = {}
+    counts = state.counts
     cur = receiver_edge
     downstream = LOCAL
     while True:
-        iif = LOCAL if cur == sg.source_edge else toward[cur]
-        entry = state._install(cur, sg, iif)
-        if downstream in entry.oifs:
+        entry = tree.get(cur)
+        if entry is None:
+            entry = tree[cur] = SgEntry(LOCAL if cur == source else toward[cur])
+            counts[cur] = counts.get(cur, 0) + 1
+            state.changed.add(cur)
+        elif downstream in entry.oifs:
             return state
         entry.oifs.add(downstream)
-        if iif == LOCAL:
+        if cur == source:
             return state
         downstream = cur
-        cur = iif
+        cur = entry.iif
 
 
 def leave(state, topo, sg, receiver_edge):
     """Prune ``receiver_edge`` from the (S,G) tree.
 
     Removes local delivery at the receiver edge and propagates the prune
-    upstream as long as entries run out of outgoing interfaces.
+    upstream as long as entries run out of outgoing interfaces.  An
+    upstream router without an entry raises NoState.
     """
     topo.require(receiver_edge)
-    entry = state.entry(receiver_edge, sg)
+    tree = state.trees.get(sg, {})
+    entry = tree.get(receiver_edge)
     if entry is None or LOCAL not in entry.oifs:
         raise NotJoined(f"{sg} has no local receiver at router {receiver_edge}")
     cur = receiver_edge
@@ -102,45 +99,43 @@ def leave(state, topo, sg, receiver_edge):
         entry.oifs.discard(oif)
         if entry.oifs:
             return state
-        state._delete(cur, sg)
+        del tree[cur]
+        state.counts[cur] -= 1
+        state.changed.add(cur)
+        if not tree:
+            del state.trees[sg]
         if entry.iif == LOCAL:
             return state
         oif = cur
         cur = entry.iif
-        entry = state.entry(cur, sg)
-
-
-def forward_multicast(state, sg, at, arrived_from):
-    """Replicate at one router: returns the entry's outgoing interfaces.
-
-    ``arrived_from`` must equal the entry's incoming interface (RPF
-    check); LOCAL means the packet was injected by the source.  The
-    returned set is the entry's own, not a copy: callers must not
-    modify it.
-    """
-    entry = state.entry(at, sg)
-    if entry is None:
-        raise NoState(f"router {at} has no state for {sg}")
-    if arrived_from != entry.iif:
-        raise RpfFailure(
-            f"router {at}: {sg} arrived from {arrived_from}, expected {entry.iif}"
-        )
-    return entry.oifs
+        entry = tree.get(cur)
+        if entry is None:
+            raise NoState(f"router {cur} has no state for {sg}, upstream of router {oif}")
 
 
 def simulate_delivery(state, sg):
     """Edge routers receiving a local copy when the source injects one packet.
 
-    The list is a multiset in no particular order: one element per local
-    copy, so a duplicate delivery shows as a repeated router.
+    Each router a copy reaches must hold an entry (else NoState), and the
+    copy must arrive on that entry's incoming interface, LOCAL at the
+    source edge (the RPF check; else RpfFailure).  The list is a multiset
+    in no particular order: one element per local copy, so a duplicate
+    delivery shows as a repeated router.
     """
     delivered = []
-    if state.entry(sg.source_edge, sg) is None:
+    tree = state.trees.get(sg)
+    if tree is None or sg.source_edge not in tree:
         return delivered
     stack = [(sg.source_edge, LOCAL)]
     while stack:
         at, arrived_from = stack.pop()
-        for oif in forward_multicast(state, sg, at, arrived_from):
+        entry = tree.get(at)
+        if entry is None:
+            raise NoState(f"router {at} has no state for {sg}")
+        if entry.iif != arrived_from:
+            raise RpfFailure(
+                f"router {at}: {sg} arrived from {arrived_from}, expected {entry.iif}")
+        for oif in entry.oifs:
             if oif == LOCAL:
                 delivered.append(at)
             else:

@@ -8,6 +8,7 @@ recorded in the schedule so exported fixtures are self-describing.
 import bisect
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParams
 from .topology import is_int
@@ -23,8 +24,7 @@ KINDS = (ADD_SITE, ADD_GROUP, JOIN, LEAVE, REMOVE_GROUP)
 RNG_ALGORITHM = "python-random-mt19937"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     tick: int
     kind: str
     args: tuple

@@ -13,6 +13,8 @@ from routescale.errors import (
     NoLabelBinding,
     NoMapping,
     NoRoute,
+    NoState,
+    RpfFailure,
     UnknownRouter,
 )
 from routescale.harness import DELIVERY_HEADER, STATE_HEADER, StateSnapshot
@@ -104,15 +106,16 @@ def mesh_entries(labels, router):
 
 
 def sg_total(state):
-    """(S,G) entries of an ``SgState`` over all routers."""
-    return sum(len(t) for t in state.entries.values())
+    """(S,G) entries of an ``SgState`` over all trees."""
+    return sum(len(tree) for tree in state.trees.values())
 
 
 def sg_as_dict(state):
-    """Plain-data view of an ``SgState`` for structural equality checks."""
+    """Plain-data view of an ``SgState``'s trees, ``{sg: {router: (iif,
+    oifs)}}``, for structural equality checks."""
     return {
-        router: {sg: (e.iif, frozenset(e.oifs)) for sg, e in table.items()}
-        for router, table in state.entries.items()
+        sg: {router: (e.iif, frozenset(e.oifs)) for router, e in tree.items()}
+        for sg, tree in state.trees.items()
     }
 
 
@@ -257,14 +260,19 @@ def reference_bift(topo, placements):
 
 def sorted_simulate_delivery(state, sg):
     """(S,G) replication visiting each router's outgoing interfaces in
-    sorted order."""
+    sorted order, with the NoState and RPF checks of ``simulate_delivery``."""
     delivered = []
-    if state.entry(sg.source_edge, sg) is None:
+    tree = state.trees.get(sg, {})
+    if sg.source_edge not in tree:
         return delivered
     stack = [(sg.source_edge, multicast.LOCAL)]
     while stack:
         at, arrived_from = stack.pop()
-        for oif in sorted(multicast.forward_multicast(state, sg, at, arrived_from), key=str):
+        if at not in tree:
+            raise NoState(f"router {at} has no state for {sg}")
+        if tree[at].iif != arrived_from:
+            raise RpfFailure(f"router {at}: {sg} arrived from {arrived_from}")
+        for oif in sorted(tree[at].oifs, key=str):
             if oif == multicast.LOCAL:
                 delivered.append(at)
             else:

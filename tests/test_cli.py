@@ -189,6 +189,16 @@ class TestRun:
                        "--out", str(tmp_path), "--modes", "warp"])
         assert rc == 1
 
+    @pytest.mark.parametrize("modes, message", [("bier,bier", "more than once"),
+                                                ("bier, flat,bier", "more than once"),
+                                                (",", "no mode"), ("", "no mode")])
+    def test_repeated_or_no_mode_exits_1(self, tmp_path, capsys, modes, message):
+        rc = cli_main(["run", "--scenario", EXAMPLE_SCENARIO,
+                       "--out", str(tmp_path), "--modes", modes])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "state.csv").exists()
+
     def test_bier_only_star_200_runs(self, tmp_path):
         assert cli_main(["run", "--scenario", BIER_WIDE_SCENARIO, "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "delivery.csv").read_text().splitlines()[1:]

@@ -66,6 +66,14 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError):
             build_scenario(small_config(modes=["flat", "warp"]))
 
+    def test_repeated_mode_rejected(self):
+        with pytest.raises(ScenarioError, match="more than once"):
+            build_scenario(small_config(modes=["bier", "flat", "bier"]))
+
+    def test_empty_mode_list_rejected(self):
+        with pytest.raises(ScenarioError, match="no mode"):
+            build_scenario(small_config(modes=[]))
+
     def test_missing_topology_rejected(self):
         with pytest.raises(ScenarioError):
             build_scenario({"workload": {}})

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     path_to,
@@ -11,9 +13,9 @@ from conftest import (
 from routescale.errors import NoState, NotJoined, RpfFailure, UnknownRouter
 from routescale.multicast import (
     LOCAL,
+    SgEntry,
     SgKey,
     SgState,
-    forward_multicast,
     join,
     leave,
     simulate_delivery,
@@ -31,18 +33,19 @@ class TestJoin:
         state = SgState()
         sg = SgKey(0, 1)
         join(state, topo, sg, 0)
-        assert sg_as_dict(state) == {0: {sg: (LOCAL, frozenset({LOCAL}))}}
+        assert sg_as_dict(state) == {sg: {0: (LOCAL, frozenset({LOCAL}))}}
 
     def test_line_tree_shape(self):
         topo = line3()
         state = SgState()
         sg = SgKey(0, 1)
         join(state, topo, sg, 2)
-        assert sg_as_dict(state) == {
-            2: {sg: (1, frozenset({LOCAL}))},
-            1: {sg: (0, frozenset({2}))},
-            0: {sg: (LOCAL, frozenset({1}))},
-        }
+        assert sg_as_dict(state) == {sg: {
+            2: (1, frozenset({LOCAL})),
+            1: (0, frozenset({2})),
+            0: (LOCAL, frozenset({1})),
+        }}
+        assert state.counts == {0: 1, 1: 1, 2: 1} and state.changed == {0, 1, 2}
 
     def test_join_is_idempotent(self):
         topo = line3()
@@ -59,7 +62,7 @@ class TestJoin:
         for sg, receiver in ((SgKey(0, 1), 99), (SgKey(99, 1), 2)):
             with pytest.raises(UnknownRouter, match="router 99"):
                 join(state, topo, sg, receiver)
-        assert state.entries == {} and state.changed == set()
+        assert state.trees == {} and state.counts == {} and state.changed == set()
 
 
 class TestLeave:
@@ -84,7 +87,7 @@ class TestLeave:
         leave(state, topo, sg, 3)
         rebuilt = rebuild_from_membership(topo, {9: 1}, {9: {2}})
         assert sg_as_dict(state) == sg_as_dict(rebuilt)
-        assert state.entry(0, sg).oifs == {2}
+        assert state.trees[sg][0].oifs == {2}
 
     def test_leave_without_join(self):
         topo = line3()
@@ -92,26 +95,48 @@ class TestLeave:
         with pytest.raises(NotJoined):
             leave(state, topo, SgKey(0, 1), 2)
 
+    def test_missing_upstream_entry_raises_no_state(self):
+        topo = line3()
+        state = SgState()
+        sg = SgKey(0, 1)
+        join(state, topo, sg, 2)
+        del state.trees[sg][1]
+        with pytest.raises(NoState, match="router 1"):
+            leave(state, topo, sg, 2)
+
 
 class TestForward:
-    def test_transit_replication(self):
-        topo = line3()
+    """``simulate_delivery`` over hand-built trees: the replication, NoState
+    and RPF checks it makes at each router a copy reaches."""
+
+    def line_tree(self, transit_oifs):
         state = SgState()
         sg = SgKey(0, 1)
-        join(state, topo, sg, 2)
-        assert forward_multicast(state, sg, 1, arrived_from=0) == {2}
+        state.trees[sg] = {0: SgEntry(LOCAL, {1}), 1: SgEntry(0, transit_oifs),
+                           2: SgEntry(1, {LOCAL})}
+        return state, sg
+
+    def test_transit_replication(self):
+        state, sg = self.line_tree({2})
+        assert simulate_delivery(state, sg) == [2]
+        state, sg = self.line_tree({2, LOCAL})
+        assert sorted(simulate_delivery(state, sg)) == [1, 2]
 
     def test_rpf_failure_on_wrong_arrival(self):
-        topo = line3()
-        state = SgState()
-        sg = SgKey(0, 1)
-        join(state, topo, sg, 2)
-        with pytest.raises(RpfFailure):
-            forward_multicast(state, sg, 1, arrived_from=2)
+        state, sg = self.line_tree({2})
+        state.trees[sg][1].iif = 2
+        with pytest.raises(RpfFailure, match="router 1"):
+            simulate_delivery(state, sg)
 
     def test_no_state(self):
-        with pytest.raises(NoState):
-            forward_multicast(SgState(), SgKey(0, 1), 1, arrived_from=0)
+        state, sg = self.line_tree({2})
+        del state.trees[sg][2]
+        with pytest.raises(NoState, match="router 2"):
+            simulate_delivery(state, sg)
+        # no tree, or no entry at the source: the source sends nothing
+        assert simulate_delivery(SgState(), sg) == []
+        del state.trees[sg][0]
+        assert simulate_delivery(state, sg) == []
 
     def test_fan_out_router_replicates_per_branch(self):
         topo = build_topology(
@@ -122,7 +147,7 @@ class TestForward:
         sg = SgKey(1, 5)
         for receiver in (2, 3, 4):
             join(state, topo, sg, receiver)
-        assert forward_multicast(state, sg, 0, arrived_from=1) == {2, 3, 4}
+        assert state.trees[sg][0] == SgEntry(1, {2, 3, 4})
         assert sorted(simulate_delivery(state, sg)) == [2, 3, 4]
 
 
@@ -203,5 +228,42 @@ class TestProperties:
             for receiver in members:
                 join(state, topo, sg, receiver)
                 expected_routers.update(path_to(topo, receiver, source))
-            holding = {r for r in state.entries if state.entry(r, sg)}
-            assert holding == expected_routers
+            assert set(state.trees[sg]) == expected_routers
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10),
+       st.data())
+def test_counts_trees_and_delivery_after_every_join_and_leave(seed, n, data):
+    rng = seeded(seed)
+    topo = random_topology(rng, n)
+    edges = topo.edge_routers
+    groups = {group: rng.choice(edges) for group in (1, 2, 3)}
+    sgs = [SgKey(source, group) for group, source in groups.items()]
+    membership = {group: set() for group in groups}
+    state = SgState()
+    ops = data.draw(st.lists(st.tuples(st.sampled_from(sgs), st.sampled_from(edges),
+                                       st.booleans()), max_size=30))
+    for sg, edge, joining in ops:
+        before = dict(state.counts)
+        state.changed.clear()
+        if joining:
+            join(state, topo, sg, edge)
+            membership[sg.group].add(edge)
+        elif edge in membership[sg.group]:
+            leave(state, topo, sg, edge)
+            membership[sg.group].discard(edge)
+        else:
+            trees = sg_as_dict(state)
+            with pytest.raises(NotJoined):
+                leave(state, topo, sg, edge)
+            assert sg_as_dict(state) == trees
+        for router in topo.roles:
+            assert state.count(router) == sum(router in tree for tree in state.trees.values())
+        assert all(state.trees.values())
+        moved = {r for r in topo.roles if state.count(r) != before.get(r, 0)}
+        assert moved == state.changed
+        assert sg_as_dict(state) == sg_as_dict(rebuild_from_membership(topo, groups, membership))
+        for probed in sgs:
+            delivered = simulate_delivery(state, probed)
+            assert sorted(delivered) == sorted(membership[probed.group])
