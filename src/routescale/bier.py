@@ -137,11 +137,12 @@ def forward_bier(bift, si, bits, at):
 
 def flood_deliver(bift, header, at):
     """Inject ``header`` at router ``at`` and forward until every copy
-    terminates; list of (BFER, bit).
+    terminates; list of BFERs, one per delivered bit.
 
     The header's SI is read once; the copies in flight are ``(router,
     bits)`` ints.  The returned list is a multiset: the exactly-one-copy
-    property means it has one element per set bit of the injected header.
+    property means it has one element per set bit of the injected header,
+    the router that delivered that bit.
 
     Each bit follows one path through a loop-free table, visiting each
     router at most once, and every ``forward_bier`` call after the
@@ -160,9 +161,9 @@ def flood_deliver(bift, header, at):
         for next_hop, copy in forward_bier(bift, si, bits, router):
             if next_hop == LOCAL:
                 if copy & (copy - 1):
-                    delivered.extend((router, bit) for bit in bit_positions(copy))
+                    delivered.extend([router] * copy.bit_count())
                 else:       # one bit, as in every copy a built BIFT delivers
-                    delivered.append((router, copy.bit_length()))
+                    delivered.append(router)
             else:
                 stack.append((next_hop, copy))
     if stack:

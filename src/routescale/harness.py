@@ -416,8 +416,8 @@ class SimState:
                     header = bier.BierHeader(header.si, header.bits & (header.bits - 1))
                 flood = floods.get(header.si)
                 if flood is None or flood[0] != header.bits:
-                    flood = floods[header.si] = (header.bits, [
-                        r for r, _ in bier.flood_deliver(self.bift, header, source)])
+                    flood = floods[header.si] = (
+                        header.bits, bier.flood_deliver(self.bift, header, source))
                 copies.extend(flood[1])
             yield "bier", copies
 

@@ -29,9 +29,12 @@ class Topology:
     Build via :func:`build_topology`.  One Dijkstra from a router gives
     every router's cost to it, in settle order, and every router's next
     hop toward it (:meth:`distances`, :meth:`toward`).  Both are computed
-    lazily, once per router, and cached on the instance, so every caller
-    (unicast FIBs and label counts, BIFTs, multicast joins) reads the
-    same table.
+    lazily and cached on the instance, so every caller (unicast FIBs and
+    label counts, BIFTs, multicast joins) reads the same table.  A router
+    that is not single-homed (see :meth:`distances`) runs its own
+    Dijkstra once; a single-homed router's tables are derived from its
+    hub's, one hub Dijkstra serving all of the hub's single-homed
+    neighbours.
     """
 
     def __init__(self, roles, adjacency):
@@ -58,11 +61,62 @@ class Topology:
         equal cost from a smaller ``u`` takes that instead.  Costs are
         positive, so every equal-cost neighbour settles, and relaxes the
         router, before the router itself settles.
+
+        A *single-homed* router has one link, to a *hub* with more than
+        one.  Its tables are exact functions of the hub's: every path to
+        it passes through the hub, so every other router's cost is the
+        hub's plus the link cost and its equal-cost neighbours are the
+        same.  The heap settles routers in ``(cost, id)`` order, which a
+        uniform shift keeps, so the stub's costs are ``{stub: 0}``
+        followed by the hub's shifted costs in the hub's order, without
+        the stub; its table is the hub's with ``hub -> stub`` and
+        ``stub -> stub``.  The first query for a stub runs the hub's
+        Dijkstra (or reads the hub's cached tables) and caches every
+        single-homed neighbour of the hub; the hub's own tables are not
+        kept.
         """
         self.require(source)
         cached = self._dist.get(source)
         if cached is not None:
             return cached
+        hub = self._hub(source)
+        if hub is None:
+            self._dist[source], self._toward[source] = self._dijkstra(source)
+            return self._dist[source]
+        hub_dist = self._dist.get(hub)
+        if hub_dist is None:
+            hub_dist, hub_hop = self._dijkstra(hub)
+        else:
+            hub_hop = self._toward[hub]
+        shifted = {}                      # link cost -> hub's costs plus it
+        for stub, cost in self.adj[hub].items():
+            if len(self.adj[stub]) != 1:
+                continue
+            costs = shifted.get(cost)
+            if costs is None:
+                costs = shifted[cost] = {r: d + cost for r, d in hub_dist.items()}
+            dist = {stub: 0}
+            dist.update(costs)
+            dist[stub] = 0
+            hop = hub_hop.copy()
+            hop[hub] = stub
+            hop[stub] = stub
+            self._dist[stub] = dist
+            self._toward[stub] = hop
+        return self._dist[source]
+
+    def _hub(self, router):
+        """The one neighbour of a single-homed ``router``, else None."""
+        nbrs = self.adj[router]
+        if len(nbrs) == 1:
+            (hub,) = nbrs
+            if len(self.adj[hub]) > 1:
+                return hub
+        return None
+
+    def _dijkstra(self, source):
+        """One lazy-heap Dijkstra from ``source``: (costs in settle order,
+        next-hop table toward ``source``), as :meth:`distances` describes."""
         dist = {}
         tentative = {source: 0}
         hop = {source: source}
@@ -81,16 +135,15 @@ class Topology:
                     heapq.heappush(heap, (nd, v))
                 elif nd == best and u < hop[v]:
                     hop[v] = u
-        self._dist[source] = dist
-        self._toward[source] = hop
-        return dist
+        return dist, hop
 
     def toward(self, dest):
         """Next-hop table toward ``dest``: router -> neighbor on a shortest path.
 
         Among neighbors ``n`` with ``cost(at, n) + dist(n) == dist(at)``
         the smallest router id wins; ``dest`` maps to itself.  The table
-        comes from the Dijkstra of :meth:`distances` from ``dest``.
+        is filled by :meth:`distances` of ``dest``, from its own Dijkstra
+        or, for a single-homed ``dest``, from its hub's.
         """
         table = self._toward.get(dest)
         if table is None:

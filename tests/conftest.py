@@ -227,7 +227,7 @@ def scan_forward_bier(bift, si, bits, at):
 
 def scan_flood_deliver(bift, header, at):
     """``flood_deliver`` over :func:`scan_forward_bier`, bit by bit at the
-    BFERs too."""
+    BFERs too: one BFER per delivered bit."""
     delivered = []
     stack = [(at, header.bits)]
     while stack:
@@ -236,7 +236,7 @@ def scan_flood_deliver(bift, header, at):
             if next_hop == LOCAL:
                 for bit in range(1, copy.bit_length() + 1):
                     if copy & bit_mask(bit):
-                        delivered.append((router, bit))
+                        delivered.append(router)
             else:
                 stack.append((next_hop, copy))
     return delivered
@@ -304,8 +304,7 @@ def full_probe(sim, tick):
             for header in bier.encapsulate_bier([bit_of[r] for r in expected]):
                 if sim.scenario.fault == "bier_drop_lowest_bit":
                     header = BierHeader(header.si, header.bits & (header.bits - 1))
-                delivered_list.extend(
-                    r for r, _ in bier.flood_deliver(sim.bift, header, sim.groups[group]))
+                delivered_list.extend(bier.flood_deliver(sim.bift, header, sim.groups[group]))
             check(group, "bier", delivered_list, expected)
     return rows
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_topology, scan_next_hop, seeded
 from routescale import topology
+from routescale.generators import gen_topology
 
 nx = pytest.importorskip("networkx")
 
@@ -67,24 +68,115 @@ def test_distances_and_next_hops_match_networkx(seed, n, max_cost):
                 assert hop == min(path[1] for path in paths)
 
 
-def test_toward_after_distances_runs_no_second_dijkstra(monkeypatch):
-    pops = []
+def generated(kind, size):
+    spec = gen_topology(kind, size)
+    return topology.build_topology(spec["routers"], spec["links"])
+
+
+def expected_dijkstra_runs(topo, order):
+    """Heap Dijkstras that querying ``distances`` in ``order`` runs on a
+    fresh Topology.  A router with one link to a router with several is
+    single-homed: the first query among its hub's single-homed neighbours
+    runs one Dijkstra, from the hub, and none if the hub was queried
+    before.  Every other router runs its own."""
+    degree = {r: len(nbrs) for r, nbrs in topo.adj.items()}
+    done = set()
+    runs = 0
+    for router in order:
+        if router in done:
+            continue
+        hub = next(iter(topo.adj[router]), None)
+        if degree[router] == 1 and degree[hub] > 1:
+            runs += hub not in done
+            done.update(r for r in topo.adj[hub] if degree[r] == 1)
+        else:
+            runs += 1
+            done.add(router)
+    return runs
+
+
+@pytest.fixture
+def dijkstra_runs(monkeypatch):
+    """A list that gains one element per heap Dijkstra run: each run pops
+    exactly one cost-0 entry, its source (link costs are positive)."""
+    runs = []
 
     def counting_heappop(heap):
-        pops.append(heap)
-        return heapq.heappop(heap)
+        item = heapq.heappop(heap)
+        if item[0] == 0:
+            runs.append(item[1])
+        return item
 
     monkeypatch.setattr(topology, "heapq",
                         SimpleNamespace(heappop=counting_heappop, heappush=heapq.heappush))
+    return runs
+
+
+def test_toward_after_distances_runs_no_second_dijkstra(dijkstra_runs):
     for seed in range(20):
-        topo = random_topology(seeded(seed), 8, max_cost=seed % 3 + 1)
-        for dest in topo.roles:
-            before = len(pops)
+        rng = seeded(seed)
+        topo = random_topology(rng, 8, max_cost=seed % 3 + 1)
+        order = sorted(topo.roles)
+        rng.shuffle(order)
+        before = len(dijkstra_runs)
+        for dest in order:
             topo.distances(dest)
-            assert len(pops) > before
-        runs = len(pops)
+        assert len(dijkstra_runs) - before == expected_dijkstra_runs(topo, order)
+        runs = len(dijkstra_runs)
         for dest in topo.roles:
             assert topo.toward(dest) is topo.toward(dest)
             for at in topo.roles:
                 topo.next_hop(at, dest)
-        assert len(pops) == runs
+        assert len(dijkstra_runs) == runs
+
+
+@pytest.mark.parametrize("kind, size, runs", [
+    *[("fat-edge", n, max(1, n // 5)) for n in (3, 4, 5, 9, 10, 11, 24, 60, 120)],
+    *[("star", n, 1) for n in (2, 3, 10, 200)],
+])
+def test_edge_routers_of_fat_edge_and_star_run_one_dijkstra_per_hub(dijkstra_runs, kind,
+                                                                     size, runs):
+    topo = generated(kind, size)
+    for edge in topo.edge_routers:
+        topo.distances(edge)
+    assert len(dijkstra_runs) == runs
+
+
+@st.composite
+def stub_heavy_topologies(draw):
+    kind = draw(st.sampled_from(["random", "star", "fat-edge", "line"]))
+    if kind == "random":
+        return random_topology(seeded(draw(st.integers(min_value=0, max_value=2**32 - 1))),
+                               draw(st.integers(min_value=1, max_value=12)),
+                               max_cost=draw(st.sampled_from([1, 3])))
+    if kind == "star":
+        return generated("star", draw(st.integers(min_value=2, max_value=20)))
+    if kind == "fat-edge":
+        return generated("fat-edge", draw(st.integers(min_value=2, max_value=60)))
+    return generated("line", 2)
+
+
+# random_topology's spanning trees have many pendant routers; on star and
+# fat-edge every edge router is single-homed; line 2 has two routers with
+# one link each, neither single-homed
+@settings(max_examples=150, deadline=None)
+@given(stub_heavy_topologies(), st.data())
+def test_every_router_in_any_order_matches_a_from_scratch_dijkstra(topo, data):
+    graph = to_networkx(topo)
+    lengths = dict(nx.all_pairs_dijkstra_path_length(graph))
+    order = data.draw(st.permutations(sorted(topo.roles)))
+    toward_first = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    for dest, first in zip(order, toward_first):
+        if first:
+            topo.toward(dest)
+        dist, hops = topo.distances(dest), topo.toward(dest)
+        to_dest = lengths[dest]
+        # a lazy-heap Dijkstra settles in (cost, id) order
+        assert list(dist.items()) == sorted(to_dest.items(), key=lambda kv: (kv[1], kv[0]))
+        assert hops == {at: at if at == dest else
+                        min(n for n, cost in topo.adj[at].items()
+                            if cost + to_dest[n] == to_dest[at])
+                        for at in topo.roles}
+    for dest in topo.roles:
+        for at in topo.roles:
+            assert topo.next_hop(at, dest) == scan_next_hop(topo, at, dest)
