@@ -39,16 +39,6 @@ def bit_mask(position):
     return 1 << (position - 1)
 
 
-def bit_positions(bits):
-    """Ascending 1-based positions set in ``bits``."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length())
-        bits ^= low
-    return out
-
-
 def assign_bfr_ids(edge_routers):
     """Dense BFR-ids 1..N in ascending router-id order."""
     edges = sorted(edge_routers)

@@ -122,9 +122,9 @@ def _build_topology_section(section, base_dir):
         section = json.loads(path.read_text())
         if "topology" in section:
             section = section["topology"]
-    if "kind" in section:
-        section = gen_topology(section["kind"], _integer(section["size"], "topology size"))
     try:
+        if "kind" in section:
+            section = gen_topology(section["kind"], _integer(section["size"], "topology size"))
         return build_topology(section["routers"], section["links"])
     except KeyError as exc:
         raise ScenarioError(f"topology section missing key {exc}") from None
@@ -246,9 +246,7 @@ class SimState:
         # multicast mode; dropped by every event on that group
         self.verified = {}
         # group -> {si: (bits, receivers)}: the header last flooded for each
-        # Set Identifier and the BFER of each copy it delivered; dropped
-        # when the group is removed, since a re-added group may have
-        # another source
+        # Set Identifier and the BFER of each copy it delivered
         self.floods = {}
         if "bier" in scenario.modes:
             self.bit_of = {r: bier.id_to_si_bit(i, scenario.bsl)
@@ -310,13 +308,6 @@ class SimState:
             if self.sg_state is not None:
                 sg = SgKey(self.groups[group], group)
                 multicast.leave(self.sg_state, self.topo, sg, receiver)
-        elif kind == workload.REMOVE_GROUP:
-            (group,) = args
-            if self.membership[group]:
-                raise SimError(f"remove_group {group} while members remain")
-            del self.groups[group]
-            del self.membership[group]
-            self.floods.pop(group, None)
 
     # -- measurement ----------------------------------------------------
 

@@ -194,13 +194,16 @@ def establish_lsp(topo, labels, ingress, egress):
 
 
 def check_providers(topo, providers):
-    """Providers must partition the routers, each owning at most one edge."""
+    """Providers must partition the routers, each owning at least one
+    router and at most one edge."""
     ids = set()
     owner = {}
     for p in providers:
         if p.provider_id in ids:
             raise ScenarioError(f"invalid providers: duplicate provider id {p.provider_id}")
         ids.add(p.provider_id)
+        if not p.owned_routers:
+            raise ScenarioError(f"invalid providers: provider {p.provider_id} owns no router")
         edges = [r for r in p.owned_routers if topo.roles.get(r) == EDGE]
         if len(edges) > 1:
             raise ScenarioError(

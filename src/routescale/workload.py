@@ -17,9 +17,8 @@ ADD_SITE = "add_site"          # args: site_id, edge_router
 ADD_GROUP = "add_group"        # args: group, source_edge
 JOIN = "join"                  # args: group, receiver_edge
 LEAVE = "leave"                # args: group, receiver_edge
-REMOVE_GROUP = "remove_group"  # args: group
 
-KINDS = (ADD_SITE, ADD_GROUP, JOIN, LEAVE, REMOVE_GROUP)
+KINDS = (ADD_SITE, ADD_GROUP, JOIN, LEAVE)
 
 RNG_ALGORITHM = "python-random-mt19937"
 

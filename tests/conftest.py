@@ -34,7 +34,6 @@ from routescale.workload import (
     JOIN,
     KINDS,
     LEAVE,
-    REMOVE_GROUP,
     RNG_ALGORITHM,
     Event,
     Params,
@@ -200,6 +199,16 @@ def expand_bift(bift):
             for router, row in bift.items()}
 
 
+def bit_positions(bits):
+    """Ascending 1-based positions set in ``bits``."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length())
+        bits ^= low
+    return out
+
+
 def scan_forward_bier(bift, si, bits, at):
     """Bit-by-bit BIER forwarding: tests every position up to the highest
     set bit, one lookup in the expanded BIFT per set bit still in the
@@ -324,8 +333,6 @@ def assert_rows_match_schedule(scenario, report):
                 members[group].add(rest[0])
             elif event.kind == LEAVE:
                 members[group].remove(rest[0])
-            elif event.kind == REMOVE_GROUP:
-                del members[group]
             event = next(events, None)
         assert row.receivers == members[row.group], row
 

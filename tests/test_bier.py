@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bfer_placements,
+    bit_positions,
     expand_bift,
     random_topology,
     reference_bift,
@@ -20,7 +21,6 @@ from routescale.bier import (
     BierHeader,
     assign_bfr_ids,
     bit_mask,
-    bit_positions,
     build_bift,
     encapsulate_bier,
     flood_deliver,

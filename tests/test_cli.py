@@ -44,6 +44,12 @@ class TestValidate:
         assert cli_main(["validate", "--scenario", scenario]) == 1
         assert "cost must be an integer, got 1.5" in capsys.readouterr().err
 
+    def test_empty_provider_fixture(self, tmp_path, capsys):
+        scenario = str(FIXTURES / "empty_provider_scenario.json")
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli_main([*argv, "--scenario", scenario]) == 1, argv
+            assert "provider 2 owns no router" in capsys.readouterr().err
+
     def test_too_many_sites_for_unicast(self, tmp_path, capsys):
         config = json.loads(Path(EXAMPLE_SCENARIO).read_text())
         config["workload"]["n_sites"] = MAX_SITES + 1
@@ -150,6 +156,23 @@ def test_non_integer_number_exits_1(tmp_path, capsys, overrides):
         assert cli_main([*argv, "--scenario", scenario]) == 1, argv
         err = capsys.readouterr().err
         assert "validation failure" in err and "integer" in err, err
+
+
+# scenario sections without a key they need
+MISSING_KEYS = [
+    {"topology": {"kind": "grid"}},
+    {"topology": {"routers": TWO_EDGES["routers"]}},
+]
+
+
+@pytest.mark.parametrize("overrides", MISSING_KEYS,
+                         ids=lambda d: ",".join(f"{k}={v!r}" for k, v in d.items()))
+def test_missing_key_exits_1(tmp_path, capsys, overrides):
+    scenario = write_two_edge_scenario(tmp_path, **overrides)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert cli_main([*argv, "--scenario", scenario]) == 1, argv
+        err = capsys.readouterr().err
+        assert "validation failure" in err and "missing key" in err, err
 
 
 class TestRun:

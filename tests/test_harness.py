@@ -96,6 +96,16 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError):
             build_scenario(config)
 
+    def test_provider_without_routers_rejected(self):
+        # a provider's locator is anchored at one of its routers
+        config = small_config(modes=["flat"], providers=[
+            {"id": 0, "routers": [0, 1]},
+            {"id": 1, "routers": [2]},
+            {"id": 2, "routers": []},
+        ])
+        with pytest.raises(ScenarioError, match="provider 2 owns no router"):
+            build_scenario(config)
+
 
 class TestProviderValidation:
     """Providers exist for the unicast modes only; /8 locators cap them at 128."""
@@ -250,14 +260,13 @@ class TestRun:
 
     def test_unknown_event_kind_rejected(self):
         sim = SimState(build_scenario(small_config(workload={"seed": 1})))
-        for args in ((), (7, 0)):
+        for kind, args in (("teleport", ()), ("teleport", (7, 0)), ("remove_group", (7,))):
             with pytest.raises(SimError, match="unknown event kind"):
-                sim.apply(Event(0, "teleport", args))
+                sim.apply(Event(0, kind, args))
 
     def test_event_on_unknown_group_rejected(self):
         sim = SimState(build_scenario(small_config(workload={"seed": 1})))
-        for kind, args in ((workload.JOIN, (7, 0)), (workload.LEAVE, (7, 0)),
-                           (workload.REMOVE_GROUP, (7,))):
+        for kind, args in ((workload.JOIN, (7, 0)), (workload.LEAVE, (7, 0))):
             with pytest.raises(SimError, match="unknown group 7"):
                 sim.apply(Event(0, kind, args))
         assert sim.groups == {} and sim.membership == {}
@@ -285,17 +294,6 @@ class TestRun:
         with pytest.raises(SimError, match="unknown group 7"):
             sim.apply(Event(1, workload.JOIN, (7, 2)))
         assert expand_report([sim.probe(1)]) == []
-
-    def test_remove_group_requires_empty_membership(self):
-        scenario = build_scenario(small_config(workload={"seed": 1}))
-        sim = SimState(scenario)
-        sim.apply(Event(0, workload.ADD_GROUP, (7, 0)))
-        sim.apply(Event(1, workload.JOIN, (7, 2)))
-        with pytest.raises(Exception):
-            sim.apply(Event(2, workload.REMOVE_GROUP, (7,)))
-        sim.apply(Event(2, workload.LEAVE, (7, 2)))
-        sim.apply(Event(3, workload.REMOVE_GROUP, (7,)))
-        assert sim.groups == {}
 
     def test_join_then_leave_restores_membership(self):
         scenario = build_scenario(small_config(workload={"seed": 1}))
@@ -352,22 +350,20 @@ class TestBierFloodReuse:
         assert self.probe(sim, 2, headers) == [(2, 0b01)]
         assert self.probe(sim, 3, headers) == []
 
-    def test_group_readded_at_another_source_refloods_every_si(self, monkeypatch):
+    def test_group_readded_at_another_source_rejected(self, monkeypatch):
+        # a group's source is fixed for its lifetime, so its floods stay valid
         sim = self.sim()
         headers = self.count_floods(monkeypatch)
-        members = (2, 6, 10)
         self.apply(sim, 0, (workload.ADD_GROUP, (1, 1)),
-                   *[(workload.JOIN, (1, r)) for r in members])
+                   *[(workload.JOIN, (1, r)) for r in (2, 6, 10)])
         assert len(self.probe(sim, 0, headers)) == 3
-        # no probe between the removal and the re-add, which would clear
-        # the group's floods whatever remove_group does
-        self.apply(sim, 1, *[(workload.LEAVE, (1, r)) for r in members],
-                   (workload.REMOVE_GROUP, (1,)), (workload.ADD_GROUP, (1, 5)),
-                   *[(workload.JOIN, (1, r)) for r in members])
-        assert self.probe(sim, 1, headers) == [(0, 0b10), (1, 0b10), (2, 0b10)]
+        with pytest.raises(SimError, match="re-added with a different source"):
+            sim.apply(Event(1, workload.ADD_GROUP, (1, 5)))
+        assert sim.groups[1] == 1
+        assert self.probe(sim, 1, headers) == []
 
 
-SNAPSHOT_OPS = ("add_site", "add_group", "join", "leave", "remove_group", "snapshot")
+SNAPSHOT_OPS = ("add_site", "add_group", "join", "leave", "snapshot")
 
 
 @settings(max_examples=150, deadline=None)
@@ -400,9 +396,6 @@ def test_incremental_snapshot_matches_full_snapshot(seed, n, bsl, data):
             events = [(workload.JOIN, (group, edges[pick]))]
         elif op == "leave" and members:
             events = [(workload.LEAVE, (group, members[pick % len(members)]))]
-        elif op == "remove_group":
-            events = [(workload.LEAVE, (group, m)) for m in members]
-            events.append((workload.REMOVE_GROUP, (group,)))
         else:
             continue
         for kind, args in events:

@@ -112,7 +112,7 @@ def incremental_probe(sim, tick):
     return expand_report([sim.probe(tick)])
 
 
-OPS = ("add_group", "join", "leave", "remove_group")
+OPS = ("add_group", "join", "leave")
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,15 +127,10 @@ def test_incremental_probe_matches_full_probe(seed, n, bsl, fault, data):
     ops = data.draw(st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2),
                                        st.integers(0, len(edges) - 1)),
                              max_size=30))
-    source_of = {}    # group -> its source when last added
     for tick, (op, group, pick) in enumerate(ops):
         members = sorted(sim.membership.get(group, ()))
         if group not in sim.groups:
-            # a removed group comes back with its old source on add_group,
-            # with any source otherwise
-            source = source_of.get(group, edges[pick]) if op == "add_group" else edges[pick]
-            source_of[group] = source
-            events = [(workload.ADD_GROUP, (group, source))]
+            events = [(workload.ADD_GROUP, (group, edges[pick]))]
         elif op == "add_group":
             events = [(workload.ADD_GROUP, (group, sim.groups[group]))]
         elif op == "join":
@@ -143,9 +138,6 @@ def test_incremental_probe_matches_full_probe(seed, n, bsl, fault, data):
             events = [(workload.JOIN, (group, edges[pick]))]
         elif op == "leave" and members:
             events = [(workload.LEAVE, (group, members[pick % len(members)]))]
-        elif op == "remove_group":
-            events = [(workload.LEAVE, (group, m)) for m in members]
-            events.append((workload.REMOVE_GROUP, (group,)))
         else:
             continue
         for kind, args in events:
