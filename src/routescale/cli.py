@@ -77,8 +77,7 @@ def cli_main(argv=None):
     except errors.DeliveryMismatch as exc:
         print(f"delivery failure: {exc}", file=sys.stderr)
         return 2
-    except (errors.ScenarioError, errors.TopologyError, errors.InvalidParams,
-            errors.InvalidPrefix) as exc:
+    except errors.ScenarioError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
     except errors.SimError as exc:

@@ -5,9 +5,15 @@ class SimError(Exception):
     """Base class for all simulator errors."""
 
 
+class ScenarioError(SimError):
+    """A scenario, topology or parameter the simulator cannot run; the
+    CLI exits with code 1 on this class and its subclasses, and with
+    code 2 on any other ``SimError``."""
+
+
 # -- topology ---------------------------------------------------------------
 
-class TopologyError(SimError):
+class TopologyError(ScenarioError):
     pass
 
 
@@ -45,23 +51,11 @@ class UnknownRouter(SimError):
 
 # -- unicast ----------------------------------------------------------------
 
-class InvalidPrefix(SimError):
+class InvalidPrefix(ScenarioError):
     """A prefix or id outside the address plan, or a duplicate prefix."""
 
 
 class UnattachedSite(SimError):
-    pass
-
-
-class NoRoute(SimError):
-    pass
-
-
-class NoMapping(SimError):
-    pass
-
-
-class NoLabelBinding(SimError):
     pass
 
 
@@ -91,11 +85,7 @@ class BiftLoop(SimError):
 
 # -- workload / harness -----------------------------------------------------
 
-class InvalidParams(SimError):
-    pass
-
-
-class ScenarioError(SimError):
+class InvalidParams(ScenarioError):
     pass
 
 

@@ -44,9 +44,6 @@ class Topology:
         self._dist = {}                   # source -> {dest: cost}, settle order
         self._toward = {}                 # dest -> {router: next hop}
 
-    def __len__(self):
-        return len(self.roles)
-
     def require(self, router):
         if router not in self.roles:
             raise UnknownRouter(f"router {router} not in topology")

@@ -1,9 +1,11 @@
-"""Unicast forwarding planes: flat prefix lookup, map-and-encap, MPLS.
+"""Unicast state for three designs: flat prefix lookup, map-and-encap, MPLS.
 
-All three modes share one provider/end-site address model over a 32-bit
-prefix space.  End sites carry provider-independent identifier prefixes
-(top bit set); providers carry aggregatable locator prefixes (top bit
-clear), so the two namespaces never overlap.
+The module keeps the state whose per-router sizes a run reports; it
+forwards no packet.  All three modes share one provider/end-site
+address model over a 32-bit prefix space.  End sites carry
+provider-independent identifier prefixes (top bit set); providers carry
+aggregatable locator prefixes (top bit clear), so the two namespaces
+never overlap.
 
 Map-and-encap egress granularity is the destination site's attached edge
 router.  To keep the core routable with exactly one FIB entry per
@@ -12,24 +14,14 @@ locator is the provider's own prefix.
 
 MPLS label state is the per-pair LSP mesh, one LSP per ordered pair of
 edge routers.  Its per-router entry counts are derived from the
-next-hop trees; the mesh itself is built on the first MPLS forward.
-
-Lookups are counted per router and mode, so the tests can assert the
-MPLS zero-lookup rule at transit routers.
+next-hop trees; no run builds the mesh (``establish_lsp`` sets up one
+LSP of it, for the tests' reference tables).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    InvalidPrefix,
-    NoLabelBinding,
-    NoMapping,
-    NoRoute,
-    ScenarioError,
-    UnattachedSite,
-    UnknownRouter,
-)
+from .errors import InvalidPrefix, ScenarioError, UnattachedSite
 from .topology import EDGE
 
 IDENTIFIER_BASE = 0x8000_0000     # identifier space: 128.0.0.0/1
@@ -75,11 +67,6 @@ def provider_prefix(provider_id):
     return Prefix(provider_id << 24, PROVIDER_PREFIX_LEN)
 
 
-def host_address(prefix):
-    """A concrete destination address inside ``prefix``."""
-    return prefix.value | 1
-
-
 @dataclass(frozen=True)
 class EndSite:
     site_id: int
@@ -98,30 +85,9 @@ class Provider:
     owned_routers: frozenset
 
 
-@dataclass(frozen=True)
-class Packet:
-    """Inner destination plus optional outer locator header or MPLS label."""
-
-    dst: int
-    outer: int = None
-    label: int = None
-
-
-@dataclass(frozen=True)
-class Deliver:
-    site_id: int
-
-
-@dataclass(frozen=True)
-class Send:
-    next_hop: int
-    packet: Packet
-
-
 class PrefixTable:
-    """Longest-prefix-match table: one exact-match dict per prefix length,
-    ``{length: {value: action}}`` with the longest length first, so the
-    first dict holding an address's masked value gives the longest match."""
+    """Prefix table: one exact-match dict per prefix length,
+    ``{length: {value: action}}``, holding each prefix at most once."""
 
     __slots__ = ("_by_length", "_count")
 
@@ -136,19 +102,10 @@ class PrefixTable:
         table = self._by_length.get(prefix.length)
         if table is None:
             self._by_length[prefix.length] = table = {}
-            self._by_length = dict(sorted(self._by_length.items(), reverse=True))
         if prefix.value in table:
             raise InvalidPrefix(f"duplicate prefix {prefix}")
         table[prefix.value] = action
         self._count += 1
-
-    def lookup(self, addr):
-        """Longest matching action for ``addr``; raises NoRoute on miss."""
-        for length, table in self._by_length.items():
-            value = addr >> (32 - length) << (32 - length)
-            if value in table:
-                return table[value]
-        raise NoRoute(f"no matching prefix for {addr:#010x}")
 
 
 class LabelTables:
@@ -226,40 +183,19 @@ class UnicastPlane:
 
     Every router's FIB action for a prefix is "deliver locally" at the
     prefix's egress router and the next hop toward that egress elsewhere,
-    so the per-router FIBs are not stored: two shared tables map each
-    prefix to its egress, and :meth:`Topology.next_hop` supplies the rest.
-    Per-router FIB sizes are derived counts.  Lookups are counted per
-    router and mode at each consultation of that router's FIB.
-
-    The edge-to-edge LSP mesh (the label tables) is built on the first
-    MPLS forward; label counts are derived from the next-hop trees
-    without it.
+    so the per-router FIBs are not stored: two shared tables hold the
+    site identifiers and the provider locators, and every per-router
+    size is a count derived from them.  Label counts are derived from the
+    next-hop trees without building the LSP mesh.  The providers are
+    validated when the scenario is built (:func:`check_providers`).
     """
 
     def __init__(self, topo, providers):
-        check_providers(topo, providers)
         self.topo = topo
         self.identifiers = PrefixTable()   # site prefix -> EndSite
-        self.locators = PrefixTable()      # locator prefix -> anchor router
-        self.edge_locator = {}             # edge router -> its provider's locator
+        self.locators = PrefixTable()      # locator prefix -> Provider
         for p in providers:
-            edges = [r for r in p.owned_routers if topo.roles[r] == EDGE]
-            # anchor: the provider's edge router if it has one, else its
-            # lowest-id owned router; locator traffic terminates there
-            self.locators.add(p.locator_prefix, edges[0] if edges else min(p.owned_routers))
-            if edges:
-                self.edge_locator[edges[0]] = p.locator_prefix
-        self._lookups = {mode: dict.fromkeys(topo.roles, 0)
-                         for mode in ("flat", "mapencap", "mpls")}
-
-    @cached_property
-    def labels(self):
-        """The per-pair LSP mesh, built on the first MPLS forward."""
-        labels = LabelTables(list(self.topo.roles))
-        for ingress in self.topo.edge_routers:
-            for egress in self.topo.edge_routers:
-                establish_lsp(self.topo, labels, ingress, egress)
-        return labels
+            self.locators.add(p.locator_prefix, p)
 
     @cached_property
     def _label_counts(self):
@@ -291,13 +227,6 @@ class UnicastPlane:
             )
         self.identifiers.add(site.identifier_prefix, site)
 
-    def _local_site(self, router, addr):
-        try:
-            site = self.identifiers.lookup(addr)
-        except NoRoute:
-            return None
-        return site if site.attached_edge == router else None
-
     # -- state counts -------------------------------------------------------
 
     def flat_fib_size(self):
@@ -310,92 +239,7 @@ class UnicastPlane:
         return len(self.identifiers) if self.topo.roles[router] == EDGE else 0
 
     def label_entries(self, router):
-        """Entries of ``router`` in :attr:`labels`, without building it."""
+        """Entries of ``router`` in the per-pair LSP mesh (its in-labels,
+        plus one FEC binding per egress at an edge router), without
+        building the mesh."""
         return self._label_counts[router]
-
-    def lookup_counts(self, mode):
-        return dict(self._lookups[mode])
-
-    # -- forwarding ---------------------------------------------------------
-
-    def forward(self, mode, packet, at):
-        if at not in self.topo.roles:
-            raise UnknownRouter(f"router {at} not in topology")
-        if mode == "flat":
-            return self._forward_flat(packet, at)
-        if mode == "mapencap":
-            return self._forward_mapencap(packet, at)
-        if mode == "mpls":
-            return self._forward_mpls(packet, at)
-        raise ValueError(f"unknown unicast mode {mode!r}")
-
-    def _forward_flat(self, packet, at):
-        self._lookups["flat"][at] += 1
-        if packet.dst & IDENTIFIER_BASE:
-            egress = self.identifiers.lookup(packet.dst).attached_edge
-        else:
-            egress = self.locators.lookup(packet.dst)
-        if egress != at:
-            return Send(self.topo.next_hop(at, egress), packet)
-        site = self._local_site(at, packet.dst)
-        if site is None:
-            raise NoRoute(f"{packet.dst:#010x} not attached at router {at}")
-        return Deliver(site.site_id)
-
-    def _forward_mapencap(self, packet, at):
-        if packet.outer is None:
-            site = self._local_site(at, packet.dst)
-            if site is not None:
-                return Deliver(site.site_id)
-            if self.topo.roles[at] != EDGE:
-                raise NoMapping(f"router {at} is not an ingress edge")
-            # the mapping: identifier -> site -> attached edge -> locator
-            site = self.identifiers.lookup(packet.dst)
-            packet = replace(packet, outer=host_address(self.edge_locator[site.attached_edge]))
-        self._lookups["mapencap"][at] += 1
-        anchor = self.locators.lookup(packet.outer)
-        if anchor != at:
-            return Send(self.topo.next_hop(at, anchor), packet)
-        site = self._local_site(at, packet.dst)
-        if site is None:
-            raise NoRoute(f"{packet.dst:#010x} not attached at egress {at}")
-        return Deliver(site.site_id)
-
-    def _forward_mpls(self, packet, at):
-        if packet.label is None:
-            site = self._local_site(at, packet.dst)
-            if site is not None:
-                return Deliver(site.site_id)
-            if self.topo.roles[at] != EDGE:
-                raise NoLabelBinding(f"router {at} is not an MPLS ingress")
-            self._lookups["mpls"][at] += 1
-            egress = self.identifiers.lookup(packet.dst).attached_edge
-            binding = self.labels.fec[at].get(egress)
-            if binding is None:
-                raise NoLabelBinding(f"router {at} has no LSP toward egress {egress}")
-            push, next_hop = binding
-            return Send(next_hop, replace(packet, label=push))
-        entry = self.labels.ilm[at].get(packet.label)
-        if entry is None:
-            raise NoLabelBinding(f"router {at} has no binding for label {packet.label}")
-        op, out_label, next_hop = entry
-        if op == "swap":
-            return Send(next_hop, replace(packet, label=out_label))
-        site = self._local_site(at, packet.dst)
-        if site is None:
-            raise NoRoute(f"{packet.dst:#010x} not attached at LSP egress {at}")
-        return Deliver(site.site_id)
-
-    def deliver(self, mode, src, dst_addr):
-        """Forward hop by hop until delivery; returns (site_id, router path)."""
-        packet = Packet(dst_addr)
-        at = src
-        path = [src]
-        for _ in range(len(self.topo) + 2):
-            decision = self.forward(mode, packet, at)
-            if isinstance(decision, Deliver):
-                return decision.site_id, path
-            at = decision.next_hop
-            packet = decision.packet
-            path.append(at)
-        raise NoRoute(f"packet to {dst_addr:#010x} looped in mode {mode}")

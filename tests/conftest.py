@@ -1,7 +1,7 @@
 """Shared test helpers: brute-force oracles and random topology builder."""
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from routescale import bier, multicast
@@ -10,24 +10,14 @@ from routescale.errors import (
     DeliveryMismatch,
     InvalidParams,
     MissingBiftEntry,
-    NoLabelBinding,
-    NoMapping,
-    NoRoute,
     NoState,
     RpfFailure,
-    UnknownRouter,
+    SimError,
 )
 from routescale.harness import DELIVERY_HEADER, STATE_HEADER, StateSnapshot
 from routescale.multicast import SgKey, SgState, join
 from routescale.topology import EDGE, build_topology
-from routescale.unicast import (
-    Deliver,
-    LabelTables,
-    PrefixTable,
-    Send,
-    establish_lsp,
-    host_address,
-)
+from routescale.unicast import LabelTables, establish_lsp
 from routescale.workload import (
     ADD_GROUP,
     ADD_SITE,
@@ -89,13 +79,33 @@ def path_to(topo, source, dest):
     while cur != dest:
         cur = hops[cur]
         path.append(cur)
-        if len(path) > len(topo):
+        if len(path) > len(topo.roles):
             raise AssertionError("next-hop loop detected")
     return path
 
 
 def prefix_contains(prefix, addr):
     return (addr & prefix.mask()) == prefix.value
+
+
+def brute_force_lpm(entries, addr):
+    """The action of the longest of ``(prefix, action)`` entries that
+    contains ``addr``, by a scan of every entry; None when none does."""
+    best = None
+    for prefix, action in entries:
+        if prefix_contains(prefix, addr) and (best is None or prefix.length > best[0].length):
+            best = (prefix, action)
+    return None if best is None else best[1]
+
+
+def lsp_mesh(topo):
+    """The per-pair LSP mesh: one ``establish_lsp`` per ordered pair of
+    edge routers, ingress-major in router-id order."""
+    labels = LabelTables(list(topo.roles))
+    for ingress in topo.edge_routers:
+        for egress in topo.edge_routers:
+            establish_lsp(topo, labels, ingress, egress)
+    return labels
 
 
 def mesh_entries(labels, router):
@@ -433,26 +443,67 @@ def reference_generate(topo, params):
     return Schedule(params, events)
 
 
-class MaterialisedFibs:
-    """Reference unicast plane that stores every router's tables.
+def host_address(prefix):
+    """A concrete destination address inside ``prefix``."""
+    return prefix.value | 1
 
-    Each router has a longest-prefix-match table of every locator and
-    site prefix with a ``("local",)`` or ``("send", next hop)`` action
-    (flat FIB) and one of the locators only (map-and-encap FIB).  Each
-    edge router has a mapping table (site prefix -> locator) and a FEC
-    table (site prefix -> egress router).  Forwarding reads only these
-    tables and counts one lookup per per-router FIB consulted, so
-    :class:`UnicastPlane`'s derived sizes, decisions and counters can be
-    checked against it.
+
+@dataclass(frozen=True)
+class Packet:
+    """Inner destination plus optional outer locator header or MPLS label."""
+
+    dst: int
+    outer: int = None
+    label: int = None
+
+
+@dataclass(frozen=True)
+class Deliver:
+    site_id: int
+
+
+@dataclass(frozen=True)
+class Send:
+    next_hop: int
+    packet: Packet
+
+
+class NoRoute(SimError):
+    """No table entry matches a packet's address."""
+
+
+class NoMapping(SimError):
+    """A map-and-encap packet with no outer header at a router that is not
+    an ingress edge."""
+
+
+class NoLabelBinding(SimError):
+    """An unlabelled MPLS packet at a router that is not an ingress edge,
+    or a label the router holds no entry for."""
+
+
+class MaterialisedFibs:
+    """Reference unicast plane that stores every router's tables and
+    forwards packets hop by hop over them.
+
+    Each router has a prefix table of every locator and site prefix with
+    a ``("local",)`` or ``("send", next hop)`` action (flat FIB) and one
+    of the locators only (map-and-encap FIB).  Each edge router has a
+    mapping table (site prefix -> locator) and a FEC table (site prefix
+    -> egress router), and every router its entries of the per-pair LSP
+    mesh.  Lookups are brute-force longest-prefix matches, counted per
+    router and mode at each consultation of a per-router FIB, so the
+    sizes that :class:`UnicastPlane` derives can be checked against
+    these tables and walks over them can check where each lookup happens.
     """
 
     def __init__(self, topo, providers, sites):
         self.topo = topo
         routers = list(topo.roles)
-        self.flat = {r: PrefixTable() for r in routers}
-        self.encap = {r: PrefixTable() for r in routers}
-        self.mapping = {e: PrefixTable() for e in topo.edge_routers}
-        self.fec = {e: PrefixTable() for e in topo.edge_routers}
+        self.flat = {r: {} for r in routers}
+        self.encap = {r: {} for r in routers}
+        self.mapping = {e: {} for e in topo.edge_routers}
+        self.fec = {e: {} for e in topo.edge_routers}
         self.local_sites = {r: [] for r in routers}
         self.lookups = {m: dict.fromkeys(routers, 0) for m in ("flat", "mapencap", "mpls")}
 
@@ -462,23 +513,21 @@ class MaterialisedFibs:
         locator_of = {}
         for p in providers:
             edges = sorted(r for r in p.owned_routers if topo.roles[r] == EDGE)
+            # the provider's edge router if it has one, else its lowest-id
+            # router: locator traffic terminates there
             anchor = edges[0] if edges else min(p.owned_routers)
             locator_of.update((e, p.locator_prefix) for e in edges)
             for r in routers:
-                self.flat[r].add(p.locator_prefix, action(r, anchor))
-                self.encap[r].add(p.locator_prefix, action(r, anchor))
+                self.flat[r][p.locator_prefix] = action(r, anchor)
+                self.encap[r][p.locator_prefix] = action(r, anchor)
         for site in sites:
             self.local_sites[site.attached_edge].append(site)
             for r in routers:
-                self.flat[r].add(site.identifier_prefix, action(r, site.attached_edge))
+                self.flat[r][site.identifier_prefix] = action(r, site.attached_edge)
             for e in topo.edge_routers:
-                self.mapping[e].add(site.identifier_prefix, locator_of[site.attached_edge])
-                self.fec[e].add(site.identifier_prefix, site.attached_edge)
-
-        self.labels = LabelTables(routers)
-        for ingress in topo.edge_routers:
-            for egress in topo.edge_routers:
-                establish_lsp(topo, self.labels, ingress, egress)
+                self.mapping[e][site.identifier_prefix] = locator_of[site.attached_edge]
+                self.fec[e][site.identifier_prefix] = site.attached_edge
+        self.labels = lsp_mesh(topo)
 
     def flat_fib_size(self, router):
         return len(self.flat[router])
@@ -489,9 +538,19 @@ class MaterialisedFibs:
     def mapping_entries(self, router):
         return len(self.mapping[router]) if router in self.mapping else 0
 
+    def label_entries(self, router):
+        return mesh_entries(self.labels, router)
+
+    @staticmethod
+    def _match(table, addr):
+        action = brute_force_lpm(table.items(), addr)
+        if action is None:
+            raise NoRoute(f"no matching prefix for {addr:#010x}")
+        return action
+
     def _lookup(self, mode, tables, at, addr):
         self.lookups[mode][at] += 1
-        return tables[at].lookup(addr)
+        return self._match(tables[at], addr)
 
     def _local_site(self, at, addr):
         for site in self.local_sites[at]:
@@ -506,8 +565,6 @@ class MaterialisedFibs:
         return Deliver(site.site_id)
 
     def forward(self, mode, packet, at):
-        if at not in self.topo.roles:
-            raise UnknownRouter(f"router {at} not in topology")
         if mode == "flat":
             action = self._lookup("flat", self.flat, at, packet.dst)
             if action[0] == "local":
@@ -519,7 +576,7 @@ class MaterialisedFibs:
                     return self._deliver_here(at, packet.dst)
                 if self.topo.roles[at] != EDGE:
                     raise NoMapping(f"router {at} is not an ingress edge")
-                locator = self.mapping[at].lookup(packet.dst)
+                locator = self._match(self.mapping[at], packet.dst)
                 packet = replace(packet, outer=host_address(locator))
             action = self._lookup("mapencap", self.encap, at, packet.outer)
             if action[0] == "local":
@@ -542,6 +599,20 @@ class MaterialisedFibs:
                 return Send(next_hop, replace(packet, label=out_label))
             return self._deliver_here(at, packet.dst)
         raise ValueError(f"unknown unicast mode {mode!r}")
+
+    def deliver(self, mode, src, addr):
+        """Forward hop by hop until delivery; returns (site_id, router path)."""
+        packet = Packet(addr)
+        at = src
+        path = [src]
+        for _ in range(len(self.topo.roles) + 2):
+            decision = self.forward(mode, packet, at)
+            if isinstance(decision, Deliver):
+                return decision.site_id, path
+            at = decision.next_hop
+            packet = decision.packet
+            path.append(at)
+        raise NoRoute(f"packet to {addr:#010x} looped in mode {mode}")
 
 
 def random_topology(rng, n, max_cost=3, extra_links=None, n_edges=None):

@@ -8,8 +8,11 @@ import random
 from pathlib import Path
 
 from conftest import (
+    MaterialisedFibs,
     assert_rows_match_schedule,
     expand_report,
+    host_address,
+    path_to,
     random_topology,
     rebuild_from_membership,
     sg_as_dict,
@@ -20,7 +23,7 @@ from routescale.cli import cli_main
 from routescale.harness import build_scenario, run
 from routescale.multicast import SgKey, SgState
 from routescale.topology import build_topology
-from routescale.unicast import UnicastPlane, host_address, make_site, site_prefix
+from routescale.unicast import UnicastPlane, make_site
 
 
 def _passed(n, name):
@@ -158,19 +161,32 @@ def test_criterion_5_si_partitioning():
 
 def test_criterion_6_mpls_zero_lookup_rule():
     topo = criterion2_topology()
-    plane = UnicastPlane(topo, criterion2_providers())
+    providers = criterion2_providers()
     edges = topo.edge_routers
     cores = [r for r, role in topo.roles.items() if role == "core"]
-    for i in range(100):
-        plane.add_site(make_site(i, edges[i % 3]))
+    sites = [make_site(i, edges[i % 3]) for i in range(100)]
+    plane = UnicastPlane(topo, providers)
+    for site in sites:
+        plane.add_site(site)
+    fibs = MaterialisedFibs(topo, providers, sites)
+    # the tables walked below hold, router by router, the state the CSV reports
+    for r in topo.roles:
+        assert fibs.flat_fib_size(r) == plane.flat_fib_size()
+        assert fibs.encap_fib_size(r) == plane.encap_fib_size()
+        assert fibs.mapping_entries(r) == plane.mapping_entries(r)
+        assert fibs.label_entries(r) == plane.label_entries(r)
+    transited = set()
     for ingress in edges:
-        for site_id in range(100):
-            delivered, _path = plane.deliver("mpls", ingress, host_address(site_prefix(site_id)))
-            assert delivered == site_id
+        for site in sites:
+            delivered, path = fibs.deliver("mpls", ingress, host_address(site.identifier_prefix))
+            assert delivered == site.site_id
+            assert path == path_to(topo, ingress, site.attached_edge)
+            transited.update(path[1:-1])
+    assert transited == set(cores)
     for core in cores:
-        assert plane.lookup_counts("mpls")[core] == 0
-        assert plane.lookup_counts("flat")[core] == 0
-        assert plane.lookup_counts("mapencap")[core] == 0
+        assert fibs.lookups["mpls"][core] == 0
+        assert fibs.lookups["flat"][core] == 0
+        assert fibs.lookups["mapencap"][core] == 0
     _passed(6, "MPLS zero-lookup rule at transit routers")
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from routescale import errors, harness, unicast
 from routescale.cli import cli_main
 from routescale.unicast import MAX_SITES
 
@@ -173,6 +174,49 @@ def test_missing_key_exits_1(tmp_path, capsys, overrides):
         assert cli_main([*argv, "--scenario", scenario]) == 1, argv
         err = capsys.readouterr().err
         assert "validation failure" in err and "missing key" in err, err
+
+
+# the classes whose failures exit with code 1; every other SimError exits 2
+EXIT_1 = {
+    "ScenarioError", "TopologyError", "DuplicateRouter", "InvalidRouter",
+    "DuplicateLink", "InvalidLink", "SelfLoop", "Disconnected", "NoEdgeRouters",
+    "InvalidPrefix", "InvalidParams",
+}
+
+
+def test_exit_code_follows_the_error_class(monkeypatch, tmp_path, capsys):
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.SimError)]
+    assert {c.__name__ for c in classes if issubclass(c, errors.ScenarioError)} == EXIT_1
+    for cls in classes:
+        if cls is errors.DeliveryMismatch:
+            exc = cls(0, 0, "bier", frozenset(), frozenset())
+        else:
+            exc = cls("injected")
+
+        def fail(*_args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(harness, "load_scenario", fail)
+        want = 1 if cls.__name__ in EXIT_1 else 2
+        for argv in (["validate"], ["run", "--out", str(tmp_path)]):
+            assert cli_main([*argv, "--scenario", EXAMPLE_SCENARIO]) == want, (cls, argv)
+            assert str(exc) in capsys.readouterr().err
+
+
+def test_run_checks_the_providers_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    check = unicast.check_providers
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    # harness imports the name, so a call through either module is counted
+    monkeypatch.setattr(harness, "check_providers", counting)
+    monkeypatch.setattr(unicast, "check_providers", counting)
+    assert cli_main(["run", "--scenario", EXAMPLE_SCENARIO, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 class TestRun:

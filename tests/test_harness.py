@@ -56,7 +56,7 @@ def small_config(**overrides):
 class TestScenarioLoading:
     def test_example_scenario_loads(self):
         scenario = load_scenario(EXAMPLE_SCENARIO)
-        assert len(scenario.topology) == 12
+        assert len(scenario.topology.roles) == 12
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioError):

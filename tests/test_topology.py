@@ -29,7 +29,7 @@ def square():
 class TestBuild:
     def test_single_router(self):
         topo = build_topology([(0, "edge")], [])
-        assert len(topo) == 1
+        assert len(topo.roles) == 1
         assert topo.edge_routers == [0]
 
     def test_line_is_valid(self):
@@ -144,7 +144,7 @@ class TestProperties:
                     while cur != dst:
                         cur = topo.next_hop(cur, dst)
                         hops += 1
-                        assert hops <= len(topo)
+                        assert hops <= len(topo.roles)
 
     def test_identical_spec_gives_identical_tables(self):
         routers = [(0, "edge"), (1, "core"), (2, "core"), (3, "edge")]

@@ -2,22 +2,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MaterialisedFibs, mesh_entries, prefix_contains, random_topology, seeded
-from routescale import unicast
-from routescale.errors import InvalidPrefix, NoMapping, NoRoute, SimError, UnattachedSite
+from conftest import (
+    Deliver,
+    MaterialisedFibs,
+    NoLabelBinding,
+    NoMapping,
+    NoRoute,
+    Packet,
+    Send,
+    host_address,
+    lsp_mesh,
+    mesh_entries,
+    path_to,
+    prefix_contains,
+    random_topology,
+    seeded,
+)
+from routescale.errors import InvalidPrefix, SimError, UnattachedSite
 from routescale.harness import auto_providers
 from routescale.topology import build_topology
 from routescale.unicast import (
-    Deliver,
     LabelTables,
     MAX_SITES,
-    Packet,
     Prefix,
     PrefixTable,
-    Send,
     UnicastPlane,
     establish_lsp,
-    host_address,
     make_site,
     provider_prefix,
     site_prefix,
@@ -33,6 +43,12 @@ def plane_with_sites(topo, attachments):
     for site_id, edge in attachments:
         plane.add_site(make_site(site_id, edge))
     return plane
+
+
+def fibs_with_sites(topo, attachments):
+    """The materialised tables of :func:`plane_with_sites`'s plane."""
+    sites = [make_site(site_id, edge) for site_id, edge in attachments]
+    return MaterialisedFibs(topo, auto_providers(topo), sites)
 
 
 class TestPrefix:
@@ -55,40 +71,7 @@ class TestPrefix:
         assert not prefix_contains(p, 0x0B00_0000)
 
 
-def brute_force_lpm(entries, addr):
-    best = None
-    for prefix, action in entries:
-        if prefix_contains(prefix, addr) and (best is None or prefix.length > best[0].length):
-            best = (prefix, action)
-    return None if best is None else best[1]
-
-
-@st.composite
-def prefix_sets(draw):
-    n = draw(st.integers(min_value=0, max_value=64))
-    entries = {}
-    for i in range(n):
-        length = draw(st.integers(min_value=0, max_value=32))
-        value = draw(st.integers(min_value=0, max_value=2**32 - 1))
-        mask = ((1 << length) - 1) << (32 - length) if length else 0
-        entries[Prefix(value & mask, length)] = i
-    return list(entries.items())
-
-
-class TestLongestPrefixMatch:
-    @settings(max_examples=200, deadline=None)
-    @given(prefix_sets(), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_lpm_matches_brute_force_scan(self, entries, addr):
-        table = PrefixTable()
-        for prefix, action in entries:
-            table.add(prefix, action)
-        expected = brute_force_lpm(entries, addr)
-        if expected is None:
-            with pytest.raises(NoRoute):
-                table.lookup(addr)
-        else:
-            assert table.lookup(addr) == expected
-
+class TestPrefixTable:
     def test_duplicate_prefix_rejected(self):
         table = PrefixTable()
         table.add(Prefix(0, 8), "a")
@@ -142,56 +125,55 @@ class TestMapEncapTables:
 
 
 class TestForwarding:
+    """The materialised tables' forwarder, which criterion 6 walks."""
+
     def test_deliver_at_destination_edge(self):
-        plane = plane_with_sites(line3(), [(0, 2)])
+        fibs = fibs_with_sites(line3(), [(0, 2)])
         addr = host_address(site_prefix(0))
         for mode in ("flat", "mapencap", "mpls"):
-            assert plane.forward(mode, Packet(addr), 2) == Deliver(0)
+            assert fibs.forward(mode, Packet(addr), 2) == Deliver(0)
 
     def test_mapencap_trace_encap_core_decap(self):
-        topo = line3()
-        plane = plane_with_sites(topo, [(0, 2)])
+        fibs = fibs_with_sites(line3(), [(0, 2)])
         addr = host_address(site_prefix(0))
 
-        d0 = plane.forward("mapencap", Packet(addr), 0)
+        d0 = fibs.forward("mapencap", Packet(addr), 0)
         assert isinstance(d0, Send) and d0.next_hop == 1
         assert d0.packet.outer is not None
 
-        inner_lookups = plane.lookup_counts("flat")[1]
-        d1 = plane.forward("mapencap", d0.packet, 1)
+        inner_lookups = fibs.lookups["flat"][1]
+        d1 = fibs.forward("mapencap", d0.packet, 1)
         assert isinstance(d1, Send) and d1.next_hop == 2
         assert d1.packet.outer == d0.packet.outer
         # core lookup touched the locator-only FIB, never the flat one
-        assert plane.lookup_counts("flat")[1] == inner_lookups
-        assert plane.lookup_counts("mapencap")[1] == 1
+        assert fibs.lookups["flat"][1] == inner_lookups
+        assert fibs.lookups["mapencap"][1] == 1
 
-        assert plane.forward("mapencap", d1.packet, 2) == Deliver(0)
+        assert fibs.forward("mapencap", d1.packet, 2) == Deliver(0)
 
-        site, path = plane.deliver("mapencap", 0, addr)
+        site, path = fibs.deliver("mapencap", 0, addr)
         assert (site, path) == (0, [0, 1, 2])
 
     def test_mpls_transit_makes_zero_prefix_lookups(self):
-        topo = line3()
-        plane = plane_with_sites(topo, [(0, 2)])
+        fibs = fibs_with_sites(line3(), [(0, 2)])
         addr = host_address(site_prefix(0))
-        site, path = plane.deliver("mpls", 0, addr)
+        site, path = fibs.deliver("mpls", 0, addr)
         assert (site, path) == (0, [0, 1, 2])
-        assert plane.lookup_counts("mpls")[1] == 0
-        assert plane.lookup_counts("flat")[1] == 0
-        assert plane.lookup_counts("mapencap")[1] == 0
+        assert fibs.lookups["mpls"] == {0: 1, 1: 0, 2: 0}
+        assert fibs.lookups["flat"][1] == 0
+        assert fibs.lookups["mapencap"][1] == 0
 
     def test_unregistered_destination(self):
-        plane = plane_with_sites(line3(), [(0, 2)])
+        fibs = fibs_with_sites(line3(), [(0, 2)])
         bogus = host_address(site_prefix(55))
-        with pytest.raises(NoRoute):
-            plane.deliver("flat", 0, bogus)
-        with pytest.raises(NoRoute):
-            plane.deliver("mapencap", 0, bogus)
+        for mode in ("flat", "mapencap", "mpls"):
+            with pytest.raises(NoRoute):
+                fibs.deliver(mode, 0, bogus)
 
     def test_mapencap_core_cannot_originate(self):
-        plane = plane_with_sites(line3(), [(0, 2)])
+        fibs = fibs_with_sites(line3(), [(0, 2)])
         with pytest.raises(NoMapping):
-            plane.forward("mapencap", Packet(host_address(site_prefix(0))), 1)
+            fibs.forward("mapencap", Packet(host_address(site_prefix(0))), 1)
 
 
 class TestLsp:
@@ -226,24 +208,14 @@ class TestLsp:
 
 
 class TestLabelCounts:
-    def test_first_mpls_forward_builds_the_mesh(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args[2:])
-            return establish_lsp(*args)
-
-        monkeypatch.setattr(unicast, "establish_lsp", counting)
+    def test_y_counts_by_hand(self):
+        # edges 0, 3 and 4 each hold 3 FEC bindings; router 2 swaps for
+        # the four LSPs between 0 and {3, 4} and pops none
         topo = y_topology()
         plane = plane_with_sites(topo, [(0, 4)])
         assert [plane.label_entries(r) for r in topo.roles] == [5, 4, 6, 5, 5]
-        assert calls == []
-        site, path = plane.deliver("mpls", 0, host_address(site_prefix(0)))
-        assert (site, path) == (0, [0, 1, 2, 4])
-        assert calls == [(i, e) for i in (0, 3, 4) for e in (0, 3, 4)]
-        assert [mesh_entries(plane.labels, r) for r in topo.roles] == [5, 4, 6, 5, 5]
-        plane.deliver("mpls", 3, host_address(site_prefix(0)))
-        assert len(calls) == 9
+        mesh = lsp_mesh(topo)
+        assert [mesh_entries(mesh, r) for r in topo.roles] == [5, 4, 6, 5, 5]
 
     def test_line_counts_by_hand(self):
         # edges 0 and 2: each holds 2 FEC bindings and the pop label of
@@ -261,34 +233,19 @@ class TestLabelCounts:
         )
         plane = UnicastPlane(topo, auto_providers(topo))
         assert [plane.label_entries(r) for r in (0, 1, 2, 3)] == [3, 2, 0, 3]
-        assert [mesh_entries(plane.labels, r) for r in (0, 1, 2, 3)] == [3, 2, 0, 3]
+        assert [mesh_entries(lsp_mesh(topo), r) for r in (0, 1, 2, 3)] == [3, 2, 0, 3]
 
 
-class TestDeliveryEquivalence:
-    def test_all_modes_deliver_to_the_same_site(self):
-        rng = seeded(23)
-        for _ in range(25):
-            topo = random_topology(rng, rng.randint(2, 8), n_edges=rng.randint(1, 2))
-            plane = UnicastPlane(topo, auto_providers(topo))
-            n_sites = rng.randint(1, 6)
-            for site_id in range(n_sites):
-                plane.add_site(make_site(site_id, rng.choice(topo.edge_routers)))
-            for site_id in range(n_sites):
-                addr = host_address(site_prefix(site_id))
-                for src in topo.roles:
-                    expected, _ = plane.deliver("flat", src, addr)
-                    if src in topo.edge_routers or plane._local_site(src, addr):
-                        assert plane.deliver("mapencap", src, addr)[0] == expected
-                        assert plane.deliver("mpls", src, addr)[0] == expected
-                    assert expected == site_id
-
-
-def outcome(fibs, mode, packet, at):
-    """A forwarding decision, or the type of error it raised."""
+def walk(fibs, mode, src, addr):
+    """``(site, path, {router: lookups made})`` of one delivery over the
+    materialised tables, or the type of the error it raised."""
+    before = dict(fibs.lookups[mode])
     try:
-        return fibs.forward(mode, packet, at)
+        site, path = fibs.deliver(mode, src, addr)
     except SimError as exc:
         return type(exc)
+    made = {r: n - before[r] for r, n in fibs.lookups[mode].items() if n != before[r]}
+    return site, path, made
 
 
 @st.composite
@@ -305,31 +262,46 @@ def planes(draw):
     plane = UnicastPlane(topo, providers)
     for site in sites:
         plane.add_site(site)
-    return plane, MaterialisedFibs(topo, providers, sites), providers, len(sites)
+    return plane, MaterialisedFibs(topo, providers, sites), providers, sites
 
 
 class TestDerivedTables:
     @settings(max_examples=100, deadline=None)
     @given(planes())
-    def test_sizes_decisions_and_lookups_match_materialised_tables(self, drawn):
-        plane, oracle, providers, n_sites = drawn
+    def test_sizes_match_and_every_walk_reaches_its_site(self, drawn):
+        plane, fibs, providers, sites = drawn
         topo = plane.topo
         for r in topo.roles:
-            assert plane.flat_fib_size() == oracle.flat_fib_size(r)
-            assert plane.encap_fib_size() == oracle.encap_fib_size(r)
-            assert plane.mapping_entries(r) == oracle.mapping_entries(r)
-            assert plane.label_entries(r) == mesh_entries(oracle.labels, r)
+            assert plane.flat_fib_size() == fibs.flat_fib_size(r)
+            assert plane.encap_fib_size() == fibs.encap_fib_size(r)
+            assert plane.mapping_entries(r) == fibs.mapping_entries(r)
+            assert plane.label_entries(r) == fibs.label_entries(r)
         # every site, one unregistered site, every locator
-        addrs = [host_address(site_prefix(i)) for i in range(n_sites + 1)]
-        addrs += [host_address(p.locator_prefix) for p in providers]
+        unrouted = [host_address(site_prefix(len(sites)))]
+        unrouted += [host_address(p.locator_prefix) for p in providers]
+        no_ingress = {"flat": NoRoute, "mapencap": NoMapping, "mpls": NoLabelBinding}
         for mode in ("flat", "mapencap", "mpls"):
             for src in topo.roles:
-                for addr in addrs:
-                    packet, at = Packet(addr), src
-                    for _ in range(len(topo) + 2):
-                        decision = outcome(plane, mode, packet, at)
-                        assert decision == outcome(oracle, mode, packet, at)
-                        assert plane.lookup_counts(mode) == oracle.lookups[mode]
-                        if not isinstance(decision, Send):
-                            break
-                        packet, at = decision.packet, decision.next_hop
+                # only flat forwards an inner address from a core router
+                ingress = mode == "flat" or topo.roles[src] == "edge"
+                for site in sites:
+                    outcome = walk(fibs, mode, src, host_address(site.identifier_prefix))
+                    if not ingress:
+                        assert outcome is no_ingress[mode]
+                        continue
+                    path = path_to(topo, src, site.attached_edge)
+                    # a FIB lookup at every hop in flat; in map-and-encap
+                    # at every hop once encapsulated; in MPLS only the
+                    # ingress classification, none at transit
+                    if mode == "flat":
+                        made = dict.fromkeys(path, 1)
+                    elif len(path) == 1:
+                        made = {}
+                    elif mode == "mapencap":
+                        made = dict.fromkeys(path, 1)
+                    else:
+                        made = {src: 1}
+                    assert outcome == (site.site_id, path, made)
+                for addr in unrouted:
+                    outcome = walk(fibs, mode, src, addr)
+                    assert outcome is (NoRoute if ingress else no_ingress[mode])
