@@ -59,26 +59,85 @@ def build_bift(topo, placements):
     BFER itself.  Returns ``{router: {si: slots}}``, the compact form the
     module docstring describes.
 
+    RFC 8279 section 6 derives the BIFT from the unicast next hops; only
+    hub tables are read (see ``Topology.hub``).  A single-homed router
+    sends every bit but its own to its hub, so its row is one F-BM per
+    SI, and the slots of an SI it holds no bit in are shared by every
+    single-homed router of that hub.  Any other router's next hop toward
+    a single-homed BFER is the BFER itself at its hub, and elsewhere its
+    next hop toward that hub, so it calls ``next_hop`` once per hub and
+    per multi-link BFER.  Its slots are filled by walking each F-BM's
+    set bits.
+
     A pure function of (topology, placements): group churn never touches it.
     """
     for bfer in placements:
         topo.require(bfer)
     width = {}     # si -> highest bit position in use
-    for si, bit in placements.values():
+    full = {}      # si -> every bit in use
+    behind = {}    # hub or multi-link BFER -> [(BFER, si, mask)] it reaches
+    via = {}       # the same targets -> {si: OR of those masks}
+    for bfer, (si, bit) in placements.items():
+        mask = bit_mask(bit)
         width[si] = max(width.get(si, 0), bit)
+        full[si] = full.get(si, 0) | mask
+        hub = topo.hub(bfer)
+        target = bfer if hub is None else hub
+        behind.setdefault(target, []).append((bfer, si, mask))
+        bits = via.setdefault(target, {})
+        bits[si] = bits.get(si, 0) | mask
+    # slot 0 and the positions no BFER holds
+    unused = {si: [0] + [b for b in range(1, w + 1) if not full[si] & bit_mask(b)]
+              for si, w in width.items()}
+
+    def spread(si, pair):
+        """Slots of ``si`` holding ``pair`` at every position in use."""
+        row = [pair] * (width[si] + 1)
+        for b in unused[si]:
+            row[b] = None
+        return row
+
+    shared = {}    # (hub, si) -> slots sending every bit of si to the hub
     bift = {}
     for router in topo.roles:
+        hub = topo.hub(router)
+        if hub is not None:
+            own_si, own_bit = placements.get(router, (None, None))
+            row = {}
+            for si in width:
+                if si == own_si:
+                    own = bit_mask(own_bit)
+                    # (hub, 0) lands only on own_bit when the SI holds no other bit
+                    slots = spread(si, (hub, full[si] & ~own))
+                    slots[own_bit] = (LOCAL, own)
+                    row[si] = tuple(slots)
+                else:
+                    slots = shared.get((hub, si))
+                    if slots is None:
+                        slots = shared[(hub, si)] = tuple(spread(si, (hub, full[si])))
+                    row[si] = slots
+            bift[router] = row
+            continue
         # group same-SI bits by next hop to form the F-BMs
         fbms = {}      # (si, next_hop) -> fbm
-        hop_of = {}    # (si, bit) -> next_hop
-        for bfer, (si, bit) in placements.items():
-            nh = LOCAL if router == bfer else topo.next_hop(router, bfer)
-            hop_of[(si, bit)] = nh
-            fbms[(si, nh)] = fbms.get((si, nh), 0) | bit_mask(bit)
-        pairs = {key: (key[1], fbm) for key, fbm in fbms.items()}
+        for target, bits_of in via.items():
+            if target == router:
+                # its own bit, and its single-homed BFERs one link away
+                for bfer, si, mask in behind[target]:
+                    nh = LOCAL if bfer == router else bfer
+                    fbms[(si, nh)] = fbms.get((si, nh), 0) | mask
+                continue
+            nh = topo.next_hop(router, target)
+            for si, bits in bits_of.items():
+                fbms[(si, nh)] = fbms.get((si, nh), 0) | bits
         slots = {si: [None] * (w + 1) for si, w in width.items()}
-        for (si, bit), nh in hop_of.items():
-            slots[si][bit] = pairs[(si, nh)]
+        for (si, nh), fbm in fbms.items():
+            pair = (nh, fbm)
+            row = slots[si]
+            while fbm:
+                low = fbm & -fbm
+                row[low.bit_length()] = pair
+                fbm ^= low
         bift[router] = {si: tuple(row) for si, row in slots.items()}
     return bift
 

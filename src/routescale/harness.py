@@ -90,18 +90,25 @@ def auto_providers(topo):
     """One provider per edge router; core routers join their nearest edge.
 
     Ties break on the smaller edge router id, so assignment is
-    deterministic.
+    deterministic.  Links are undirected, so an edge's cost to a router
+    is read from the edge's own distances; a single-homed edge's is its
+    hub's plus the link to it (see ``Topology.hub``), so only hub and
+    multi-link routers' tables are read.
     """
     edges = topo.edge_routers
     pid_of_edge = {e: i for i, e in enumerate(edges)}
     owned = {i: {e} for i, e in enumerate(edges)}
-    # links are undirected: rank by each edge's own distances, which the
-    # per-destination next-hop tables toward those edges reuse
-    dist_from = {e: topo.distances(e) for e in edges}
+    # edges behind one hub at one link cost are equally far from every
+    # router, so only the first of them, the smallest id, can be nearest
+    first = {}           # (router whose distances are read, cost added) -> edge
+    for e in edges:
+        hub = topo.hub(e)
+        first.setdefault((e, 0) if hub is None else (hub, topo.adj[e][hub]), e)
+    ranked = [(topo.distances(source), added, e) for (source, added), e in first.items()]
     for router in topo.roles:
         if router in pid_of_edge:
             continue
-        nearest = min(edges, key=lambda e: (dist_from[e][router], e))
+        _, nearest = min((dist[router] + added, e) for dist, added, e in ranked)
         owned[pid_of_edge[nearest]].add(router)
     return [
         Provider(pid, provider_prefix(pid), frozenset(routers))

@@ -29,12 +29,14 @@ class Topology:
     Build via :func:`build_topology`.  One Dijkstra from a router gives
     every router's cost to it, in settle order, and every router's next
     hop toward it (:meth:`distances`, :meth:`toward`).  Both are computed
-    lazily and cached on the instance, so every caller (unicast FIBs and
-    label counts, BIFTs, multicast joins) reads the same table.  A router
-    that is not single-homed (see :meth:`distances`) runs its own
+    lazily and cached on the instance, so every caller (label counts,
+    provider ranks, BIFTs, multicast joins) reads the same table.  A
+    router that is not single-homed (see :meth:`hub`) runs its own
     Dijkstra once; a single-homed router's tables are derived from its
     hub's, one hub Dijkstra serving all of the hub's single-homed
-    neighbours.
+    neighbours.  The setup builders read hub tables only, so a
+    single-homed router's tables are built only when a multicast join
+    asks for them.
     """
 
     def __init__(self, roles, adjacency):
@@ -70,13 +72,15 @@ class Topology:
         ``stub -> stub``.  The first query for a stub runs the hub's
         Dijkstra (or reads the hub's cached tables) and caches every
         single-homed neighbour of the hub; the hub's own tables are not
-        kept.
+        kept.  Setup (BIFT, label counts, auto providers) asks only for
+        hub and multi-link routers, so it caches their tables alone; a
+        stub's are built at the first join that reads them.
         """
         self.require(source)
         cached = self._dist.get(source)
         if cached is not None:
             return cached
-        hub = self._hub(source)
+        hub = self.hub(source)
         if hub is None:
             self._dist[source], self._toward[source] = self._dijkstra(source)
             return self._dist[source]
@@ -102,8 +106,14 @@ class Topology:
             self._toward[stub] = hop
         return self._dist[source]
 
-    def _hub(self, router):
-        """The one neighbour of a single-homed ``router``, else None."""
+    def hub(self, router):
+        """The one neighbour of a single-homed ``router``, else None.
+
+        A router is single-homed when it has one link and the router at
+        the other end has more than one.  Every path to or from it passes
+        through that hub, so its costs and next hops are the hub's plus
+        one link: callers that only need those read the hub's tables.
+        """
         nbrs = self.adj[router]
         if len(nbrs) == 1:
             (hub,) = nbrs

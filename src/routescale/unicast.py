@@ -186,8 +186,9 @@ class UnicastPlane:
     so the per-router FIBs are not stored: two shared tables hold the
     site identifiers and the provider locators, and every per-router
     size is a count derived from them.  Label counts are derived from the
-    next-hop trees without building the LSP mesh.  The providers are
-    validated when the scenario is built (:func:`check_providers`).
+    next-hop trees, one walk per hub, without building the LSP mesh.  The
+    providers are validated when the scenario is built
+    (:func:`check_providers`).
     """
 
     def __init__(self, topo, providers):
@@ -202,20 +203,33 @@ class UnicastPlane:
         # The LSP from ingress i to egress e follows toward(e), so it
         # passes router r exactly when i is in r's subtree of that tree,
         # and r holds an in-label for it unless r is i.  Every edge router
-        # also holds one FEC binding per egress.
+        # also holds one FEC binding per egress.  A single-homed egress's
+        # tree is its hub's with the egress as the root above the hub
+        # (see Topology.hub): every other router's subtree is the same,
+        # the hub's loses the egress and the egress's holds every edge
+        # router.  So one walk per hub serves all of its stub egresses.
         topo = self.topo
+        n_edges = len(topo.edge_routers)
         is_edge = {r: int(role == EDGE) for r, role in topo.roles.items()}
-        counts = {r: len(topo.edge_routers) * edge for r, edge in is_edge.items()}
+        counts = {r: n_edges * edge for r, edge in is_edge.items()}
+        trees = {}       # root walked -> number of egresses it serves
         for egress in topo.edge_routers:
-            dist, hops = topo.distances(egress), topo.toward(egress)
+            hub = topo.hub(egress)
+            root = egress if hub is None else hub
+            trees[root] = trees.get(root, 0) + 1
+            if hub is not None:
+                counts[hub] -= 1
+                counts[egress] += n_edges - 1
+        for root, copies in trees.items():
+            dist, hops = topo.distances(root), topo.toward(root)
             below = dict(is_edge)    # edge routers in each router's subtree
-            # every parent is nearer the egress than its children, and the
+            # every parent is nearer the root than its children, and the
             # distances are in settle order, so walking them backwards
             # completes a subtree's count before it is added to its parent
             for r in reversed(dist):
-                if r != egress:
+                if r != root:
                     below[hops[r]] += below[r]
-                counts[r] += below[r] - is_edge[r]
+                counts[r] += copies * (below[r] - is_edge[r])
         return counts
 
     # -- site management ----------------------------------------------------

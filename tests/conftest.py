@@ -14,6 +14,7 @@ from routescale.errors import (
     RpfFailure,
     SimError,
 )
+from routescale.generators import gen_topology
 from routescale.harness import DELIVERY_HEADER, STATE_HEADER, StateSnapshot
 from routescale.multicast import SgKey, SgState, join
 from routescale.topology import EDGE, build_topology
@@ -643,3 +644,24 @@ def random_topology(rng, n, max_cost=3, extra_links=None, n_edges=None):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# topologies on which most routers are single-homed: every edge router of
+# fat-edge and star hangs off one core router; on line 3 both edges hang
+# off the core; "edge hub" is 0(edge)-1(edge)-2(core)-3(edge), where edge
+# 0 is single-homed to edge 1; "weighted fat-edge 30" varies link costs
+STUB_HEAVY = ("fat-edge 3", "fat-edge 4", "fat-edge 5", "fat-edge 12", "fat-edge 60",
+              "star 2", "star 3", "star 40", "line 3", "edge hub", "weighted fat-edge 30")
+
+
+def stub_heavy_topology(name):
+    """A fresh Topology (cold caches) for a name in ``STUB_HEAVY``."""
+    if name == "edge hub":
+        return build_topology([(0, EDGE), (1, EDGE), (2, "core"), (3, EDGE)],
+                              [(0, 1, 2), (1, 2, 1), (2, 3, 3)])
+    *weighted, kind, size = name.split()
+    spec = gen_topology(kind, int(size))
+    links = spec["links"]
+    if weighted:
+        links = [(a, b, 1 + (a * 7 + b) % 3) for a, b, _ in links]
+    return build_topology(spec["routers"], links)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    STUB_HEAVY,
     bfer_placements,
     bit_positions,
     expand_bift,
@@ -14,6 +15,7 @@ from conftest import (
     reference_bift,
     scan_forward_bier,
     seeded,
+    stub_heavy_topology,
 )
 from routescale import multicast
 from routescale.bier import (
@@ -316,6 +318,19 @@ def test_build_bift_matches_reference(seed, n, bsl, data):
                  if entry is not None}
         hops = {(si, nh) for (si, _), (nh, _) in expand_bift(bift)[router].items()}
         assert len(pairs) == len(hops)
+
+
+# single-homed routers' rows are built from their hub alone, and every
+# other router reaches a single-homed BFER through its hub
+@pytest.mark.parametrize("bsl", [1, 3, 256])
+@pytest.mark.parametrize("name", STUB_HEAVY)
+def test_build_bift_matches_reference_on_stub_heavy_topologies(name, bsl):
+    topo = stub_heavy_topology(name)
+    order = list(topo.edge_routers)
+    seeded(bsl).shuffle(order)
+    placements = {r: id_to_si_bit(i, bsl) for i, r in enumerate(order, start=1)}
+    bift = build_bift(topo, placements)
+    assert expand_bift(bift) == reference_bift(topo, placements)
 
 
 def test_bit_positions_roundtrip():

@@ -1,15 +1,17 @@
 """Distances and next hops against networkx on random topologies."""
 
 import heapq
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_topology, scan_next_hop, seeded
+from conftest import STUB_HEAVY, random_topology, scan_next_hop, seeded, stub_heavy_topology
 from routescale import topology
 from routescale.generators import gen_topology
+from routescale.harness import SimState, auto_providers, build_scenario, load_scenario
 
 nx = pytest.importorskip("networkx")
 
@@ -180,3 +182,52 @@ def test_every_router_in_any_order_matches_a_from_scratch_dijkstra(topo, data):
     for dest in topo.roles:
         for at in topo.roles:
             assert topo.next_hop(at, dest) == scan_next_hop(topo, at, dest)
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+
+
+def single_homed(topo):
+    """Routers with one link, to a router with more than one."""
+    return {r for r, nbrs in topo.adj.items()
+            if len(nbrs) == 1 and len(topo.adj[next(iter(nbrs))]) > 1}
+
+
+# site_growth (fat-edge 120, unicast modes), snapshot_probe (fat-edge 100,
+# every mode) and BIER alone on fat-edge 200: the BIFT, the label counts
+# and the auto providers read hub tables only
+@pytest.mark.parametrize("scenario, n_core", [
+    (WORKLOADS / "site_growth.json", 24),
+    (WORKLOADS / "snapshot_probe.json", 20),
+    ({"topology": {"kind": "fat-edge", "size": 200}, "modes": ["bier"],
+      "workload": {"seed": 1, "n_groups": 10, "members_min": 2, "members_max": 40,
+                   "churn_events": 50}}, 40),
+])
+def test_setup_builds_no_table_for_a_single_homed_router(dijkstra_runs, scenario, n_core):
+    if isinstance(scenario, Path):
+        scenario = load_scenario(scenario)
+    else:
+        scenario = build_scenario(scenario)
+    SimState(scenario)
+    topo = scenario.topology
+    stubs = single_homed(topo)
+    assert len(stubs) == len(topo.roles) - n_core
+    assert not stubs & set(topo._toward)
+    assert not stubs & set(topo._dist)
+    assert len(dijkstra_runs) == n_core
+
+
+# a single-homed edge's cost to a router is its hub's plus the link to it
+@pytest.mark.parametrize("name", STUB_HEAVY)
+def test_auto_providers_match_networkx_nearest_edge(name):
+    topo = stub_heavy_topology(name)
+    graph = to_networkx(topo)
+    expected = {e: {e} for e in topo.edge_routers}
+    for router in topo.roles:
+        if router in expected:
+            continue
+        lengths = nx.single_source_dijkstra_path_length(graph, router)
+        expected[min(topo.edge_routers, key=lambda e: (lengths[e], e))].add(router)
+    providers = auto_providers(topo)
+    assert [p.provider_id for p in providers] == list(range(len(topo.edge_routers)))
+    assert [set(p.owned_routers) for p in providers] == [expected[e] for e in topo.edge_routers]

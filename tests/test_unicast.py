@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    STUB_HEAVY,
     Deliver,
     MaterialisedFibs,
     NoLabelBinding,
@@ -17,6 +18,7 @@ from conftest import (
     prefix_contains,
     random_topology,
     seeded,
+    stub_heavy_topology,
 )
 from routescale.errors import InvalidPrefix, SimError, UnattachedSite
 from routescale.harness import auto_providers
@@ -234,6 +236,15 @@ class TestLabelCounts:
         plane = UnicastPlane(topo, auto_providers(topo))
         assert [plane.label_entries(r) for r in (0, 1, 2, 3)] == [3, 2, 0, 3]
         assert [mesh_entries(lsp_mesh(topo), r) for r in (0, 1, 2, 3)] == [3, 2, 0, 3]
+
+    # one tree walk per hub serves each single-homed egress of that hub
+    @pytest.mark.parametrize("name", STUB_HEAVY)
+    def test_stub_heavy_counts_match_the_mesh(self, name):
+        topo = stub_heavy_topology(name)
+        plane = UnicastPlane(topo, auto_providers(topo))
+        counts = {r: plane.label_entries(r) for r in topo.roles}
+        mesh = lsp_mesh(topo)
+        assert counts == {r: mesh_entries(mesh, r) for r in topo.roles}
 
 
 def walk(fibs, mode, src, addr):
