@@ -28,15 +28,15 @@ class Topology:
 
     Build via :func:`build_topology`.  One Dijkstra from a router gives
     every router's cost to it, in settle order, and every router's next
-    hop toward it (:meth:`distances`, :meth:`toward`).  Both are computed
-    lazily and cached on the instance, so every caller (label counts,
-    provider ranks, BIFTs, multicast joins) reads the same table.  A
-    router that is not single-homed (see :meth:`hub`) runs its own
-    Dijkstra once; a single-homed router's tables are derived from its
-    hub's, one hub Dijkstra serving all of the hub's single-homed
-    neighbours.  The setup builders read hub tables only, so a
-    single-homed router's tables are built only when a multicast join
-    asks for them.
+    hop toward it (:meth:`distances`).  Both tables are computed lazily
+    and cached on the instance, so every caller (label counts, provider
+    ranks, BIFTs, multicast joins) reads the same table.  One rule
+    covers single-homed routers (see :meth:`hub`): the next-hop table
+    toward one is its hub's with two entries changed (:meth:`toward`),
+    so it costs a copy, not a Dijkstra.  The setup builders read hub
+    tables only, so a single-homed router's next-hop table is built at
+    the first multicast join that reads it, and its cost table only if
+    :meth:`distances` is asked for it.
     """
 
     def __init__(self, roles, adjacency):
@@ -51,7 +51,8 @@ class Topology:
             raise UnknownRouter(f"router {router} not in topology")
 
     def distances(self, source):
-        """All-destination minimum path costs from ``source`` (Dijkstra).
+        """All-destination minimum path costs from ``source``: one cached
+        lazy-heap Dijkstra.
 
         The dict is in settle order, so its costs never decrease as it is
         iterated.  Links are undirected, so the same pass records every
@@ -60,70 +61,11 @@ class Topology:
         equal cost from a smaller ``u`` takes that instead.  Costs are
         positive, so every equal-cost neighbour settles, and relaxes the
         router, before the router itself settles.
-
-        A *single-homed* router has one link, to a *hub* with more than
-        one.  Its tables are exact functions of the hub's: every path to
-        it passes through the hub, so every other router's cost is the
-        hub's plus the link cost and its equal-cost neighbours are the
-        same.  The heap settles routers in ``(cost, id)`` order, which a
-        uniform shift keeps, so the stub's costs are ``{stub: 0}``
-        followed by the hub's shifted costs in the hub's order, without
-        the stub; its table is the hub's with ``hub -> stub`` and
-        ``stub -> stub``.  The first query for a stub runs the hub's
-        Dijkstra (or reads the hub's cached tables) and caches every
-        single-homed neighbour of the hub; the hub's own tables are not
-        kept.  Setup (BIFT, label counts, auto providers) asks only for
-        hub and multi-link routers, so it caches their tables alone; a
-        stub's are built at the first join that reads them.
         """
-        self.require(source)
         cached = self._dist.get(source)
         if cached is not None:
             return cached
-        hub = self.hub(source)
-        if hub is None:
-            self._dist[source], self._toward[source] = self._dijkstra(source)
-            return self._dist[source]
-        hub_dist = self._dist.get(hub)
-        if hub_dist is None:
-            hub_dist, hub_hop = self._dijkstra(hub)
-        else:
-            hub_hop = self._toward[hub]
-        shifted = {}                      # link cost -> hub's costs plus it
-        for stub, cost in self.adj[hub].items():
-            if len(self.adj[stub]) != 1:
-                continue
-            costs = shifted.get(cost)
-            if costs is None:
-                costs = shifted[cost] = {r: d + cost for r, d in hub_dist.items()}
-            dist = {stub: 0}
-            dist.update(costs)
-            dist[stub] = 0
-            hop = hub_hop.copy()
-            hop[hub] = stub
-            hop[stub] = stub
-            self._dist[stub] = dist
-            self._toward[stub] = hop
-        return self._dist[source]
-
-    def hub(self, router):
-        """The one neighbour of a single-homed ``router``, else None.
-
-        A router is single-homed when it has one link and the router at
-        the other end has more than one.  Every path to or from it passes
-        through that hub, so its costs and next hops are the hub's plus
-        one link: callers that only need those read the hub's tables.
-        """
-        nbrs = self.adj[router]
-        if len(nbrs) == 1:
-            (hub,) = nbrs
-            if len(self.adj[hub]) > 1:
-                return hub
-        return None
-
-    def _dijkstra(self, source):
-        """One lazy-heap Dijkstra from ``source``: (costs in settle order,
-        next-hop table toward ``source``), as :meth:`distances` describes."""
+        self.require(source)
         dist = {}
         tentative = {source: 0}
         hop = {source: source}
@@ -142,20 +84,47 @@ class Topology:
                     heapq.heappush(heap, (nd, v))
                 elif nd == best and u < hop[v]:
                     hop[v] = u
-        return dist, hop
+        self._dist[source] = dist
+        self._toward[source] = hop
+        return dist
+
+    def hub(self, router):
+        """The one neighbour of a single-homed ``router``, else None.
+
+        A router is single-homed when it has one link and the router at
+        the other end has more than one.  Every path to or from it passes
+        through that hub, so its costs are the hub's plus the link cost
+        and its next hops are the hub's but at the hub: :meth:`toward`
+        builds its table from the hub's, and the setup builders read the
+        hub's tables in its place.
+        """
+        nbrs = self.adj[router]
+        if len(nbrs) == 1:
+            (hub,) = nbrs
+            if len(self.adj[hub]) > 1:
+                return hub
+        return None
 
     def toward(self, dest):
         """Next-hop table toward ``dest``: router -> neighbor on a shortest path.
 
         Among neighbors ``n`` with ``cost(at, n) + dist(n) == dist(at)``
         the smallest router id wins; ``dest`` maps to itself.  The table
-        is filled by :meth:`distances` of ``dest``, from its own Dijkstra
-        or, for a single-homed ``dest``, from its hub's.
+        is filled by :meth:`distances` of ``dest``.  For a single-homed
+        ``dest`` every path to it ends with its hub's link, so its table
+        is a copy of the hub's with ``hub -> dest`` and ``dest -> dest``:
+        it runs no Dijkstra and builds no cost table.
         """
         table = self._toward.get(dest)
-        if table is None:
+        if table is not None:
+            return table
+        self.require(dest)
+        hub = self.hub(dest)
+        if hub is None:
             self.distances(dest)
-            table = self._toward[dest]
+            return self._toward[dest]
+        table = self._toward[dest] = self.toward(hub).copy()
+        table[hub] = table[dest] = dest
         return table
 
     def next_hop(self, at, dest):

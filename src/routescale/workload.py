@@ -1,8 +1,8 @@
 """Deterministic workload generator: end-site growth and group churn.
 
 A schedule is an ordered list of integer-tick events.  Generation is
-fully determined by (seed, params, topology); the RNG algorithm name is
-recorded in the schedule so exported fixtures are self-describing.
+fully determined by (seed, params, topology), drawing from Python's
+``random.Random`` (Mersenne Twister) seeded with ``params.seed``.
 """
 
 import bisect
@@ -19,8 +19,6 @@ JOIN = "join"                  # args: group, receiver_edge
 LEAVE = "leave"                # args: group, receiver_edge
 
 KINDS = (ADD_SITE, ADD_GROUP, JOIN, LEAVE)
-
-RNG_ALGORITHM = "python-random-mt19937"
 
 
 class Event(NamedTuple):
@@ -58,9 +56,7 @@ class Params:
 
 @dataclass
 class Schedule:
-    params: Params
     events: list
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 def generate(topo, params):
@@ -123,7 +119,7 @@ def generate(topo, params):
                 bisect.insort(joinable, group)
         tick += 1
 
-    return Schedule(params, events)
+    return Schedule(events)
 
 
 def _move(item, source, dest):

@@ -25,9 +25,7 @@ from routescale.workload import (
     JOIN,
     KINDS,
     LEAVE,
-    RNG_ALGORITHM,
     Event,
-    Params,
     Schedule,
     generate,
 )
@@ -372,32 +370,36 @@ def full_snapshot(sim, tick):
     return StateSnapshot(tick, rows)
 
 
+# the generator draws from random.Random, seeded with the workload seed
+RNG_ALGORITHM = "python-random-mt19937"
+
+
 def schedule_to_text(schedule):
-    """A schedule in the fixture format: an ``# rng`` line, then one
-    ``tick kind args...`` line per event."""
-    lines = [f"# rng {schedule.rng_algorithm}"]
+    """A schedule in the fixture format: an ``# rng`` line naming the
+    generator's RNG, then one ``tick kind args...`` line per event."""
+    lines = [f"# rng {RNG_ALGORITHM}"]
     for ev in schedule.events:
         lines.append(" ".join([str(ev.tick), ev.kind, *map(str, ev.args)]))
     return "\n".join(lines) + "\n"
 
 
-def schedule_from_text(text, params=None):
-    """Parse :func:`schedule_to_text` output back into a ``Schedule``."""
+def schedule_from_text(text):
+    """Parse :func:`schedule_to_text` output back into a ``Schedule``; an
+    ``# rng`` line naming another RNG is refused."""
     events = []
-    rng_name = RNG_ALGORITHM
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if line.startswith("# rng "):
-                rng_name = line[len("# rng "):]
+            if line.startswith("# rng ") and line[len("# rng "):] != RNG_ALGORITHM:
+                raise InvalidParams(f"schedule drawn from another RNG: {line!r}")
             continue
         tick, kind, *args = line.split()
         if kind not in KINDS:
             raise InvalidParams(f"unknown event kind {kind!r}")
         events.append(Event(int(tick), kind, tuple(int(a) for a in args)))
-    return Schedule(params or Params(), events, rng_name)
+    return Schedule(events)
 
 
 def reference_generate(topo, params):
@@ -441,7 +443,7 @@ def reference_generate(topo, params):
             membership[group].remove(receiver)
         tick += 1
 
-    return Schedule(params, events)
+    return Schedule(events)
 
 
 def host_address(prefix):

@@ -1,6 +1,8 @@
 """Distances and next hops against networkx on random topologies."""
 
 import heapq
+from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import STUB_HEAVY, random_topology, scan_next_hop, seeded, stub_heavy_topology
-from routescale import topology
+from routescale import topology, workload
+from routescale.errors import DeliveryMismatch, InvalidLink, ScenarioError
 from routescale.generators import gen_topology
-from routescale.harness import SimState, auto_providers, build_scenario, load_scenario
+from routescale.harness import SimState, auto_providers, build_scenario, load_scenario, run
 
 nx = pytest.importorskip("networkx")
 
@@ -76,25 +79,16 @@ def generated(kind, size):
 
 
 def expected_dijkstra_runs(topo, order):
-    """Heap Dijkstras that querying ``distances`` in ``order`` runs on a
+    """Heap Dijkstras that querying ``toward`` in ``order`` runs on a
     fresh Topology.  A router with one link to a router with several is
-    single-homed: the first query among its hub's single-homed neighbours
-    runs one Dijkstra, from the hub, and none if the hub was queried
-    before.  Every other router runs its own."""
+    single-homed, and its query reaches that hub's Dijkstra; every other
+    router's reaches its own.  Each distinct router reached runs one."""
     degree = {r: len(nbrs) for r, nbrs in topo.adj.items()}
-    done = set()
-    runs = 0
+    reached = set()
     for router in order:
-        if router in done:
-            continue
         hub = next(iter(topo.adj[router]), None)
-        if degree[router] == 1 and degree[hub] > 1:
-            runs += hub not in done
-            done.update(r for r in topo.adj[hub] if degree[r] == 1)
-        else:
-            runs += 1
-            done.add(router)
-    return runs
+        reached.add(hub if degree[router] == 1 and degree[hub] > 1 else router)
+    return len(reached)
 
 
 @pytest.fixture
@@ -122,11 +116,13 @@ def test_toward_after_distances_runs_no_second_dijkstra(dijkstra_runs):
         rng.shuffle(order)
         before = len(dijkstra_runs)
         for dest in order:
-            topo.distances(dest)
+            topo.toward(dest)
         assert len(dijkstra_runs) - before == expected_dijkstra_runs(topo, order)
         runs = len(dijkstra_runs)
         for dest in topo.roles:
             assert topo.toward(dest) is topo.toward(dest)
+            if topo.hub(dest) is None:
+                topo.distances(dest)
             for at in topo.roles:
                 topo.next_hop(at, dest)
         assert len(dijkstra_runs) == runs
@@ -140,8 +136,23 @@ def test_edge_routers_of_fat_edge_and_star_run_one_dijkstra_per_hub(dijkstra_run
                                                                      size, runs):
     topo = generated(kind, size)
     for edge in topo.edge_routers:
-        topo.distances(edge)
+        topo.toward(edge)
     assert len(dijkstra_runs) == runs
+    # the hubs' cost tables were cached by the same Dijkstras
+    for source in list(dijkstra_runs):
+        topo.distances(source)
+    assert len(dijkstra_runs) == runs
+
+
+@pytest.mark.parametrize("kind, size", [("fat-edge", 5), ("fat-edge", 100), ("star", 10)])
+def test_toward_a_stub_then_distances_of_its_hub_run_one_dijkstra(dijkstra_runs, kind, size):
+    topo = generated(kind, size)
+    stub = topo.edge_routers[-1]
+    hub = topo.hub(stub)
+    assert hub is not None
+    topo.toward(stub)
+    topo.distances(hub)
+    assert dijkstra_runs == [hub]
 
 
 @st.composite
@@ -184,7 +195,8 @@ def test_every_router_in_any_order_matches_a_from_scratch_dijkstra(topo, data):
             assert topo.next_hop(at, dest) == scan_next_hop(topo, at, dest)
 
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "bench" / "workloads"
 
 
 def single_homed(topo):
@@ -215,6 +227,49 @@ def test_setup_builds_no_table_for_a_single_homed_router(dijkstra_runs, scenario
     assert not stubs & set(topo._toward)
     assert not stubs & set(topo._dist)
     assert len(dijkstra_runs) == n_core
+
+
+SCENARIO_FILES = sorted(path for folder in ("scenarios", "bench/workloads", "tests/fixtures")
+                        for path in (ROOT / folder).glob("*.json"))
+# scenario files whose run is refused, and the error that refuses it
+REFUSED = {
+    "empty_provider_scenario.json": ScenarioError,
+    "fault_scenario.json": DeliveryMismatch,
+    "fractional_cost_scenario.json": InvalidLink,
+}
+
+
+# a single-homed router's next hops come from its hub's table (toward),
+# so a run never needs its cost table
+@pytest.mark.parametrize("path", SCENARIO_FILES,
+                         ids=[str(p.relative_to(ROOT)) for p in SCENARIO_FILES])
+def test_a_run_never_asks_for_the_distances_of_a_single_homed_router(monkeypatch, path):
+    distances = topology.Topology.distances
+    asked = []       # single-homed routers passed to distances
+
+    def checked(topo, source):
+        if topo.hub(source) is not None:
+            asked.append(source)
+        return distances(topo, source)
+
+    monkeypatch.setattr(topology.Topology, "distances", checked)
+    refused = REFUSED.get(path.name)
+    with pytest.raises(refused) if refused else nullcontext():
+        run(load_scenario(path))
+    assert asked == []
+
+
+def test_a_snapshot_probe_run_caches_hub_tables_and_the_group_sources_next_hops():
+    scenario = load_scenario(WORKLOADS / "snapshot_probe.json")
+    run(scenario, 13)
+    topo = scenario.topology
+    stubs = single_homed(topo)
+    events = workload.generate(topo, replace(scenario.workload, seed=13)).events
+    sources = {ev.args[1] for ev in events if ev.kind == workload.ADD_GROUP} & stubs
+    assert len(sources) == 32
+    assert stubs & set(topo._toward) == sources
+    assert not stubs & set(topo._dist)
+    assert (len(topo._toward), len(topo._dist)) == (52, 20)
 
 
 # a single-homed edge's cost to a router is its hub's plus the link to it

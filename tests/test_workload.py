@@ -111,9 +111,11 @@ class TestTextFormat:
         params = Params(seed=2, n_sites=2, n_groups=2, members_min=1,
                         members_max=2, churn_events=8)
         schedule = generate(line3(), params)
-        parsed = schedule_from_text(schedule_to_text(schedule), params)
-        assert parsed.events == schedule.events
-        assert parsed.rng_algorithm == schedule.rng_algorithm
+        assert schedule_from_text(schedule_to_text(schedule)) == schedule
+
+    def test_other_rng_rejected(self):
+        with pytest.raises(InvalidParams):
+            schedule_from_text("# rng python-random-pcg64\n0 add_site 0 0\n")
 
     def test_frozen_fixture_regression(self):
         params = Params(seed=1, n_sites=2, n_groups=2, members_min=1,
