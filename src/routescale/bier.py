@@ -18,6 +18,13 @@ receives exactly one copy.
 ``BierHeader`` exists only at encapsulation: a flood reads its SI once,
 and every copy inside it is a ``(next hop, bits)`` pair of plain ints
 within that SI.
+
+Once a copy carries a single bit it is never replicated again, so where
+it lands depends only on the BIFT.  A flood keeps that answer in a
+*reach table*, ``{si: {(router, one-bit mask): BFER}}``, which floods
+over the same BIFT may share: each one-bit copy is forwarded hop by hop
+once per (SI, router, bit) and looked up after that.  The table holds at
+most one entry per router and BFER.
 """
 
 from typing import NamedTuple
@@ -184,7 +191,7 @@ def forward_bier(bift, si, bits, at):
     return copies
 
 
-def flood_deliver(bift, header, at):
+def flood_deliver(bift, header, at, reach=None):
     """Inject ``header`` at router ``at`` and forward until every copy
     terminates; list of BFERs, one per delivered bit.
 
@@ -193,20 +200,37 @@ def flood_deliver(bift, header, at):
     property means it has one element per set bit of the injected header,
     the router that delivered that bit.
 
+    ``reach`` is the reach table (see the module docstring) for ``bift``,
+    read and extended in place; None starts an empty one.  A multi-bit
+    copy is partitioned by ``forward_bier`` at every router it visits.  A
+    one-bit copy is looked up in ``reach``, and on a miss walked by
+    ``forward_bier`` until it lands on a BFER or on a router whose entry
+    is known; then every router of the walk gets an entry.  A walk that
+    raises records nothing.  Under LIFO the copies a one-bit copy turns
+    into are popped one after another, so the list and its order are
+    those of a hop-by-hop flood.
+
     Each bit follows one path through a loop-free table, visiting each
-    router at most once, and every ``forward_bier`` call after the
-    injection carries at least one bit.  So a flood that needs more than
-    ``popcount(bits) * len(bift)`` further calls has met a loop, and
-    raises BiftLoop.
+    router at most once.  So a one-bit walk that needs more than
+    ``len(bift)`` calls, or a flood that pops more than
+    ``popcount(bits) * len(bift)`` copies after the injection, has met a
+    loop, and raises BiftLoop.
     """
     si = header.si
     budget = header.bits.bit_count() * len(bift)
+    known = {} if reach is None else reach.setdefault(si, {})
     delivered = []
     stack = [(at, header.bits)]
     for _ in range(budget + 1):
         if not stack:
             return delivered
         router, bits = stack.pop()
+        if bits and not bits & (bits - 1):
+            bfer = known.get((router, bits))
+            if bfer is None:
+                bfer = _walk(bift, si, bits, router, known)
+            delivered.append(bfer)
+            continue
         for next_hop, copy in forward_bier(bift, si, bits, router):
             if next_hop == LOCAL:
                 if copy & (copy - 1):
@@ -219,3 +243,27 @@ def flood_deliver(bift, header, at):
         raise BiftLoop(f"SI {si} flood from router {at} looped: more than "
                        f"{budget} forwarding steps after the injection")
     return delivered
+
+
+def _walk(bift, si, bit, at, known):
+    """The BFER a one-bit copy ``bit`` of ``si`` at router ``at`` lands on,
+    forwarded hop by hop until it is delivered or meets a router in
+    ``known``; records the answer for every router it was forwarded at."""
+    path = []
+    router = at
+    for _ in range(len(bift)):
+        path.append(router)
+        [(next_hop, _)] = forward_bier(bift, si, bit, router)
+        if next_hop == LOCAL:
+            bfer = router
+            break
+        router = next_hop
+        bfer = known.get((router, bit))
+        if bfer is not None:
+            break
+    else:
+        raise BiftLoop(f"SI {si} copy of bit {bit.bit_length()} from router {at} "
+                       f"looped: more than {len(bift)} forwarding steps")
+    for router in path:
+        known[(router, bit)] = bfer
+    return bfer

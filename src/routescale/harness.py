@@ -18,14 +18,18 @@ delivered receivers against the membership ground truth.  What is
 re-forwarded is the (S,G) packet and each BIER packet whose header
 changed: the BFIR sends one BIER packet per Set Identifier, and a packet
 whose header equals the one last flooded for that SI delivers what that
-flood delivered.  Any other group repeats the receiver set its last
-probe verified, because nothing its packets read has changed since.
-Any mismatch aborts the run so scaling numbers are never reported from
-an incorrect forwarding plane.  Writing the CSVs also costs what
-changed: a state row or a group's receivers shared with an earlier
-snapshot is formatted once, and each snapshot's text is written to the
-file as soon as it is formatted, so the writer holds no more than one
-snapshot's text.
+flood delivered.  Inside a re-flooded packet, a copy that carries two
+or more bits is forwarded at every router it reaches.  Every flood of
+the run shares one reach table, so a one-bit copy is forwarded hop by
+hop once per (SI, router, bit) in the run, and looked up after that
+(see ``bier.flood_deliver``).  Any other group repeats the receiver set
+its last probe verified, because nothing its packets read has changed
+since.  Any mismatch aborts the run so scaling numbers are never
+reported from an incorrect forwarding plane.  Writing the CSVs also
+costs what changed: a state row or a group's receivers shared with an
+earlier snapshot is formatted once, and each snapshot's text is written
+to the file as soon as it is formatted, so the writer holds no more
+than one snapshot's text.
 """
 
 import json
@@ -255,6 +259,8 @@ class SimState:
         # group -> {si: (bits, receivers)}: the header last flooded for each
         # Set Identifier and the BFER of each copy it delivered
         self.floods = {}
+        # the reach table every flood shares: {si: {(router, one-bit mask): BFER}}
+        self.reach = {}
         if "bier" in scenario.modes:
             self.bit_of = {r: bier.id_to_si_bit(i, scenario.bsl)
                            for r, i in bier.assign_bfr_ids(topo.edge_routers).items()}
@@ -400,7 +406,10 @@ class SimState:
         last flooded for that SI are: a flood reads only its ingress, its
         header and the BIFT, and neither the group's source nor the BIFT
         changes while the group exists.  The fault, if any, is applied to
-        the header before that comparison.
+        the header before that comparison.  A re-flooded packet's copies
+        are re-forwarded only while they carry two or more bits; a
+        one-bit copy is looked up in ``self.reach`` once it has been
+        forwarded from the same router in any earlier flood of the run.
         """
         source = self.groups[group]
         if self.sg_state is not None:
@@ -415,7 +424,7 @@ class SimState:
                 flood = floods.get(header.si)
                 if flood is None or flood[0] != header.bits:
                     flood = floods[header.si] = (
-                        header.bits, bier.flood_deliver(self.bift, header, source))
+                        header.bits, bier.flood_deliver(self.bift, header, source, self.reach))
                 copies.extend(flood[1])
             yield "bier", copies
 

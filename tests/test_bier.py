@@ -172,25 +172,53 @@ class TestForward:
         assert sorted(flood_deliver(bift, BierHeader(0, 0b111), 0)) == [0, 0, 1]
 
     # line 0 - 1 - 2: bit 2 (router 2) sent back to router 1 at router 1,
-    # or bounced between routers 1 and 2
+    # or bounced between routers 1 and 2; each flood starts a reach table,
+    # or all of them share one, which a loop must leave without an entry
+    # for the looping bit
+    @pytest.mark.parametrize("reach", [None, {}], ids=["fresh", "shared"])
     @pytest.mark.parametrize("at_1, at_2", [(1, LOCAL), (2, 1)])
-    def test_looping_slot_raises_bift_loop(self, at_1, at_2):
+    def test_looping_slot_raises_bift_loop(self, at_1, at_2, reach):
         bift = {0: {0: (None, (LOCAL, 0b01), (1, 0b10))},
                 1: {0: (None, (0, 0b01), (at_1, 0b10))},
                 2: {0: (None, (1, 0b01), (at_2, 0b10))}}
         raised = []
 
         def flood():
-            try:
-                flood_deliver(bift, BierHeader(0, 0b11), 0)
-            except BiftLoop as exc:
-                raised.append(exc)
+            for _ in range(2):
+                try:
+                    flood_deliver(bift, BierHeader(0, 0b11), 0, reach)
+                except BiftLoop as exc:
+                    raised.append(exc)
 
         worker = threading.Thread(target=flood, daemon=True)
         worker.start()
         worker.join(timeout=1.0)
         assert not worker.is_alive(), "flood still running after 1 s"
-        assert len(raised) == 1
+        assert len(raised) == 2
+        assert not any(mask == 0b10 for _, mask in (reach or {}).get(0, {}))
+
+    # line 0 - 1 - 2 - 3: bit 2 (router 3) crosses routers 0 and 1, then
+    # router 2 has no entry for it
+    def test_missing_entry_mid_walk_records_nothing(self):
+        bift = {0: {0: (None, (LOCAL, 0b01), (1, 0b10))},
+                1: {0: (None, (0, 0b01), (2, 0b10))},
+                2: {0: (None, (1, 0b01))},
+                3: {0: (None, (2, 0b01), (LOCAL, 0b10))}}
+        reach = {}
+        for _ in range(2):
+            with pytest.raises(MissingBiftEntry, match="router 2: no BIFT entry for SI 0 bit 2"):
+                flood_deliver(bift, BierHeader(0, 0b10), 0, reach)
+            assert not any(reach.values())
+        # bit 1 lands on router 0 whatever the walk of bit 2 did
+        assert flood_deliver(bift, BierHeader(0, 0b01), 1, reach) == [0]
+        assert reach == {0: {(1, 0b01): 0, (0, 0b01): 0}}
+
+    def test_empty_header_delivers_nothing(self):
+        topo = line3()
+        bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
+        reach = {}
+        assert flood_deliver(bift, BierHeader(0, 0), 1, reach) == []
+        assert not any(reach.values())
 
     # slot 1 holds an F-BM without bit 1: clearing that F-BM from the
     # working copy never clears bit 1

@@ -319,9 +319,9 @@ class TestBierFloodReuse:
         headers = []
         original = bier.flood_deliver
 
-        def counting(bift, header, at):
+        def counting(bift, header, at, reach=None):
             headers.append((header.si, header.bits))
-            return original(bift, header, at)
+            return original(bift, header, at, reach)
 
         monkeypatch.setattr(bier, "flood_deliver", counting)
         return headers
@@ -361,6 +361,31 @@ class TestBierFloodReuse:
             sim.apply(Event(1, workload.ADD_GROUP, (1, 5)))
         assert sim.groups[1] == 1
         assert self.probe(sim, 1, headers) == []
+
+
+WORKLOADS = Path(__file__).parent.parent / "bench" / "workloads"
+
+
+# the BIFT is fixed for the run, so a one-bit copy's landing BFER is
+# recorded the first time it is forwarded from a router and never
+# forwarded from there again
+@pytest.mark.parametrize("name", ["group_churn", "snapshot_probe"])
+def test_run_forwards_each_one_bit_copy_once(monkeypatch, name):
+    one_bit = []
+    calls = []
+    original = bier.forward_bier
+
+    def counting(bift, si, bits, at):
+        calls.append(bits)
+        if bits and not bits & (bits - 1):
+            one_bit.append((si, at, bits))
+        return original(bift, si, bits, at)
+
+    monkeypatch.setattr(bier, "forward_bier", counting)
+    run(load_scenario(WORKLOADS / f"{name}.json"), seed=13)
+    assert one_bit, "no one-bit copy was forwarded"
+    assert len(calls) > len(one_bit), "no multi-bit copy was forwarded"
+    assert len(set(one_bit)) == len(one_bit)
 
 
 SNAPSHOT_OPS = ("add_site", "add_group", "join", "leave", "snapshot")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    STUB_HEAVY,
     expand_report,
     full_probe,
     random_topology,
@@ -16,6 +17,7 @@ from conftest import (
     scan_forward_bier,
     seeded,
     sorted_simulate_delivery,
+    stub_heavy_topology,
 )
 from routescale import multicast, workload
 from routescale.bier import (
@@ -72,6 +74,49 @@ def test_bier_forwarding_matches_bit_by_bit_scan(seed, n, bsl, data):
             == outcome(scan_forward_bier, bift, si, bits, at))
     assert (as_multiset(outcome(flood_deliver, bift, header, at))
             == as_multiset(outcome(scan_flood_deliver, bift, header, at)))
+
+
+def check_shared_reach(topo, bsl, data):
+    """Floods from drawn ingresses, with drawn headers and SIs, all sharing
+    one reach table: each delivers what a bit-by-bit scan delivers and
+    what a flood with a fresh table delivers, in that flood's order; every
+    entry is a one-bit scan's BFER; an SI holds at most routers x BFERs."""
+    ids = assign_bfr_ids(topo.edge_routers)
+    bift = build_bift(topo, {r: id_to_si_bit(i, bsl) for r, i in ids.items()})
+    owned = {}    # si -> bits some BFER holds
+    for bfr_id in ids.values():
+        si, bit = id_to_si_bit(bfr_id, bsl)
+        owned[si] = owned.get(si, 0) | bit_mask(bit)
+    # as in the single-flood scan test: some bits and one SI no BFER owns
+    floods = data.draw(st.lists(st.tuples(
+        st.sampled_from(sorted(topo.roles)), st.integers(min_value=0, max_value=max(owned) + 1),
+        st.integers(min_value=0, max_value=2 ** (bsl + 2) - 1), st.booleans()),
+        min_size=1, max_size=12))
+    reach = {}
+    for at, si, bits, owned_only in floods:
+        header = BierHeader(si, bits & owned.get(si, 0) if owned_only else bits)
+        shared = outcome(flood_deliver, bift, header, at, reach)
+        assert as_multiset(shared) == as_multiset(outcome(scan_flood_deliver, bift, header, at))
+        assert shared == outcome(flood_deliver, bift, header, at, {})
+    for si, known in reach.items():
+        assert len(known) <= len(bift) * owned.get(si, 0).bit_count()
+        for (router, mask), bfer in known.items():
+            assert scan_flood_deliver(bift, BierHeader(si, mask), router) == [bfer]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10),
+       st.sampled_from([1, 3, 8]), st.data())
+def test_shared_reach_table_matches_bit_by_bit_scan(seed, n, bsl, data):
+    check_shared_reach(random_topology(seeded(seed), n), bsl, data)
+
+
+@pytest.mark.parametrize("bsl", [1, 3, 8])
+@pytest.mark.parametrize("name", STUB_HEAVY)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_shared_reach_table_on_stub_heavy_topologies(name, bsl, data):
+    check_shared_reach(stub_heavy_topology(name), bsl, data)
 
 
 @settings(max_examples=150, deadline=None)
