@@ -15,9 +15,10 @@ hop, F-BM)`` pair, so a router stores one pair per next hop in each SI.
 Forwarding partitions a packet's bitstring by next hop, so each BFER
 receives exactly one copy.
 
-``BierHeader`` exists only at encapsulation: a flood reads its SI once,
-and every copy inside it is a ``(next hop, bits)`` pair of plain ints
-within that SI.
+The harness keeps each group's bitstrings as the BFIR's state, setting
+and clearing bits as receivers join and leave.  ``BierHeader`` exists
+only at encapsulation: a flood reads its SI once, and every copy inside
+it is a ``(next hop, bits)`` pair of plain ints within that SI.
 
 Once a copy carries a single bit it is never replicated again, so where
 it lands depends only on the BIFT.  A flood keeps that answer in a
@@ -147,15 +148,6 @@ def build_bift(topo, placements):
                 fbm ^= low
         bift[router] = {si: tuple(row) for si, row in slots.items()}
     return bift
-
-
-def encapsulate_bier(positions):
-    """BFIR encapsulation of the egress set's ``(si, bit)`` positions:
-    one header per Set Identifier in use."""
-    per_si = {}
-    for si, bit in positions:
-        per_si[si] = per_si.get(si, 0) | bit_mask(bit)
-    return [BierHeader(si, per_si[si]) for si in sorted(per_si)]
 
 
 def forward_bier(bift, si, bits, at):

@@ -12,24 +12,30 @@ size of the network.  A state snapshot reuses every router row whose
 counts no event can have changed: the label and BIFT columns are fixed
 at construction, the unicast columns change only when a site is added,
 and the (S,G) column only at routers where a join or leave created or
-deleted an entry.  A group whose membership or tree changed since its
-last verified probe is re-probed in every multicast mode, comparing the
-delivered receivers against the membership ground truth.  What is
-re-forwarded is the (S,G) packet and each BIER packet whose header
-changed: the BFIR sends one BIER packet per Set Identifier, and a packet
-whose header equals the one last flooded for that SI delivers what that
-flood delivered.  Inside a re-flooded packet, a copy that carries two
-or more bits is forwarded at every router it reaches.  Every flood of
-the run shares one reach table, so a one-bit copy is forwarded hop by
-hop once per (SI, router, bit) in the run, and looked up after that
-(see ``bier.flood_deliver``).  Any other group repeats the receiver set
-its last probe verified, because nothing its packets read has changed
-since.  Any mismatch aborts the run so scaling numbers are never
-reported from an incorrect forwarding plane.  Writing the CSVs also
-costs what changed: a state row or a group's receivers shared with an
-earlier snapshot is formatted once, and each snapshot's text is written
-to the file as soon as it is formatted, so the writer holds no more
-than one snapshot's text.
+deleted an entry.  A delivery record is the previous one patched: only
+the groups that had an event since are re-probed, in every multicast
+mode, comparing the delivered receivers against the membership ground
+truth, and every other group keeps the receiver set it last verified,
+because nothing its packets read has changed since.
+
+BIER is map-and-encap at the ingress: the BFIR keeps, per group, one
+bitstring per Set Identifier, in which a join sets the receiver's bit
+and a leave clears it (``SimState.bitstrings``), and transit routers
+keep no per-group state.  What a re-probe re-forwards is the (S,G)
+packet and each BIER packet whose bitstring changed: the BFIR sends one
+BIER packet per Set Identifier, and a packet whose header equals the
+one last flooded for that SI delivers what that flood delivered.
+Inside a re-flooded packet, a copy that carries two or more bits is
+forwarded at every router it reaches.  Every flood of the run shares
+one reach table, so a one-bit copy is forwarded hop by hop once per
+(SI, router, bit) in the run, and looked up after that (see
+``bier.flood_deliver``).  Any mismatch aborts the run so scaling
+numbers are never reported from an incorrect forwarding plane.
+
+Writing the CSVs also costs what changed: a state row or a group's
+receivers shared with an earlier snapshot is formatted once, and each
+snapshot's text is written to the file as soon as it is formatted, so
+the writer holds no more than one snapshot's text.
 """
 
 import json
@@ -253,9 +259,18 @@ class SimState:
         self.sg_state = SgState() if "stateful_mcast" in scenario.modes else None
         self.groups = {}        # group -> source edge
         self.membership = {}    # group -> set of receiver edges
-        # group -> the membership its last probe verified in every
-        # multicast mode; dropped by every event on that group
-        self.verified = {}
+        # the BFIR's map-and-encap state: group -> {si: bits}, the bitstring
+        # of its members in each Set Identifier, which a join sets and a
+        # leave clears; an SI without a member has no entry, and without
+        # BIER every group's dict stays empty
+        self.bitstrings = {}
+        # the last delivery record's (group, receivers) pairs, in group
+        # order; a list a probe returned is never modified
+        self._record = []
+        self._position = {}     # group -> its index in _record
+        # the groups with an event since _record, rejected events and groups
+        # never added included; a probe drops each one it has passed
+        self._stale = set()
         # group -> {si: (bits, receivers)}: the header last flooded for each
         # Set Identifier and the BFER of each copy it delivered
         self.floods = {}
@@ -295,7 +310,7 @@ class SimState:
             return
         # every other event is on group args[0] and may change what its probe reads
         group = args[0]
-        self.verified.pop(group, None)
+        self._stale.add(group)
         if kind != workload.ADD_GROUP and group not in self.groups:
             raise SimError(f"event references unknown group {group}")
         if kind == workload.ADD_GROUP:
@@ -305,11 +320,16 @@ class SimState:
             if self.groups.setdefault(group, source_edge) != source_edge:
                 raise SimError(f"group {group} re-added with a different source")
             self.membership.setdefault(group, set())
+            self.bitstrings.setdefault(group, {})
         elif kind == workload.JOIN:
             group, receiver = args
             if self.topo.roles.get(receiver) != EDGE:
                 raise SimError(f"join of group {group} targets non-edge router {receiver}")
             self.membership[group].add(receiver)
+            if self.bift is not None:
+                si, bit = self.bit_of[receiver]
+                bits = self.bitstrings[group]
+                bits[si] = bits.get(si, 0) | bier.bit_mask(bit)
             if self.sg_state is not None:
                 sg = SgKey(self.groups[group], group)
                 multicast.join(self.sg_state, self.topo, sg, receiver)
@@ -318,6 +338,12 @@ class SimState:
             if receiver not in self.membership[group]:
                 raise SimError(f"leave for non-member edge {receiver} of group {group}")
             self.membership[group].discard(receiver)
+            if self.bift is not None:
+                si, bit = self.bit_of[receiver]
+                bits = self.bitstrings[group]
+                bits[si] &= ~bier.bit_mask(bit)
+                if not bits[si]:
+                    del bits[si]
             if self.sg_state is not None:
                 sg = SgKey(self.groups[group], group)
                 multicast.leave(self.sg_state, self.topo, sg, receiver)
@@ -370,20 +396,31 @@ class SimState:
         receivers in every multicast mode; a mismatch raises
         DeliveryMismatch, so no record ever holds one.
 
-        A group whose membership or tree changed since its last verified
-        probe is checked against its membership in every multicast mode;
-        re-forwarded are the (S,G) packet and each BIER packet whose header
-        changed (see ``_copies``).  Any other group repeats the receiver
-        set that probe verified: only events on a group write its (S,G)
-        entries and the membership its BIER headers encode, and the BIFT
-        never changes.
+        The record is the last one patched: a copy of its pairs, with the
+        group positions rebuilt only when a group was added.  Each group
+        that had an event since is checked against its membership in every
+        multicast mode, in group order, so the mismatch raised is the one
+        a probe of every group would raise first; re-forwarded are the
+        (S,G) packet and each BIER packet whose bitstring changed (see
+        ``_copies``).  Any other group keeps the receiver set it last
+        verified: only events on a group write its (S,G) entries and its
+        bitstrings, and the BIFT never changes.  A group verified before a
+        mismatch keeps its new pair; the failing group and those after it
+        stay stale.
         """
-        groups = []
-        for group in sorted(self.groups):
-            receivers = self.verified.get(group)
-            if receivers is None:
-                receivers = self.verified[group] = self._probe_group(tick, group)
-            groups.append((group, receivers))
+        groups = list(self._record)
+        if len(groups) != len(self.groups):
+            # groups are never removed: a new group has no pair yet, and
+            # is stale since its add_group
+            known = dict(groups)
+            groups = [(group, known.get(group)) for group in sorted(self.groups)]
+            self._position = {group: i for i, (group, _) in enumerate(groups)}
+        self._record = groups
+        for group in sorted(self._stale):
+            at = self._position.get(group)
+            if at is not None:      # else every event on it was rejected
+                groups[at] = (group, self._probe_group(tick, group))
+            self._stale.discard(group)
         return DeliverySnapshot(tick, self.probe_modes, groups)
 
     def _probe_group(self, tick, group):
@@ -401,12 +438,13 @@ class SimState:
         """Yield ``(mode, receiver of each delivered copy)`` per multicast
         mode in report order, forwarding each mode's packet only when asked.
 
-        The (S,G) packet is always re-forwarded.  Of the BIER packets, one
-        per Set Identifier, only those whose header differs from the one
-        last flooded for that SI are: a flood reads only its ingress, its
+        The (S,G) packet is always re-forwarded.  The BFIR sends one BIER
+        packet per Set Identifier in ``self.bitstrings[group]``, in SI
+        order, and only those whose bits differ from the ones last flooded
+        for that SI are re-forwarded: a flood reads only its ingress, its
         header and the BIFT, and neither the group's source nor the BIFT
         changes while the group exists.  The fault, if any, is applied to
-        the header before that comparison.  A re-flooded packet's copies
+        the bits before that comparison.  A re-flooded packet's copies
         are re-forwarded only while they carry two or more bits; a
         one-bit copy is looked up in ``self.reach`` once it has been
         forwarded from the same router in any earlier flood of the run.
@@ -417,14 +455,13 @@ class SimState:
         if self.bift is not None:
             floods = self.floods.setdefault(group, {})
             copies = []
-            positions = [self.bit_of[r] for r in self.membership[group]]
-            for header in bier.encapsulate_bier(positions):
+            for si, bits in sorted(self.bitstrings[group].items()):
                 if self.scenario.fault == "bier_drop_lowest_bit":
-                    header = bier.BierHeader(header.si, header.bits & (header.bits - 1))
-                flood = floods.get(header.si)
-                if flood is None or flood[0] != header.bits:
-                    flood = floods[header.si] = (
-                        header.bits, bier.flood_deliver(self.bift, header, source, self.reach))
+                    bits &= bits - 1
+                flood = floods.get(si)
+                if flood is None or flood[0] != bits:
+                    flood = floods[si] = (bits, bier.flood_deliver(
+                        self.bift, bier.BierHeader(si, bits), source, self.reach))
                 copies.extend(flood[1])
             yield "bier", copies
 

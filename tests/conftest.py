@@ -298,11 +298,23 @@ def sorted_simulate_delivery(state, sg):
     return delivered
 
 
+def encapsulate_bier(positions):
+    """BFIR encapsulation of the egress set's ``(si, bit)`` positions:
+    one header per Set Identifier in use, in SI order.  The reference for
+    the bitstrings ``SimState`` keeps by join and leave."""
+    per_si = {}
+    for si, bit in positions:
+        per_si[si] = per_si.get(si, 0) | bit_mask(bit)
+    return [BierHeader(si, per_si[si]) for si in sorted(per_si)]
+
+
 def full_probe(sim, tick):
     """Re-forward one packet per active group per multicast mode of a
     ``SimState``, whatever changed since its last probe; a mismatch raises
-    DeliveryMismatch.  Never reads or writes ``sim.verified``, and places
-    each member's bit from its own BFR-id assignment, not ``sim.bit_of``."""
+    DeliveryMismatch.  Never reads or writes the record ``sim.probe``
+    patches, and encapsulates each group's BIER headers from its
+    membership, placing each member's bit from its own BFR-id assignment,
+    not from ``sim.bitstrings`` or ``sim.bit_of``."""
     bit_of = bfer_placements(sim.topo.edge_routers, sim.scenario.bsl)
     rows = []
 
@@ -319,7 +331,7 @@ def full_probe(sim, tick):
             check(group, "stateful", multicast.simulate_delivery(sim.sg_state, sg), expected)
         if sim.bift is not None:
             delivered_list = []
-            for header in bier.encapsulate_bier([bit_of[r] for r in expected]):
+            for header in encapsulate_bier([bit_of[r] for r in expected]):
                 if sim.scenario.fault == "bier_drop_lowest_bit":
                     header = BierHeader(header.si, header.bits & (header.bits - 1))
                 delivered_list.extend(bier.flood_deliver(sim.bift, header, sim.groups[group]))

@@ -10,6 +10,7 @@ from pathlib import Path
 from conftest import (
     MaterialisedFibs,
     assert_rows_match_schedule,
+    encapsulate_bier,
     expand_report,
     host_address,
     path_to,
@@ -18,7 +19,7 @@ from conftest import (
     sg_as_dict,
 )
 from routescale import bier, multicast
-from routescale.bier import assign_bfr_ids, build_bift, encapsulate_bier, flood_deliver, id_to_si_bit
+from routescale.bier import assign_bfr_ids, build_bift, flood_deliver, id_to_si_bit
 from routescale.cli import cli_main
 from routescale.harness import build_scenario, run
 from routescale.multicast import SgKey, SgState

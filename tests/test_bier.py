@@ -10,6 +10,7 @@ from conftest import (
     STUB_HEAVY,
     bfer_placements,
     bit_positions,
+    encapsulate_bier,
     expand_bift,
     random_topology,
     reference_bift,
@@ -24,7 +25,6 @@ from routescale.bier import (
     assign_bfr_ids,
     bit_mask,
     build_bift,
-    encapsulate_bier,
     flood_deliver,
     forward_bier,
     id_to_si_bit,

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from conftest import (
     DeliveryRow,
     assert_rows_match_schedule,
+    bfer_placements,
+    encapsulate_bier,
     expand_bift,
     expand_report,
     full_probe,
@@ -19,7 +21,7 @@ from conftest import (
     seeded,
     sg_as_dict,
 )
-from routescale import bier, harness, unicast, workload
+from routescale import bier, harness, multicast, unicast, workload
 from routescale.errors import DeliveryMismatch, ScenarioError, SimError
 from routescale.harness import (
     MODES,
@@ -363,6 +365,146 @@ class TestBierFloodReuse:
         assert self.probe(sim, 1, headers) == []
 
 
+
+class TestPatchedRecord:
+    """``probe`` patches the last record: it re-probes only the groups that
+    had an event since, and never modifies a record it returned."""
+
+    # line 3: routers 0 and 2 are edges, router 1 is core
+    def sim(self, fault=None):
+        topo = build_topology([(0, "edge"), (1, "core"), (2, "edge")], [(0, 1, 1), (1, 2, 1)])
+        return SimState(Scenario(topo, [], workload.Params(), ("stateful_mcast", "bier"),
+                                 8, 1, fault))
+
+    def count_probes(self, monkeypatch):
+        """The group of each (S,G) probe, one per re-probed group."""
+        probed = []
+        original = multicast.simulate_delivery
+
+        def counting(state, sg):
+            probed.append(sg.group)
+            return original(state, sg)
+
+        monkeypatch.setattr(multicast, "simulate_delivery", counting)
+        return probed
+
+    def apply(self, sim, tick, *events):
+        for kind, args in events:
+            sim.apply(Event(tick, kind, args))
+
+    def fail_mid_record(self, monkeypatch):
+        """A probe that verifies group 0 and then raises on group 1, before
+        group 2 is reached; returns the sim and its probe counter."""
+        sim = self.sim("bier_drop_lowest_bit")
+        probed = self.count_probes(monkeypatch)
+        # the fault clears the only bit of group 1's header; groups 0 and 2
+        # have no member, so no header to clear
+        self.apply(sim, 0, (workload.ADD_GROUP, (0, 0)), (workload.ADD_GROUP, (1, 0)),
+                   (workload.JOIN, (1, 2)), (workload.ADD_GROUP, (2, 2)))
+        with pytest.raises(DeliveryMismatch) as excinfo:
+            sim.probe(0)
+        assert (excinfo.value.tick, excinfo.value.group, excinfo.value.mode) == (0, 1, "bier")
+        assert probed == [0, 1]
+        self.apply(sim, 1, (workload.LEAVE, (1, 2)))
+        probed.clear()
+        return sim, probed
+
+    def test_mismatch_keeps_the_pairs_verified_before_it(self, monkeypatch):
+        sim, _ = self.fail_mid_record(monkeypatch)
+        record = sim.probe(1)
+        assert record.groups == [(0, frozenset()), (1, frozenset()), (2, frozenset())]
+        assert expand_report([record]) == full_probe(sim, 1)
+
+    def test_after_a_mismatch_only_the_failing_and_stale_groups_are_reprobed(self, monkeypatch):
+        sim, probed = self.fail_mid_record(monkeypatch)
+        sim.probe(1)
+        assert probed == [1, 2]
+        sim.probe(2)
+        assert probed == [1, 2]
+
+    def test_rejected_event_on_unknown_group_repeats_the_record(self, monkeypatch):
+        sim = self.sim()
+        self.apply(sim, 0, (workload.ADD_GROUP, (3, 0)), (workload.JOIN, (3, 2)))
+        first = sim.probe(0)
+        probed = self.count_probes(monkeypatch)
+        for kind, args in [(workload.JOIN, (1, 2)), (workload.LEAVE, (5, 2))]:
+            with pytest.raises(SimError, match="unknown group"):
+                sim.apply(Event(1, kind, args))
+        with pytest.raises(SimError, match="non-edge router 1"):
+            sim.apply(Event(1, workload.ADD_GROUP, (1, 1)))
+        second = sim.probe(1)
+        assert second.groups == first.groups == [(3, frozenset({2}))]
+        assert probed == []
+
+    def test_a_returned_record_is_never_modified(self):
+        sim = self.sim()
+        self.apply(sim, 0, (workload.ADD_GROUP, (3, 0)), (workload.JOIN, (3, 2)))
+        first = sim.probe(0)
+        held = list(first.groups)
+        # group 1 sorts before group 3, so group 3 moves in the next record
+        self.apply(sim, 1, (workload.ADD_GROUP, (1, 2)), (workload.JOIN, (1, 0)),
+                   (workload.LEAVE, (3, 2)))
+        second = sim.probe(1)
+        self.apply(sim, 2, (workload.JOIN, (3, 0)), (workload.LEAVE, (1, 0)))
+        third = sim.probe(2)
+        assert first.groups == held == [(3, frozenset({2}))]
+        assert second.groups == [(1, frozenset({0})), (3, frozenset())]
+        assert third.groups == [(1, frozenset()), (3, frozenset({0}))]
+
+
+# the events the property draws: "add_group" may re-add a group with
+# another source and "join" may re-join a member; "core" joins a core or
+# unknown router, "outsider" leaves a non-member and "unknown" joins a
+# group no event adds, each of which is rejected
+BFIR_OPS = ("add_group", "join", "leave", "core", "outsider", "unknown")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10),
+       st.integers(min_value=1, max_value=8), st.data())
+def test_bfir_bitstrings_match_an_encapsulation_of_the_membership(seed, n, bsl, data):
+    topo = random_topology(seeded(seed), n)
+    edges = topo.edge_routers
+    not_edges = sorted(set(topo.roles) - set(edges)) + [n]
+    placements = bfer_placements(edges, bsl)
+    sim = SimState(Scenario(topo, [], workload.Params(), ("stateful_mcast", "bier"), bsl, 1))
+    ops = data.draw(st.lists(st.tuples(st.sampled_from(BFIR_OPS), st.integers(0, 2),
+                                       st.integers(0, len(edges))),
+                             max_size=40))
+    for tick, (op, group, pick) in enumerate(ops):
+        known = group in sim.groups
+        members = sorted(sim.membership.get(group, ()))
+        outsiders = [e for e in edges if e not in members] or not_edges
+        if op == "add_group":
+            source = edges[pick % len(edges)]
+            event = (workload.ADD_GROUP, (group, source))
+            rejected = known and sim.groups[group] != source
+        elif op == "join":
+            event = (workload.JOIN, (group, edges[pick % len(edges)]))
+            rejected = not known
+        elif op == "leave" and members:
+            event = (workload.LEAVE, (group, members[pick % len(members)]))
+            rejected = False
+        elif op == "core":
+            event = (workload.JOIN, (group, not_edges[pick % len(not_edges)]))
+            rejected = True
+        elif op == "unknown":
+            event = (workload.JOIN, (group + 3, edges[pick % len(edges)]))
+            rejected = True
+        else:       # "outsider", or "leave" of a group with no member
+            event = (workload.LEAVE, (group, outsiders[pick % len(outsiders)]))
+            rejected = True
+        if rejected:
+            with pytest.raises(SimError):
+                sim.apply(Event(tick, *event))
+        else:
+            sim.apply(Event(tick, *event))
+        assert sim.bitstrings.keys() == sim.membership.keys()
+        for g, receivers in sim.membership.items():
+            headers = encapsulate_bier([placements[r] for r in receivers])
+            assert sim.bitstrings[g] == {h.si: h.bits for h in headers}
+
+
 WORKLOADS = Path(__file__).parent.parent / "bench" / "workloads"
 
 
@@ -386,6 +528,40 @@ def test_run_forwards_each_one_bit_copy_once(monkeypatch, name):
     assert one_bit, "no one-bit copy was forwarded"
     assert len(calls) > len(one_bit), "no multi-bit copy was forwarded"
     assert len(set(one_bit)) == len(one_bit)
+
+
+# the state column each mode reports, as an index into a state row
+# (router, role, fib, mapping, labels, sg, bift), and the name its
+# delivery rows carry
+MODE_COLUMN = {"flat": 2, "mapencap": 3, "mpls": 4, "stateful_mcast": 5, "bier": 6}
+PROBE_NAME = {"stateful_mcast": "stateful", "bier": "bier"}
+LAW_SCENARIOS = [WORKLOADS / f"{name}.json"
+                 for name in ("group_churn", "site_growth", "snapshot_probe")] + [
+    Path(__file__).parent.parent / "scenarios" / f"{name}.json"
+    for name in ("example", "every_tick", "bier_wide", "fat_edge_bier")]
+
+
+# a mode's state and probes read nothing of another mode's, so a run with
+# that mode alone reproduces its column and its delivery records
+@pytest.mark.parametrize("path", LAW_SCENARIOS, ids=lambda path: path.stem)
+def test_single_mode_runs_reproduce_the_all_mode_run(path):
+    scenario = load_scenario(path)
+    snapshots, report = run(scenario, seed=13)
+    for mode in scenario.modes:
+        alone, alone_report = run(load_scenario(path, modes=[mode]), seed=13)
+        column = MODE_COLUMN[mode]
+        assert [snap.tick for snap in alone] == [snap.tick for snap in snapshots], mode
+        for snap, mine in zip(snapshots, alone):
+            columns, mine_columns = list(zip(*snap.rows)), list(zip(*mine.rows))
+            assert mine_columns[:2] == columns[:2], (mode, snap.tick)
+            assert mine_columns[column] == columns[column], (mode, snap.tick)
+            assert not any(any(counts) for i, counts in enumerate(mine_columns)
+                           if i >= 2 and i != column), (mode, snap.tick)
+        name = PROBE_NAME.get(mode)
+        assert {record.modes for record in alone_report} == {(name,) if name else ()}
+        if name is not None:
+            assert [(r.tick, r.groups) for r in alone_report] == [
+                (r.tick, r.groups) for r in report]
 
 
 SNAPSHOT_OPS = ("add_site", "add_group", "join", "leave", "snapshot")
