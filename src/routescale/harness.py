@@ -54,7 +54,6 @@ from .unicast import (
     Provider,
     UnicastPlane,
     check_providers,
-    make_site,
     provider_prefix,
 )
 
@@ -293,6 +292,11 @@ class SimState:
             self.unicast.label_entries(r) if "mpls" in self.modes else 0,
             len(self.bit_of) if self.bift is not None else 0,
         ) for r in sorted(topo.roles)}
+        # the lowest router of each role: a router's role never changes,
+        # and the unicast columns depend on the role only
+        self._role_router = {}
+        for r, (role, _, _) in self._fixed.items():
+            self._role_router.setdefault(role, r)
         self._n_identifiers = len(self.unicast.identifiers) if self.unicast else 0
         self._unicast_cols = self._unicast_columns()
         self._rows = {r: self._row(r) for r in self._fixed}
@@ -306,7 +310,7 @@ class SimState:
             if self.topo.roles.get(edge) != EDGE:
                 raise SimError(f"add_site targets non-edge router {edge}")
             if self.unicast is not None:
-                self.unicast.add_site(make_site(site_id, edge))
+                self.unicast.add_site(site_id, edge)
             return
         # every other event is on group args[0] and may change what its probe reads
         group = args[0]
@@ -353,14 +357,10 @@ class SimState:
     def _unicast_columns(self):
         """role -> (fib, mapping): counts of the shared prefix tables that
         depend on a router's role only."""
-        cols = {}
-        for router, (role, _, _) in self._fixed.items():
-            if role not in cols:
-                cols[role] = (
-                    self.unicast.flat_fib_size() if "flat" in self.modes else 0,
-                    self.unicast.mapping_entries(router) if "mapencap" in self.modes else 0,
-                )
-        return cols
+        return {role: (
+            self.unicast.flat_fib_size() if "flat" in self.modes else 0,
+            self.unicast.mapping_entries(router) if "mapencap" in self.modes else 0,
+        ) for role, router in self._role_router.items()}
 
     def _row(self, router):
         role, labels, bift_n = self._fixed[router]

@@ -7,10 +7,13 @@ provider-independent identifier prefixes (top bit set); providers carry
 aggregatable locator prefixes (top bit clear), so the two namespaces
 never overlap.
 
-Map-and-encap egress granularity is the destination site's attached edge
-router.  To keep the core routable with exactly one FIB entry per
-provider aggregate, each provider owns at most one edge router, whose
-locator is the provider's own prefix.
+A site is two ints, its id and its attached edge router: the identifier
+table maps the site's /24 identifier to that edge, as a map-and-encap
+mapping maps an identifier to its locator, and no per-site object is
+built.  Map-and-encap egress granularity is the destination site's
+attached edge router.  To keep the core routable with exactly one FIB
+entry per provider aggregate, each provider owns at most one edge
+router, whose locator is the provider's own prefix.
 
 MPLS label state is the per-pair LSP mesh, one LSP per ordered pair of
 edge routers.  Its per-router entry counts are derived from the
@@ -53,29 +56,11 @@ class Prefix:
         return f"{self.value:#010x}/{self.length}"
 
 
-def site_prefix(site_id):
-    """Deterministic /24 identifier prefix for a site id."""
-    if not 0 <= site_id < MAX_SITES:
-        raise InvalidPrefix(f"site id {site_id} out of range")
-    return Prefix(IDENTIFIER_BASE | (site_id << 8), SITE_PREFIX_LEN)
-
-
 def provider_prefix(provider_id):
     """Deterministic /8 locator prefix for a provider id."""
     if not 0 <= provider_id < MAX_PROVIDERS:
         raise InvalidPrefix(f"provider id {provider_id} out of range")
     return Prefix(provider_id << 24, PROVIDER_PREFIX_LEN)
-
-
-@dataclass(frozen=True)
-class EndSite:
-    site_id: int
-    identifier_prefix: Prefix
-    attached_edge: int
-
-
-def make_site(site_id, attached_edge):
-    return EndSite(site_id, site_prefix(site_id), attached_edge)
 
 
 @dataclass(frozen=True)
@@ -87,7 +72,11 @@ class Provider:
 
 class PrefixTable:
     """Prefix table: one exact-match dict per prefix length,
-    ``{length: {value: action}}``, holding each prefix at most once."""
+    ``{length: {value: action}}``, holding each prefix at most once.
+
+    A prefix is inserted as its two ints, so a table of many prefixes
+    builds no object per prefix; the identifier table's action is the
+    site's attached edge router."""
 
     __slots__ = ("_by_length", "_count")
 
@@ -98,13 +87,13 @@ class PrefixTable:
     def __len__(self):
         return self._count
 
-    def add(self, prefix, action):
-        table = self._by_length.get(prefix.length)
+    def add(self, value, length, action):
+        table = self._by_length.get(length)
         if table is None:
-            self._by_length[prefix.length] = table = {}
-        if prefix.value in table:
-            raise InvalidPrefix(f"duplicate prefix {prefix}")
-        table[prefix.value] = action
+            self._by_length[length] = table = {}
+        if value in table:
+            raise InvalidPrefix(f"duplicate prefix {Prefix(value, length)}")
+        table[value] = action
         self._count += 1
 
 
@@ -184,19 +173,19 @@ class UnicastPlane:
     Every router's FIB action for a prefix is "deliver locally" at the
     prefix's egress router and the next hop toward that egress elsewhere,
     so the per-router FIBs are not stored: two shared tables hold the
-    site identifiers and the provider locators, and every per-router
-    size is a count derived from them.  Label counts are derived from the
-    next-hop trees, one walk per hub, without building the LSP mesh.  The
-    providers are validated when the scenario is built
-    (:func:`check_providers`).
+    site identifiers (each site's /24 -> its attached edge router) and
+    the provider locators, and every per-router size is a count derived
+    from them.  Label counts are derived from the next-hop trees, one
+    walk per hub, without building the LSP mesh.  The providers are
+    validated when the scenario is built (:func:`check_providers`).
     """
 
     def __init__(self, topo, providers):
         self.topo = topo
-        self.identifiers = PrefixTable()   # site prefix -> EndSite
+        self.identifiers = PrefixTable()   # site prefix -> attached edge router
         self.locators = PrefixTable()      # locator prefix -> Provider
         for p in providers:
-            self.locators.add(p.locator_prefix, p)
+            self.locators.add(p.locator_prefix.value, p.locator_prefix.length, p)
 
     @cached_property
     def _label_counts(self):
@@ -234,12 +223,14 @@ class UnicastPlane:
 
     # -- site management ----------------------------------------------------
 
-    def add_site(self, site):
-        if self.topo.roles.get(site.attached_edge) != EDGE:
-            raise UnattachedSite(
-                f"site {site.site_id} attached to non-edge router {site.attached_edge}"
-            )
-        self.identifiers.add(site.identifier_prefix, site)
+    def add_site(self, site_id, edge):
+        """Register site ``site_id`` at edge router ``edge``: its /24
+        identifier, ``IDENTIFIER_BASE | site_id << 8``, maps to ``edge``."""
+        if not 0 <= site_id < MAX_SITES:
+            raise InvalidPrefix(f"site id {site_id} out of range")
+        if self.topo.roles.get(edge) != EDGE:
+            raise UnattachedSite(f"site {site_id} attached to non-edge router {edge}")
+        self.identifiers.add(IDENTIFIER_BASE | site_id << 8, SITE_PREFIX_LEN, edge)
 
     # -- state counts -------------------------------------------------------
 

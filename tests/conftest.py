@@ -9,6 +9,7 @@ from routescale.bier import LOCAL, BierHeader, bit_mask
 from routescale.errors import (
     DeliveryMismatch,
     InvalidParams,
+    InvalidPrefix,
     MissingBiftEntry,
     NoState,
     RpfFailure,
@@ -18,7 +19,14 @@ from routescale.generators import gen_topology
 from routescale.harness import DELIVERY_HEADER, STATE_HEADER, StateSnapshot
 from routescale.multicast import SgKey, SgState, join
 from routescale.topology import EDGE, build_topology
-from routescale.unicast import LabelTables, establish_lsp
+from routescale.unicast import (
+    IDENTIFIER_BASE,
+    MAX_SITES,
+    SITE_PREFIX_LEN,
+    LabelTables,
+    Prefix,
+    establish_lsp,
+)
 from routescale.workload import (
     ADD_GROUP,
     ADD_SITE,
@@ -456,6 +464,27 @@ def reference_generate(topo, params):
         tick += 1
 
     return Schedule(events)
+
+
+def site_prefix(site_id):
+    """Deterministic /24 identifier prefix for a site id."""
+    if not 0 <= site_id < MAX_SITES:
+        raise InvalidPrefix(f"site id {site_id} out of range")
+    return Prefix(IDENTIFIER_BASE | (site_id << 8), SITE_PREFIX_LEN)
+
+
+@dataclass(frozen=True)
+class EndSite:
+    """A site of the reference tables: its id, its identifier prefix and
+    the edge router it is attached to."""
+
+    site_id: int
+    identifier_prefix: Prefix
+    attached_edge: int
+
+
+def make_site(site_id, attached_edge):
+    return EndSite(site_id, site_prefix(site_id), attached_edge)
 
 
 def host_address(prefix):

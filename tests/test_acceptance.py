@@ -13,6 +13,7 @@ from conftest import (
     encapsulate_bier,
     expand_report,
     host_address,
+    make_site,
     path_to,
     random_topology,
     rebuild_from_membership,
@@ -24,7 +25,7 @@ from routescale.cli import cli_main
 from routescale.harness import build_scenario, run
 from routescale.multicast import SgKey, SgState
 from routescale.topology import build_topology
-from routescale.unicast import UnicastPlane, make_site
+from routescale.unicast import UnicastPlane
 
 
 def _passed(n, name):
@@ -89,7 +90,7 @@ def test_criterion_2_mapencap_core_fib_law():
     for n_sites in (10, 100, 1000):
         plane = UnicastPlane(topo, providers)
         for i in range(n_sites):
-            plane.add_site(make_site(i, edges[i % 3]))
+            plane.add_site(i, edges[i % 3])
         # every router's FIB, the core routers' included
         assert plane.encap_fib_size() == 3
         assert plane.flat_fib_size() == 3 + n_sites
@@ -168,7 +169,7 @@ def test_criterion_6_mpls_zero_lookup_rule():
     sites = [make_site(i, edges[i % 3]) for i in range(100)]
     plane = UnicastPlane(topo, providers)
     for site in sites:
-        plane.add_site(site)
+        plane.add_site(site.site_id, site.attached_edge)
     fibs = MaterialisedFibs(topo, providers, sites)
     # the tables walked below hold, router by router, the state the CSV reports
     for r in topo.roles:

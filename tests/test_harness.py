@@ -223,6 +223,33 @@ class TestRun:
         # mapencap FIB unchanged: still |providers| at every router
         assert sim.unicast.encap_fib_size() == 2
 
+    def test_unicast_columns_read_once_per_role(self, monkeypatch):
+        # fat-edge 12: two core routers and ten edge routers
+        scenario = build_scenario(small_config(topology={"kind": "fat-edge", "size": 12},
+                                               providers="auto", workload={"seed": 1}))
+        roles = scenario.topology.roles
+        calls = []
+        original = unicast.UnicastPlane.mapping_entries
+
+        def counted(plane, router):
+            calls.append(roles[router])
+            return original(plane, router)
+
+        monkeypatch.setattr(unicast.UnicastPlane, "mapping_entries", counted)
+        sim = SimState(scenario)
+        assert sorted(calls) == ["core", "edge"]
+        calls.clear()
+        sim.snapshot(0)
+        assert calls == []
+        for tick, site in enumerate((0, 1, 2), start=1):
+            sim.apply(Event(tick, workload.ADD_SITE, (site, scenario.topology.edge_routers[0])))
+            sim.snapshot(tick)
+            assert sorted(calls) == ["core", "edge"]
+            calls.clear()
+            # no site added since: the columns are not read again
+            sim.snapshot(tick)
+            assert calls == []
+
     def test_setup_builds_no_lsp_in_any_mode_combination(self, monkeypatch):
         calls = []
         monkeypatch.setattr(unicast, "establish_lsp", lambda *args: calls.append(args))

@@ -13,16 +13,18 @@ from conftest import (
     Send,
     host_address,
     lsp_mesh,
+    make_site,
     mesh_entries,
     path_to,
     prefix_contains,
     random_topology,
     seeded,
+    site_prefix,
     stub_heavy_topology,
 )
 from routescale.errors import InvalidPrefix, SimError, UnattachedSite
 from routescale.harness import auto_providers
-from routescale.topology import build_topology
+from routescale.topology import EDGE, build_topology
 from routescale.unicast import (
     LabelTables,
     MAX_SITES,
@@ -30,9 +32,7 @@ from routescale.unicast import (
     PrefixTable,
     UnicastPlane,
     establish_lsp,
-    make_site,
     provider_prefix,
-    site_prefix,
 )
 
 
@@ -43,7 +43,7 @@ def line3():
 def plane_with_sites(topo, attachments):
     plane = UnicastPlane(topo, auto_providers(topo))
     for site_id, edge in attachments:
-        plane.add_site(make_site(site_id, edge))
+        plane.add_site(site_id, edge)
     return plane
 
 
@@ -59,7 +59,7 @@ class TestPrefix:
             Prefix(0x0000_0001, 8)
 
     def test_ids_outside_the_address_plan(self):
-        for bad in (lambda: Prefix(0, 33), lambda: site_prefix(MAX_SITES),
+        for bad in (lambda: Prefix(0, 33), lambda: plane_with_sites(line3(), [(MAX_SITES, 0)]),
                     lambda: provider_prefix(-1)):
             with pytest.raises(InvalidPrefix):
                 bad()
@@ -76,9 +76,9 @@ class TestPrefix:
 class TestPrefixTable:
     def test_duplicate_prefix_rejected(self):
         table = PrefixTable()
-        table.add(Prefix(0, 8), "a")
+        table.add(0, 8, "a")
         with pytest.raises(InvalidPrefix):
-            table.add(Prefix(0, 8), "b")
+            table.add(0, 8, "b")
 
 
 def y_topology():
@@ -104,12 +104,89 @@ class TestFlatFib:
         topo = line3()
         plane = plane_with_sites(topo, [(0, 0), (1, 2)])
         before = plane.flat_fib_size()
-        plane.add_site(make_site(2, 2))
+        plane.add_site(2, 2)
         assert plane.flat_fib_size() == before + 1
 
     def test_site_on_non_edge_router_rejected(self):
         with pytest.raises(UnattachedSite):
             plane_with_sites(line3(), [(0, 1)])
+
+
+def table_contents(table):
+    """``{(length, value): action}`` of every prefix in a PrefixTable."""
+    return {(length, value): action
+            for length, by_value in table._by_length.items()
+            for value, action in by_value.items()}
+
+
+def reference_add_site_error(topo, accepted, site_id, edge):
+    """The error class an ``add_site`` of ``site_id`` at ``edge`` raises
+    given the ``{site id: edge}`` already accepted, or None: the range
+    check of the site's prefix first, then the router's role, then the
+    duplicate."""
+    try:
+        site = make_site(site_id, edge)
+    except InvalidPrefix:
+        return InvalidPrefix
+    if topo.roles.get(edge) != EDGE:
+        return UnattachedSite
+    if site.site_id in accepted:
+        return InvalidPrefix
+    return None
+
+
+@st.composite
+def site_sequences(draw):
+    """A fresh random or stub-heavy topology and ``(site id, router)``
+    calls on it: repeated ids, ids at both ends of the range and just
+    outside it, and edge, core and unknown routers."""
+    if draw(st.booleans()):
+        topo = random_topology(seeded(draw(st.integers(0, 2**32 - 1))),
+                               draw(st.integers(min_value=1, max_value=8)))
+    else:
+        topo = stub_heavy_topology(draw(st.sampled_from(STUB_HEAVY)))
+    routers = sorted(topo.roles)
+    site_ids = st.one_of(st.integers(0, 4), st.sampled_from([-1, MAX_SITES - 1, MAX_SITES]))
+    targets = st.one_of(st.sampled_from(topo.edge_routers), st.sampled_from(routers),
+                        st.sampled_from([-1, routers[-1] + 1]))
+    return topo, draw(st.lists(st.tuples(site_ids, targets), max_size=10))
+
+
+class TestIdentifierTable:
+    def test_messages(self):
+        plane = plane_with_sites(line3(), [(0, 0)])
+        with pytest.raises(InvalidPrefix, match=r"^site id -1 out of range$"):
+            plane.add_site(-1, 0)
+        with pytest.raises(UnattachedSite, match=r"^site 1 attached to non-edge router 1$"):
+            plane.add_site(1, 1)
+        with pytest.raises(InvalidPrefix, match=r"^duplicate prefix 0x80000000/24$"):
+            plane.add_site(0, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(site_sequences())
+    def test_table_holds_each_accepted_site_edge(self, drawn):
+        topo, calls = drawn
+        providers = auto_providers(topo)
+        plane = UnicastPlane(topo, providers)
+        accepted = {}       # site id -> edge
+        for site_id, edge in calls:
+            expected = reference_add_site_error(topo, accepted, site_id, edge)
+            try:
+                plane.add_site(site_id, edge)
+            except SimError as exc:
+                # a rejected call leaves the table as it was: checked below
+                assert type(exc) is expected
+            else:
+                assert expected is None
+                accepted[site_id] = edge
+            assert len(plane.identifiers) == len(accepted)
+            assert table_contents(plane.identifiers) == {
+                (24, site_prefix(i).value): e for i, e in accepted.items()}
+            fibs = MaterialisedFibs(topo, providers,
+                                    [make_site(i, e) for i, e in accepted.items()])
+            for r in topo.roles:
+                assert plane.flat_fib_size() == fibs.flat_fib_size(r)
+                assert plane.mapping_entries(r) == fibs.mapping_entries(r)
 
 
 class TestMapEncapTables:
@@ -272,7 +349,7 @@ def planes(draw):
     sites = [make_site(i, edge) for i, edge in enumerate(edges)]
     plane = UnicastPlane(topo, providers)
     for site in sites:
-        plane.add_site(site)
+        plane.add_site(site.site_id, site.attached_edge)
     return plane, MaterialisedFibs(topo, providers, sites), providers, sites
 
 
