@@ -18,14 +18,20 @@ receives exactly one copy.
 The harness keeps each group's bitstrings as the BFIR's state, setting
 and clearing bits as receivers join and leave.  ``BierHeader`` exists
 only at encapsulation: a flood reads its SI once, and every copy inside
-it is a ``(next hop, bits)`` pair of plain ints within that SI.
+it is a one-bit ``(next hop, bits)`` pair of plain ints within that SI.
 
-Once a copy carries a single bit it is never replicated again, so where
-it lands depends only on the BIFT.  A flood keeps that answer in a
-*reach table*, ``{si: {(router, one-bit mask): BFER}}``, which floods
-over the same BIFT may share: each one-bit copy is forwarded hop by hop
-once per (SI, router, bit) and looked up after that.  The table holds at
-most one entry per router and BFER.
+Where a bit lands depends only on the BIFT, and a multi-bit copy's
+bits land where their one-bit copies land once every F-BM holds only
+bits that its own slot routes to the same next hop.  A flood keeps those
+landings in a *reach table*, ``{si: {router: row}}``, where a row is a
+list aligned with the router's BIFT slots in that SI, holding the BFER
+each bit position lands on (None until known).  Floods over the same
+BIFT may share it.  A flood looks each set bit up in its ingress's row;
+a miss forwards that one bit hop by hop, so no flood forwards a multi-bit
+copy, and a table forwards each (SI, router, bit) at most once.  A
+router gets a row only after its slots in that SI pass the F-BM check,
+so the property is checked, at replay and never at build time.  The
+table holds at most one landing per router and BFER.
 """
 
 from typing import NamedTuple
@@ -187,75 +193,96 @@ def flood_deliver(bift, header, at, reach=None):
     """Inject ``header`` at router ``at`` and forward until every copy
     terminates; list of BFERs, one per delivered bit.
 
-    The header's SI is read once; the copies in flight are ``(router,
-    bits)`` ints.  The returned list is a multiset: the exactly-one-copy
-    property means it has one element per set bit of the injected header,
-    the router that delivered that bit.
+    The header's SI is read once.  The returned list is a multiset: the
+    exactly-one-copy property means it has one element per set bit of the
+    injected header, the router that delivered that bit, here in
+    ascending bit order.
 
     ``reach`` is the reach table (see the module docstring) for ``bift``,
-    read and extended in place; None starts an empty one.  A multi-bit
-    copy is partitioned by ``forward_bier`` at every router it visits.  A
-    one-bit copy is looked up in ``reach``, and on a miss walked by
-    ``forward_bier`` until it lands on a BFER or on a router whose entry
-    is known; then every router of the walk gets an entry.  A walk that
-    raises records nothing.  Under LIFO the copies a one-bit copy turns
-    into are popped one after another, so the list and its order are
-    those of a hop-by-hop flood.
-
-    Each bit follows one path through a loop-free table, visiting each
-    router at most once.  So a one-bit walk that needs more than
-    ``len(bift)`` calls, or a flood that pops more than
-    ``popcount(bits) * len(bift)`` copies after the injection, has met a
-    loop, and raises BiftLoop.
+    read and extended in place; None starts an empty one.  Each set bit
+    is looked up in the row of ``at``; on a miss that one bit is walked
+    hop by hop (``_walk``).  No multi-bit copy is forwarded: every row
+    passed ``_row``'s F-BM check, so each bit of a multi-bit copy would
+    land where its one-bit copy lands, and the list is what a hop-by-hop
+    flood delivers.
     """
     si = header.si
-    budget = header.bits.bit_count() * len(bift)
     known = {} if reach is None else reach.setdefault(si, {})
+    row = known.get(at, ())
     delivered = []
-    stack = [(at, header.bits)]
-    for _ in range(budget + 1):
-        if not stack:
-            return delivered
-        router, bits = stack.pop()
-        if bits and not bits & (bits - 1):
-            bfer = known.get((router, bits))
-            if bfer is None:
-                bfer = _walk(bift, si, bits, router, known)
-            delivered.append(bfer)
-            continue
-        for next_hop, copy in forward_bier(bift, si, bits, router):
-            if next_hop == LOCAL:
-                if copy & (copy - 1):
-                    delivered.extend([router] * copy.bit_count())
-                else:       # one bit, as in every copy a built BIFT delivers
-                    delivered.append(router)
-            else:
-                stack.append((next_hop, copy))
-    if stack:
-        raise BiftLoop(f"SI {si} flood from router {at} looped: more than "
-                       f"{budget} forwarding steps after the injection")
+    bits = header.bits
+    while bits:
+        low = bits & -bits
+        bit = low.bit_length()
+        bfer = row[bit] if bit < len(row) else None
+        if bfer is None:
+            bfer = _walk(bift, si, bit, at, known)
+            row = known[at]
+        delivered.append(bfer)
+        bits ^= low
     return delivered
 
 
 def _walk(bift, si, bit, at, known):
-    """The BFER a one-bit copy ``bit`` of ``si`` at router ``at`` lands on,
-    forwarded hop by hop until it is delivered or meets a router in
-    ``known``; records the answer for every router it was forwarded at."""
+    """The BFER a one-bit copy of position ``bit`` of ``si`` at router
+    ``at`` lands on, forwarded by ``forward_bier`` hop by hop until it is
+    delivered or meets a router whose row in ``known`` holds that bit's
+    landing.  Then every router it was forwarded at gets a row, checked
+    by ``_row`` the first time, and that landing.  A walk that raises
+    records no landing.
+
+    A bit follows one path through a loop-free table, visiting each
+    router at most once, so a walk that needs more than ``len(bift)``
+    calls has met a loop, and raises BiftLoop.
+    """
+    mask = bit_mask(bit)
     path = []
     router = at
     for _ in range(len(bift)):
         path.append(router)
-        [(next_hop, _)] = forward_bier(bift, si, bit, router)
+        [(next_hop, _)] = forward_bier(bift, si, mask, router)
         if next_hop == LOCAL:
             bfer = router
             break
         router = next_hop
-        bfer = known.get((router, bit))
+        row = known.get(router, ())
+        bfer = row[bit] if bit < len(row) else None
         if bfer is not None:
             break
     else:
-        raise BiftLoop(f"SI {si} copy of bit {bit.bit_length()} from router {at} "
+        raise BiftLoop(f"SI {si} copy of bit {bit} from router {at} "
                        f"looped: more than {len(bift)} forwarding steps")
-    for router in path:
-        known[(router, bit)] = bfer
+    rows = [known.get(router) or _row(bift, si, router) for router in path]
+    for router, row in zip(path, rows):
+        row[bit] = bfer
+        known[router] = row
     return bfer
+
+
+def _row(bift, si, router):
+    """A reach row for ``router`` in ``si``: one landing BFER per slot of
+    its BIFT, None until a walk records one.
+
+    A multi-bit copy's bits land where their one-bit copies land only if
+    every F-BM holds just bits that their own slots route to the same next
+    hop.  The row is handed out only after ``router``'s slots pass that
+    check; an F-BM holding a bit routed elsewhere, or held by no slot,
+    raises MissingBiftEntry.  Every row a flood reads was made here.
+    """
+    slots = bift[router][si]
+    routed = {}     # next hop -> OR of the bits whose slot names it
+    mask = 1
+    for entry in slots[1:]:
+        if entry is not None:
+            routed[entry[0]] = routed.get(entry[0], 0) | mask
+        mask <<= 1
+    for bit, entry in enumerate(slots[1:], start=1):
+        if entry is not None:
+            next_hop, fbm = entry
+            stray = fbm & ~routed[next_hop]
+            if stray:
+                raise MissingBiftEntry(
+                    f"router {router}: the BIFT entry for SI {si} bit {bit} has an F-BM "
+                    f"with bit {(stray & -stray).bit_length()}, which its own slot "
+                    f"does not route to {next_hop}")
+    return [None] * len(slots)

@@ -25,12 +25,12 @@ keep no per-group state.  What a re-probe re-forwards is the (S,G)
 packet and each BIER packet whose bitstring changed: the BFIR sends one
 BIER packet per Set Identifier, and a packet whose header equals the
 one last flooded for that SI delivers what that flood delivered.
-Inside a re-flooded packet, a copy that carries two or more bits is
-forwarded at every router it reaches.  Every flood of the run shares
-one reach table, so a one-bit copy is forwarded hop by hop once per
-(SI, router, bit) in the run, and looked up after that (see
-``bier.flood_deliver``).  Any mismatch aborts the run so scaling
-numbers are never reported from an incorrect forwarding plane.
+Every flood of the run shares one reach table: a re-flooded packet's
+bits are looked up in its ingress's row, no multi-bit copy is
+forwarded, and a one-bit copy is forwarded hop by hop once per (SI,
+router, bit) in the run (see ``bier.flood_deliver``).  Any mismatch
+aborts the run so scaling numbers are never reported from an incorrect
+forwarding plane.
 
 Writing the CSVs also costs what changed: a state row or a group's
 receivers shared with an earlier snapshot is formatted once, and each
@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import bier, multicast, workload
-from .errors import DeliveryMismatch, ScenarioError, SimError
+from .errors import DeliveryMismatch, ScenarioError, SimError, UnattachedSite
 from .generators import gen_topology
 from .multicast import SgKey, SgState
 from .topology import EDGE, build_topology, is_int
@@ -273,7 +273,7 @@ class SimState:
         # group -> {si: (bits, receivers)}: the header last flooded for each
         # Set Identifier and the BFER of each copy it delivered
         self.floods = {}
-        # the reach table every flood shares: {si: {(router, one-bit mask): BFER}}
+        # the reach table every flood shares: {si: {router: [BFER or None per slot]}}
         self.reach = {}
         if "bier" in scenario.modes:
             self.bit_of = {r: bier.id_to_si_bit(i, scenario.bsl)
@@ -307,10 +307,12 @@ class SimState:
             raise SimError(f"unknown event kind {kind!r}")
         if kind == workload.ADD_SITE:
             site_id, edge = args
-            if self.topo.roles.get(edge) != EDGE:
-                raise SimError(f"add_site targets non-edge router {edge}")
+            # add_site checks the role itself; without a unicast mode no
+            # table holds sites, but the event is checked the same way
             if self.unicast is not None:
                 self.unicast.add_site(site_id, edge)
+            elif self.topo.roles.get(edge) != EDGE:
+                raise UnattachedSite(f"site {site_id} attached to non-edge router {edge}")
             return
         # every other event is on group args[0] and may change what its probe reads
         group = args[0]
@@ -444,10 +446,10 @@ class SimState:
         for that SI are re-forwarded: a flood reads only its ingress, its
         header and the BIFT, and neither the group's source nor the BIFT
         changes while the group exists.  The fault, if any, is applied to
-        the bits before that comparison.  A re-flooded packet's copies
-        are re-forwarded only while they carry two or more bits; a
-        one-bit copy is looked up in ``self.reach`` once it has been
-        forwarded from the same router in any earlier flood of the run.
+        the bits before that comparison.  A re-flooded packet's bits are
+        looked up in the ingress's row of ``self.reach``; only a bit that
+        no earlier flood of the run forwarded from that router is walked,
+        one hop at a time, and no multi-bit copy is forwarded.
         """
         source = self.groups[group]
         if self.sg_state is not None:

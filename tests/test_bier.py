@@ -173,11 +173,12 @@ class TestForward:
 
     # line 0 - 1 - 2: bit 2 (router 2) sent back to router 1 at router 1,
     # or bounced between routers 1 and 2; each flood starts a reach table,
-    # or all of them share one, which a loop must leave without an entry
-    # for the looping bit
-    @pytest.mark.parametrize("reach", [None, {}], ids=["fresh", "shared"])
+    # or all of them share one, which a loop must leave without a landing
+    # for the looping bit in any router's row
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
     @pytest.mark.parametrize("at_1, at_2", [(1, LOCAL), (2, 1)])
-    def test_looping_slot_raises_bift_loop(self, at_1, at_2, reach):
+    def test_looping_slot_raises_bift_loop(self, at_1, at_2, shared):
+        reach = {} if shared else None
         bift = {0: {0: (None, (LOCAL, 0b01), (1, 0b10))},
                 1: {0: (None, (0, 0b01), (at_1, 0b10))},
                 2: {0: (None, (1, 0b01), (at_2, 0b10))}}
@@ -195,7 +196,7 @@ class TestForward:
         worker.join(timeout=1.0)
         assert not worker.is_alive(), "flood still running after 1 s"
         assert len(raised) == 2
-        assert not any(mask == 0b10 for _, mask in (reach or {}).get(0, {}))
+        assert all(row[2] is None for row in (reach or {}).get(0, {}).values())
 
     # line 0 - 1 - 2 - 3: bit 2 (router 3) crosses routers 0 and 1, then
     # router 2 has no entry for it
@@ -209,9 +210,30 @@ class TestForward:
             with pytest.raises(MissingBiftEntry, match="router 2: no BIFT entry for SI 0 bit 2"):
                 flood_deliver(bift, BierHeader(0, 0b10), 0, reach)
             assert not any(reach.values())
-        # bit 1 lands on router 0 whatever the walk of bit 2 did
+        # bit 1 lands on router 0 whatever the walk of bit 2 did; each row
+        # has one landing per slot of its router's BIFT
         assert flood_deliver(bift, BierHeader(0, 0b01), 1, reach) == [0]
-        assert reach == {0: {(1, 0b01): 0, (0, 0b01): 0}}
+        assert reach == {0: {1: [None, 0, None], 0: [None, 0, None]}}
+
+    # triangle 0 - 1 - 2, router 3 behind router 0: router 0's slot 1 sends
+    # an F-BM holding bit 2 to router 1, but slot 2 routes bit 2 to router
+    # 2, so a multi-bit copy would not land where its one-bit copies land.
+    # A walk that crosses router 0 raises and records nothing; one that
+    # does not cross it is unaffected
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+    @pytest.mark.parametrize("at, bits", [(0, 0b01), (0, 0b10), (0, 0b11), (3, 0b01)])
+    def test_fbm_holding_a_bit_its_slot_routes_elsewhere_raises(self, at, bits, shared):
+        reach = {} if shared else None
+        bift = {0: {0: (None, (1, 0b11), (2, 0b10))},
+                1: {0: (None, (LOCAL, 0b01), (2, 0b10))},
+                2: {0: (None, (1, 0b01), (LOCAL, 0b10))},
+                3: {0: (None, (0, 0b01), (0, 0b10))}}
+        for _ in range(2):
+            with pytest.raises(MissingBiftEntry, match="router 0: the BIFT entry for SI 0 "
+                                                       "bit 1 has an F-BM with bit 2"):
+                flood_deliver(bift, BierHeader(0, bits), at, reach)
+            assert not any((reach or {}).values())
+        assert flood_deliver(bift, BierHeader(0, 0b11), 1, reach) == [1, 2]
 
     def test_empty_header_delivers_nothing(self):
         topo = line3()

@@ -22,7 +22,7 @@ from conftest import (
     sg_as_dict,
 )
 from routescale import bier, harness, multicast, unicast, workload
-from routescale.errors import DeliveryMismatch, ScenarioError, SimError
+from routescale.errors import DeliveryMismatch, ScenarioError, SimError, UnattachedSite
 from routescale.harness import (
     MODES,
     DeliverySnapshot,
@@ -222,6 +222,19 @@ class TestRun:
             assert a[2] == b[2] + 1          # flat FIB grew by one everywhere
         # mapencap FIB unchanged: still |providers| at every router
         assert sim.unicast.encap_fib_size() == 2
+
+    # line3: router 1 is core and router 99 is unknown; the unicast plane
+    # checks the role once, and a run without one checks it the same way
+    @pytest.mark.parametrize("modes", [["flat"], ["mapencap", "mpls"], ["stateful_mcast", "bier"]])
+    def test_add_site_on_non_edge_router_rejected(self, modes):
+        sim = SimState(build_scenario(small_config(modes=modes, workload={"seed": 1})))
+        before = sim.snapshot(0)
+        for router in (1, 99):
+            with pytest.raises(UnattachedSite) as excinfo:
+                sim.apply(Event(1, workload.ADD_SITE, (4, router)))
+            assert str(excinfo.value) == f"site 4 attached to non-edge router {router}"
+        assert not isinstance(excinfo.value, ScenarioError)     # exit code 2
+        assert sim.snapshot(1).rows == before.rows
 
     def test_unicast_columns_read_once_per_role(self, monkeypatch):
         # fat-edge 12: two core routers and ten edge routers
@@ -535,26 +548,34 @@ def test_bfir_bitstrings_match_an_encapsulation_of_the_membership(seed, n, bsl, 
 WORKLOADS = Path(__file__).parent.parent / "bench" / "workloads"
 
 
-# the BIFT is fixed for the run, so a one-bit copy's landing BFER is
-# recorded the first time it is forwarded from a router and never
-# forwarded from there again
-@pytest.mark.parametrize("name", ["group_churn", "snapshot_probe"])
-def test_run_forwards_each_one_bit_copy_once(monkeypatch, name):
-    one_bit = []
-    calls = []
-    original = bier.forward_bier
+# the BIFT is fixed for the run, so a bit's landing BFER is recorded the
+# first time it is forwarded from a router, and every flood reads the
+# landings of its ingress's row: a run forwards one-bit copies only, each
+# (SI, router, bit) once, one per landing its reach table holds
+@pytest.mark.parametrize("name, landings", [("group_churn", 4787), ("snapshot_probe", 2105)])
+def test_run_forwards_each_one_bit_copy_once(monkeypatch, name, landings):
+    forwarded = []
+    tables = []
+    forward, flood = bier.forward_bier, bier.flood_deliver
 
-    def counting(bift, si, bits, at):
-        calls.append(bits)
-        if bits and not bits & (bits - 1):
-            one_bit.append((si, at, bits))
-        return original(bift, si, bits, at)
+    def counting_forward(bift, si, bits, at):
+        forwarded.append((si, at, bits))
+        return forward(bift, si, bits, at)
 
-    monkeypatch.setattr(bier, "forward_bier", counting)
+    def keeping_reach(bift, header, at, reach=None):
+        if all(reach is not table for table in tables):
+            tables.append(reach)
+        return flood(bift, header, at, reach)
+
+    monkeypatch.setattr(bier, "forward_bier", counting_forward)
+    monkeypatch.setattr(bier, "flood_deliver", keeping_reach)
     run(load_scenario(WORKLOADS / f"{name}.json"), seed=13)
-    assert one_bit, "no one-bit copy was forwarded"
-    assert len(calls) > len(one_bit), "no multi-bit copy was forwarded"
-    assert len(set(one_bit)) == len(one_bit)
+    assert all(bits.bit_count() == 1 for _, _, bits in forwarded)
+    assert len(set(forwarded)) == len(forwarded)
+    [reach] = tables
+    recorded = sum(bfer is not None for rows in reach.values()
+                   for row in rows.values() for bfer in row)
+    assert len(forwarded) == recorded == landings
 
 
 # the state column each mode reports, as an index into a state row

@@ -22,6 +22,7 @@ from conftest import (
 from routescale import multicast, workload
 from routescale.bier import (
     BierHeader,
+    _row,
     assign_bfr_ids,
     bit_mask,
     build_bift,
@@ -80,7 +81,9 @@ def check_shared_reach(topo, bsl, data):
     """Floods from drawn ingresses, with drawn headers and SIs, all sharing
     one reach table: each delivers what a bit-by-bit scan delivers and
     what a flood with a fresh table delivers, in that flood's order; every
-    entry is a one-bit scan's BFER; an SI holds at most routers x BFERs."""
+    row has one slot per slot of its router's BIFT, and every landing in it
+    is a one-bit scan's BFER; an SI holds at most routers x BFERs landings.
+    Every router's BIFT passes the check a row is made under."""
     ids = assign_bfr_ids(topo.edge_routers)
     bift = build_bift(topo, {r: id_to_si_bit(i, bsl) for r, i in ids.items()})
     owned = {}    # si -> bits some BFER holds
@@ -98,10 +101,17 @@ def check_shared_reach(topo, bsl, data):
         shared = outcome(flood_deliver, bift, header, at, reach)
         assert as_multiset(shared) == as_multiset(outcome(scan_flood_deliver, bift, header, at))
         assert shared == outcome(flood_deliver, bift, header, at, {})
-    for si, known in reach.items():
-        assert len(known) <= len(bift) * owned.get(si, 0).bit_count()
-        for (router, mask), bfer in known.items():
-            assert scan_flood_deliver(bift, BierHeader(si, mask), router) == [bfer]
+    for si, rows in reach.items():
+        landings = [(router, bit, bfer) for router, row in rows.items()
+                    for bit, bfer in enumerate(row) if bfer is not None]
+        assert len(landings) <= len(bift) * owned.get(si, 0).bit_count()
+        for router, row in rows.items():
+            assert len(row) == len(bift[router][si])
+        for router, bit, bfer in landings:
+            assert scan_flood_deliver(bift, BierHeader(si, bit_mask(bit)), router) == [bfer]
+    for router, row in bift.items():
+        for si, slots in row.items():
+            assert _row(bift, si, router) == [None] * len(slots)
 
 
 @settings(max_examples=150, deadline=None)
