@@ -16,36 +16,30 @@ Forwarding partitions a packet's bitstring by next hop, so each BFER
 receives exactly one copy.
 
 The harness keeps each group's bitstrings as the BFIR's state, setting
-and clearing bits as receivers join and leave.  ``BierHeader`` exists
-only at encapsulation: a flood reads its SI once, and every copy inside
-it is a one-bit ``(next hop, bits)`` pair of plain ints within that SI.
+and clearing bits as receivers join and leave, and sends one packet per
+Set Identifier: a flood takes its SI and bitstring as plain ints, and
+every copy inside it is a ``(next hop, bits)`` pair within that SI.
 
 Where a bit lands depends only on the BIFT, and a multi-bit copy's
 bits land where their one-bit copies land once every F-BM holds only
 bits that its own slot routes to the same next hop.  A flood keeps those
 landings in a *reach table*, ``{si: {router: row}}``, where a row is a
 list aligned with the router's BIFT slots in that SI, holding the BFER
-each bit position lands on (None until known).  Floods over the same
-BIFT may share it.  A flood looks each set bit up in its ingress's row;
-a miss forwards that one bit hop by hop, so no flood forwards a multi-bit
+each bit position lands on (None until known).  It depends on the BIFT
+alone, so every flood over one BIFT may share it, and no other flood
+state is needed.  A flood looks each set bit up in its ingress's row; a
+miss forwards that one bit hop by hop, so no flood forwards a multi-bit
 copy, and a table forwards each (SI, router, bit) at most once.  A
 router gets a row only after its slots in that SI pass the F-BM check,
 so the property is checked, at replay and never at build time.  The
 table holds at most one landing per router and BFER.
 """
 
-from typing import NamedTuple
-
 from .errors import BiftLoop, MissingBiftEntry, NoEdgeRouters
 
 LOCAL = "local"
 
 DEFAULT_BSL = 256
-
-
-class BierHeader(NamedTuple):
-    si: int
-    bits: int        # bit k of the bitstring is integer bit (k-1)
 
 
 def bit_mask(position):
@@ -189,28 +183,26 @@ def forward_bier(bift, si, bits, at):
     return copies
 
 
-def flood_deliver(bift, header, at, reach=None):
-    """Inject ``header`` at router ``at`` and forward until every copy
-    terminates; list of BFERs, one per delivered bit.
+def flood_deliver(bift, si, bits, at, reach):
+    """Inject a packet carrying bitstring ``bits`` of Set Identifier
+    ``si`` at router ``at`` and forward until every copy terminates;
+    list of BFERs, one per delivered bit.
 
-    The header's SI is read once.  The returned list is a multiset: the
-    exactly-one-copy property means it has one element per set bit of the
-    injected header, the router that delivered that bit, here in
+    Bit k of the bitstring is integer bit (k-1).  The returned list is a
+    multiset: the exactly-one-copy property means it has one element per
+    set bit of ``bits``, the router that delivered that bit, here in
     ascending bit order.
 
     ``reach`` is the reach table (see the module docstring) for ``bift``,
-    read and extended in place; None starts an empty one.  Each set bit
-    is looked up in the row of ``at``; on a miss that one bit is walked
-    hop by hop (``_walk``).  No multi-bit copy is forwarded: every row
-    passed ``_row``'s F-BM check, so each bit of a multi-bit copy would
-    land where its one-bit copy lands, and the list is what a hop-by-hop
-    flood delivers.
+    read and extended in place.  Each set bit is looked up in the row of
+    ``at``; on a miss that one bit is walked hop by hop (``_walk``).  No
+    multi-bit copy is forwarded: every row passed ``_row``'s F-BM check,
+    so each bit of a multi-bit copy would land where its one-bit copy
+    lands, and the list is what a hop-by-hop flood delivers.
     """
-    si = header.si
-    known = {} if reach is None else reach.setdefault(si, {})
+    known = reach.setdefault(si, {})
     row = known.get(at, ())
     delivered = []
-    bits = header.bits
     while bits:
         low = bits & -bits
         bit = low.bit_length()

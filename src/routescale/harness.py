@@ -21,11 +21,9 @@ because nothing its packets read has changed since.
 BIER is map-and-encap at the ingress: the BFIR keeps, per group, one
 bitstring per Set Identifier, in which a join sets the receiver's bit
 and a leave clears it (``SimState.bitstrings``), and transit routers
-keep no per-group state.  What a re-probe re-forwards is the (S,G)
-packet and each BIER packet whose bitstring changed: the BFIR sends one
-BIER packet per Set Identifier, and a packet whose header equals the
-one last flooded for that SI delivers what that flood delivered.
-Every flood of the run shares one reach table: a re-flooded packet's
+keep no per-group state.  A re-probe re-forwards the (S,G) packet and
+the group's BIER packets, one per Set Identifier.  Every flood of the
+run shares one reach table, which depends on the BIFT alone: a packet's
 bits are looked up in its ingress's row, no multi-bit copy is
 forwarded, and a one-bit copy is forwarded hop by hop once per (SI,
 router, bit) in the run (see ``bier.flood_deliver``).  Any mismatch
@@ -263,16 +261,12 @@ class SimState:
         # leave clears; an SI without a member has no entry, and without
         # BIER every group's dict stays empty
         self.bitstrings = {}
-        # the last delivery record's (group, receivers) pairs, in group
-        # order; a list a probe returned is never modified
-        self._record = []
-        self._position = {}     # group -> its index in _record
-        # the groups with an event since _record, rejected events and groups
-        # never added included; a probe drops each one it has passed
+        # group -> its (group, receivers) pair in the last delivery record,
+        # in group order; receivers is None until the group's first probe
+        self._verified = {}
+        # the groups with an event since _verified, rejected events and
+        # groups never added included; a probe drops each one it has passed
         self._stale = set()
-        # group -> {si: (bits, receivers)}: the header last flooded for each
-        # Set Identifier and the BFER of each copy it delivered
-        self.floods = {}
         # the reach table every flood shares: {si: {router: [BFER or None per slot]}}
         self.reach = {}
         if "bier" in scenario.modes:
@@ -285,21 +279,22 @@ class SimState:
         self.probe_modes = tuple(name for name, plane in (("stateful", self.sg_state),
                                                           ("bier", self.bift))
                                  if plane is not None)
-        # router -> its report row, in router order; a row is rebuilt only
-        # when a count in it may have changed (see snapshot)
-        self._fixed = {r: (
-            topo.roles[r],
-            self.unicast.label_entries(r) if "mpls" in self.modes else 0,
-            len(self.bit_of) if self.bift is not None else 0,
-        ) for r in sorted(topo.roles)}
         # the lowest router of each role: a router's role never changes,
         # and the unicast columns depend on the role only
+        routers = sorted(topo.roles)
         self._role_router = {}
-        for r, (role, _, _) in self._fixed.items():
-            self._role_router.setdefault(role, r)
+        for r in routers:
+            self._role_router.setdefault(topo.roles[r], r)
         self._n_identifiers = len(self.unicast.identifiers) if self.unicast else 0
-        self._unicast_cols = self._unicast_columns()
-        self._rows = {r: self._row(r) for r in self._fixed}
+        cols = self._unicast_columns()
+        n_bfers = len(self.bit_of) if self.bift is not None else 0
+        # router -> its report row, in router order; a cell is rewritten
+        # only when its count may have changed (see snapshot), and no
+        # (S,G) entry exists yet
+        self._rows = {r: (
+            r, topo.roles[r], *cols[topo.roles[r]],
+            self.unicast.label_entries(r) if "mpls" in self.modes else 0, 0, n_bfers,
+        ) for r in routers}
 
     def apply(self, event):
         kind, args = event.kind, event.args
@@ -364,12 +359,6 @@ class SimState:
             self.unicast.mapping_entries(router) if "mapencap" in self.modes else 0,
         ) for role, router in self._role_router.items()}
 
-    def _row(self, router):
-        role, labels, bift_n = self._fixed[router]
-        fib, mapping = self._unicast_cols[role]
-        sg = self.sg_state.count(router) if self.sg_state is not None else 0
-        return (router, role, fib, mapping, labels, sg, bift_n)
-
     def snapshot(self, tick):
         """Every router's state counts at ``tick``, sorted by router.
 
@@ -380,17 +369,18 @@ class SimState:
         after construction.  Rows that did not change are shared with
         earlier snapshots; the returned list is never modified afterwards.
         """
+        rows = self._rows
         if self.sg_state is not None:
             for router in self.sg_state.changed:
-                self._rows[router] = self._row(router)
+                _, role, fib, mapping, labels, _, bift_n = rows[router]
+                rows[router] = (router, role, fib, mapping, labels,
+                                self.sg_state.count(router), bift_n)
             self.sg_state.changed.clear()
-        # a site added since the last snapshot also changes the unicast
-        # columns of the rows just rebuilt
         if self.unicast is not None and len(self.unicast.identifiers) != self._n_identifiers:
             self._n_identifiers = len(self.unicast.identifiers)
-            cols = self._unicast_cols = self._unicast_columns()
+            cols = self._unicast_columns()
             self._rows = {router: (router, role, *cols[role], labels, sg, bift_n)
-                          for router, role, _, _, labels, sg, bift_n in self._rows.values()}
+                          for router, role, _, _, labels, sg, bift_n in rows.values()}
         return StateSnapshot(tick, list(self._rows.values()))
 
     def probe(self, tick):
@@ -398,32 +388,29 @@ class SimState:
         receivers in every multicast mode; a mismatch raises
         DeliveryMismatch, so no record ever holds one.
 
-        The record is the last one patched: a copy of its pairs, with the
-        group positions rebuilt only when a group was added.  Each group
-        that had an event since is checked against its membership in every
-        multicast mode, in group order, so the mismatch raised is the one
-        a probe of every group would raise first; re-forwarded are the
-        (S,G) packet and each BIER packet whose bitstring changed (see
-        ``_copies``).  Any other group keeps the receiver set it last
-        verified: only events on a group write its (S,G) entries and its
-        bitstrings, and the BIFT never changes.  A group verified before a
-        mismatch keeps its new pair; the failing group and those after it
-        stay stale.
+        The record is the last one patched: a list of the pairs in
+        ``_verified``, so a pair no event changed is shared with earlier
+        records.  Each group that had an event since is checked against
+        its membership in every multicast mode, in group order, so the
+        mismatch raised is the one a probe of every group would raise
+        first; it re-forwards the (S,G) packet and the group's BIER
+        packets (see ``_copies``).  Any other group keeps the receiver set
+        it last verified: only events on a group write its (S,G) entries
+        and its bitstrings, and the BIFT never changes.  A group verified
+        before a mismatch keeps its new pair; the failing group and those
+        after it stay stale.
         """
-        groups = list(self._record)
-        if len(groups) != len(self.groups):
+        verified = self._verified
+        if len(verified) != len(self.groups):
             # groups are never removed: a new group has no pair yet, and
             # is stale since its add_group
-            known = dict(groups)
-            groups = [(group, known.get(group)) for group in sorted(self.groups)]
-            self._position = {group: i for i, (group, _) in enumerate(groups)}
-        self._record = groups
+            verified = self._verified = {group: verified.get(group, (group, None))
+                                         for group in sorted(self.groups)}
         for group in sorted(self._stale):
-            at = self._position.get(group)
-            if at is not None:      # else every event on it was rejected
-                groups[at] = (group, self._probe_group(tick, group))
+            if group in verified:   # else every event on it was rejected
+                verified[group] = (group, self._probe_group(tick, group))
             self._stale.discard(group)
-        return DeliverySnapshot(tick, self.probe_modes, groups)
+        return DeliverySnapshot(tick, self.probe_modes, list(verified.values()))
 
     def _probe_group(self, tick, group):
         """Probe ``group`` in every multicast mode; returns its membership,
@@ -431,40 +418,31 @@ class SimState:
         each member and no other."""
         expected = frozenset(self.membership[group])
         for mode, copies in self._copies(group):
-            delivered = frozenset(copies)
-            if delivered != expected or len(copies) != len(delivered):
-                raise DeliveryMismatch(tick, group, mode, delivered, expected)
+            if frozenset(copies) != expected or len(copies) != len(expected):
+                raise DeliveryMismatch(tick, group, mode, copies, expected)
         return expected
 
     def _copies(self, group):
         """Yield ``(mode, receiver of each delivered copy)`` per multicast
         mode in report order, forwarding each mode's packet only when asked.
 
-        The (S,G) packet is always re-forwarded.  The BFIR sends one BIER
-        packet per Set Identifier in ``self.bitstrings[group]``, in SI
-        order, and only those whose bits differ from the ones last flooded
-        for that SI are re-forwarded: a flood reads only its ingress, its
-        header and the BIFT, and neither the group's source nor the BIFT
-        changes while the group exists.  The fault, if any, is applied to
-        the bits before that comparison.  A re-flooded packet's bits are
-        looked up in the ingress's row of ``self.reach``; only a bit that
-        no earlier flood of the run forwarded from that router is walked,
-        one hop at a time, and no multi-bit copy is forwarded.
+        The BFIR sends one BIER packet per Set Identifier in
+        ``self.bitstrings[group]``, in SI order, each carrying that SI's
+        bits after the fault, if any.  Every SI is flooded through
+        ``self.reach``: each set bit is looked up in the ingress's row,
+        only a bit that no earlier flood of the run forwarded from that
+        router is walked, one hop at a time, and no multi-bit copy is
+        forwarded.
         """
         source = self.groups[group]
         if self.sg_state is not None:
             yield "stateful", multicast.simulate_delivery(self.sg_state, SgKey(source, group))
         if self.bift is not None:
-            floods = self.floods.setdefault(group, {})
             copies = []
             for si, bits in sorted(self.bitstrings[group].items()):
                 if self.scenario.fault == "bier_drop_lowest_bit":
                     bits &= bits - 1
-                flood = floods.get(si)
-                if flood is None or flood[0] != bits:
-                    flood = floods[si] = (bits, bier.flood_deliver(
-                        self.bift, bier.BierHeader(si, bits), source, self.reach))
-                copies.extend(flood[1])
+                copies += bier.flood_deliver(self.bift, si, bits, source, self.reach)
             yield "bier", copies
 
 

@@ -115,7 +115,7 @@ def test_criterion_3_exactly_one_copy():
                 bits |= bier.bit_mask(bit)
                 expected.append(bfer)
         at = rng.choice(sorted(topo.roles))
-        delivered = flood_deliver(bift, bier.BierHeader(si, bits), at)
+        delivered = flood_deliver(bift, si, bits, at, {})
         assert sorted(delivered) == sorted(expected)   # multiset equality
         checked += 1
     _passed(3, "exactly-one-copy delivery")
@@ -155,8 +155,8 @@ def test_criterion_5_si_partitioning():
     assert len(headers) == 3
     bift = build_bift(topo, placements)
     delivered = []
-    for header in headers:
-        delivered.extend(flood_deliver(bift, header, 1))
+    for si, bits in headers:
+        delivered.extend(flood_deliver(bift, si, bits, 1, {}))
     assert sorted(delivered) == list(range(1, 11))
     _passed(5, "SI partitioning")
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     STUB_HEAVY,
+    BierHeader,
     bfer_placements,
     bit_positions,
     encapsulate_bier,
@@ -21,7 +22,6 @@ from conftest import (
 from routescale import multicast
 from routescale.bier import (
     LOCAL,
-    BierHeader,
     assign_bfr_ids,
     bit_mask,
     build_bift,
@@ -169,7 +169,7 @@ class TestForward:
         bift = {0: {0: (None, (LOCAL, 0b101), (1, 0b010), (LOCAL, 0b101))},
                 1: {0: (None, (0, 0b101), (LOCAL, 0b010), (0, 0b101))}}
         assert forward_bier(bift, 0, 0b111, 0) == [(LOCAL, 0b101), (1, 0b010)]
-        assert sorted(flood_deliver(bift, BierHeader(0, 0b111), 0)) == [0, 0, 1]
+        assert sorted(flood_deliver(bift, 0, 0b111, 0, {})) == [0, 0, 1]
 
     # line 0 - 1 - 2: bit 2 (router 2) sent back to router 1 at router 1,
     # or bounced between routers 1 and 2; each flood starts a reach table,
@@ -178,7 +178,7 @@ class TestForward:
     @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
     @pytest.mark.parametrize("at_1, at_2", [(1, LOCAL), (2, 1)])
     def test_looping_slot_raises_bift_loop(self, at_1, at_2, shared):
-        reach = {} if shared else None
+        reach = {}
         bift = {0: {0: (None, (LOCAL, 0b01), (1, 0b10))},
                 1: {0: (None, (0, 0b01), (at_1, 0b10))},
                 2: {0: (None, (1, 0b01), (at_2, 0b10))}}
@@ -187,7 +187,7 @@ class TestForward:
         def flood():
             for _ in range(2):
                 try:
-                    flood_deliver(bift, BierHeader(0, 0b11), 0, reach)
+                    flood_deliver(bift, 0, 0b11, 0, reach if shared else {})
                 except BiftLoop as exc:
                     raised.append(exc)
 
@@ -196,7 +196,7 @@ class TestForward:
         worker.join(timeout=1.0)
         assert not worker.is_alive(), "flood still running after 1 s"
         assert len(raised) == 2
-        assert all(row[2] is None for row in (reach or {}).get(0, {}).values())
+        assert all(row[2] is None for row in reach.get(0, {}).values())
 
     # line 0 - 1 - 2 - 3: bit 2 (router 3) crosses routers 0 and 1, then
     # router 2 has no entry for it
@@ -208,11 +208,11 @@ class TestForward:
         reach = {}
         for _ in range(2):
             with pytest.raises(MissingBiftEntry, match="router 2: no BIFT entry for SI 0 bit 2"):
-                flood_deliver(bift, BierHeader(0, 0b10), 0, reach)
+                flood_deliver(bift, 0, 0b10, 0, reach)
             assert not any(reach.values())
         # bit 1 lands on router 0 whatever the walk of bit 2 did; each row
         # has one landing per slot of its router's BIFT
-        assert flood_deliver(bift, BierHeader(0, 0b01), 1, reach) == [0]
+        assert flood_deliver(bift, 0, 0b01, 1, reach) == [0]
         assert reach == {0: {1: [None, 0, None], 0: [None, 0, None]}}
 
     # triangle 0 - 1 - 2, router 3 behind router 0: router 0's slot 1 sends
@@ -223,7 +223,7 @@ class TestForward:
     @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
     @pytest.mark.parametrize("at, bits", [(0, 0b01), (0, 0b10), (0, 0b11), (3, 0b01)])
     def test_fbm_holding_a_bit_its_slot_routes_elsewhere_raises(self, at, bits, shared):
-        reach = {} if shared else None
+        reach = {}
         bift = {0: {0: (None, (1, 0b11), (2, 0b10))},
                 1: {0: (None, (LOCAL, 0b01), (2, 0b10))},
                 2: {0: (None, (1, 0b01), (LOCAL, 0b10))},
@@ -231,15 +231,15 @@ class TestForward:
         for _ in range(2):
             with pytest.raises(MissingBiftEntry, match="router 0: the BIFT entry for SI 0 "
                                                        "bit 1 has an F-BM with bit 2"):
-                flood_deliver(bift, BierHeader(0, bits), at, reach)
-            assert not any((reach or {}).values())
-        assert flood_deliver(bift, BierHeader(0, 0b11), 1, reach) == [1, 2]
+                flood_deliver(bift, 0, bits, at, reach if shared else {})
+            assert not any(reach.values())
+        assert flood_deliver(bift, 0, 0b11, 1, reach) == [1, 2]
 
     def test_empty_header_delivers_nothing(self):
         topo = line3()
         bift = build_bift(topo, bfer_placements(topo.edge_routers, 8))
         reach = {}
-        assert flood_deliver(bift, BierHeader(0, 0), 1, reach) == []
+        assert flood_deliver(bift, 0, 0, 1, reach) == []
         assert not any(reach.values())
 
     # slot 1 holds an F-BM without bit 1: clearing that F-BM from the
@@ -346,8 +346,8 @@ class TestProperties:
             stateful = set(multicast.simulate_delivery(state, sg))
 
             delivered = []
-            for header in encapsulate_bier([id_to_si_bit(ids[r], bsl) for r in members]):
-                delivered.extend(flood_deliver(bift, header, source))
+            for si, bits in encapsulate_bier([id_to_si_bit(ids[r], bsl) for r in members]):
+                delivered.extend(flood_deliver(bift, si, bits, source, {}))
             assert set(delivered) == stateful == members
             assert len(delivered) == len(members)
 

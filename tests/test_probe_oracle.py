@@ -21,7 +21,6 @@ from conftest import (
 )
 from routescale import multicast, workload
 from routescale.bier import (
-    BierHeader,
     _row,
     assign_bfr_ids,
     bit_mask,
@@ -68,13 +67,12 @@ def test_bier_forwarding_matches_bit_by_bit_scan(seed, n, bsl, data):
     bits = data.draw(st.integers(min_value=0, max_value=2 ** (bsl + 2) - 1))
     if data.draw(st.booleans()):
         bits &= owned.get(si, 0)
-    header = BierHeader(si, bits)
     at = data.draw(st.sampled_from(sorted(topo.roles)))
 
     assert (outcome(forward_bier, bift, si, bits, at)
             == outcome(scan_forward_bier, bift, si, bits, at))
-    assert (as_multiset(outcome(flood_deliver, bift, header, at))
-            == as_multiset(outcome(scan_flood_deliver, bift, header, at)))
+    assert (as_multiset(outcome(flood_deliver, bift, si, bits, at, {}))
+            == as_multiset(outcome(scan_flood_deliver, bift, si, bits, at)))
 
 
 def check_shared_reach(topo, bsl, data):
@@ -97,10 +95,11 @@ def check_shared_reach(topo, bsl, data):
         min_size=1, max_size=12))
     reach = {}
     for at, si, bits, owned_only in floods:
-        header = BierHeader(si, bits & owned.get(si, 0) if owned_only else bits)
-        shared = outcome(flood_deliver, bift, header, at, reach)
-        assert as_multiset(shared) == as_multiset(outcome(scan_flood_deliver, bift, header, at))
-        assert shared == outcome(flood_deliver, bift, header, at, {})
+        if owned_only:
+            bits &= owned.get(si, 0)
+        shared = outcome(flood_deliver, bift, si, bits, at, reach)
+        assert as_multiset(shared) == as_multiset(outcome(scan_flood_deliver, bift, si, bits, at))
+        assert shared == outcome(flood_deliver, bift, si, bits, at, {})
     for si, rows in reach.items():
         landings = [(router, bit, bfer) for router, row in rows.items()
                     for bit, bfer in enumerate(row) if bfer is not None]
@@ -108,7 +107,7 @@ def check_shared_reach(topo, bsl, data):
         for router, row in rows.items():
             assert len(row) == len(bift[router][si])
         for router, bit, bfer in landings:
-            assert scan_flood_deliver(bift, BierHeader(si, bit_mask(bit)), router) == [bfer]
+            assert scan_flood_deliver(bift, si, bit_mask(bit), router) == [bfer]
     for router, row in bift.items():
         for si, slots in row.items():
             assert _row(bift, si, router) == [None] * len(slots)
