@@ -100,7 +100,9 @@ def auto_providers(topo):
     deterministic.  Links are undirected, so an edge's cost to a router
     is read from the edge's own distances; a single-homed edge's is its
     hub's plus the link to it (see ``Topology.hub``), so only hub and
-    multi-link routers' tables are read.
+    multi-link routers' tables are read.  Those tables hold transit
+    routers only (see ``Topology.distances``): a single-homed core
+    router's cost is its hub's plus the link to it.
     """
     edges = topo.edge_routers
     pid_of_edge = {e: i for i, e in enumerate(edges)}
@@ -115,7 +117,9 @@ def auto_providers(topo):
     for router in topo.roles:
         if router in pid_of_edge:
             continue
-        _, nearest = min((dist[router] + added, e) for dist, added, e in ranked)
+        hub = topo.hub(router)
+        at, link = (router, 0) if hub is None else (hub, topo.adj[router][hub])
+        _, nearest = min((dist[at] + added + link, e) for dist, added, e in ranked)
         owned[pid_of_edge[nearest]].add(router)
     return [
         Provider(pid, provider_prefix(pid), frozenset(routers))

@@ -27,22 +27,37 @@ class Topology:
     """Validated, immutable network graph.
 
     Build via :func:`build_topology`.  One Dijkstra from a router gives
-    every router's cost to it, in settle order, and every router's next
-    hop toward it (:meth:`distances`).  Both tables are computed lazily
-    and cached on the instance, so every caller (label counts, provider
-    ranks, BIFTs, multicast joins) reads the same table.  One rule
-    covers single-homed routers (see :meth:`hub`): the next-hop table
-    toward one is its hub's with two entries changed (:meth:`toward`),
-    so it costs a copy, not a Dijkstra.  The setup builders read hub
-    tables only, so a single-homed router's next-hop table is built at
-    the first multicast join that reads it, and its cost table only if
-    :meth:`distances` is asked for it.
+    its cost to itself and to every transit router, in settle order, and
+    every router's next hop toward it (:meth:`distances`).  Both tables
+    are computed lazily and cached on the instance, so every caller
+    (label counts, provider ranks, BIFTs, multicast joins) reads the same
+    table.  One rule covers single-homed routers (see :meth:`hub`); every
+    other router is a transit router.  No Dijkstra settles a single-homed
+    router other than its source, so no cost table holds one: its cost
+    is its hub's plus the link, and its next hop is its hub.  The
+    next-hop table toward one is its hub's with two entries changed
+    (:meth:`toward`), so it costs a copy, not a Dijkstra.  The setup
+    builders read hub tables only, so a single-homed router's next-hop
+    table is built at the first multicast join that reads it, and its
+    cost table only if :meth:`distances` is asked for it.
     """
 
     def __init__(self, roles, adjacency):
         self.roles = roles                # router id -> "core" | "edge"
         self.adj = adjacency              # router id -> {neighbor: cost}
         self.edge_routers = sorted(r for r, role in roles.items() if role == EDGE)
+        self._hub = {}                    # single-homed router -> its hub (see hub)
+        for r, nbrs in adjacency.items():
+            if len(nbrs) == 1:
+                (hub,) = nbrs
+                if len(adjacency[hub]) > 1:
+                    self._hub[r] = hub
+        # the links a Dijkstra relaxes: every link but those into a
+        # single-homed router, which only a hub's own links hold
+        self._transit_adj = dict(adjacency)
+        for hub in set(self._hub.values()):
+            self._transit_adj[hub] = {v: cost for v, cost in adjacency[hub].items()
+                                      if v not in self._hub}
         self._dist = {}                   # source -> {dest: cost}, settle order
         self._toward = {}                 # dest -> {router: next hop}
 
@@ -51,16 +66,22 @@ class Topology:
             raise UnknownRouter(f"router {router} not in topology")
 
     def distances(self, source):
-        """All-destination minimum path costs from ``source``: one cached
-        lazy-heap Dijkstra.
+        """Minimum path costs from ``source`` to itself and to every
+        transit router: one cached lazy-heap Dijkstra.
 
-        The dict is in settle order, so its costs never decrease as it is
-        iterated.  Links are undirected, so the same pass records every
-        router's next hop toward ``source`` (see :meth:`toward`): a router
-        first reached from ``u`` takes ``u``, and one reached again at
-        equal cost from a smaller ``u`` takes that instead.  Costs are
-        positive, so every equal-cost neighbour settles, and relaxes the
-        router, before the router itself settles.
+        A transit router is one that is not single-homed (see :meth:`hub`).
+        No shortest path passes through a single-homed router, so the
+        heap never holds one other than ``source``, and the cost table
+        holds none other: a single-homed router's cost is its hub's plus
+        the link to it.  The dict is in settle order, so its costs never
+        decrease as it is iterated.  Links are undirected, so the same
+        pass records every transit router's next hop toward ``source``
+        (see :meth:`toward`): a router first reached from ``u`` takes
+        ``u``, and one reached again at equal cost from a smaller ``u``
+        takes that instead.  Costs are positive, so every equal-cost
+        neighbour settles, and relaxes the router, before the router
+        itself settles.  The next-hop table is complete: it starts as
+        every single-homed router's hub.
         """
         cached = self._dist.get(source)
         if cached is not None:
@@ -68,14 +89,16 @@ class Topology:
         self.require(source)
         dist = {}
         tentative = {source: 0}
-        hop = {source: source}
+        hop = self._hub.copy()
+        hop[source] = source
         heap = [(0, source)]
+        links = self._transit_adj
         while heap:
             d, u = heapq.heappop(heap)
             if u in dist:
                 continue
             dist[u] = d
-            for v, cost in self.adj[u].items():
+            for v, cost in links[u].items():
                 nd = d + cost
                 best = tentative.get(v)
                 if best is None or nd < best:
@@ -95,15 +118,10 @@ class Topology:
         the other end has more than one.  Every path to or from it passes
         through that hub, so its costs are the hub's plus the link cost
         and its next hops are the hub's but at the hub: :meth:`toward`
-        builds its table from the hub's, and the setup builders read the
-        hub's tables in its place.
+        builds its table from the hub's, :meth:`distances` keeps no cost
+        for it, and the setup builders read the hub's tables in its place.
         """
-        nbrs = self.adj[router]
-        if len(nbrs) == 1:
-            (hub,) = nbrs
-            if len(self.adj[hub]) > 1:
-                return hub
-        return None
+        return self._hub.get(router)
 
     def toward(self, dest):
         """Next-hop table toward ``dest``: router -> neighbor on a shortest path.

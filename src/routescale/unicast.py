@@ -189,18 +189,28 @@ class UnicastPlane:
 
     @cached_property
     def _label_counts(self):
-        # The LSP from ingress i to egress e follows toward(e), so it
-        # passes router r exactly when i is in r's subtree of that tree,
-        # and r holds an in-label for it unless r is i.  Every edge router
-        # also holds one FEC binding per egress.  A single-homed egress's
-        # tree is its hub's with the egress as the root above the hub
-        # (see Topology.hub): every other router's subtree is the same,
-        # the hub's loses the egress and the egress's holds every edge
-        # router.  So one walk per hub serves all of its stub egresses.
+        """Router -> its entries in the per-pair LSP mesh.
+
+        The LSP from ingress i to egress e follows toward(e), so it
+        passes router r exactly when i is in r's subtree of that tree,
+        and r holds an in-label for it unless r is i.  Every edge router
+        also holds one FEC binding per egress.  A single-homed egress's
+        tree is its hub's with the egress as the root above the hub
+        (see Topology.hub): every other router's subtree is the same,
+        the hub's loses the egress and the egress's holds every edge
+        router.  So one walk per hub serves all of its stub egresses.
+        A walk covers the transit routers only, the ones the root's cost
+        table holds (see Topology.distances): a single-homed router is
+        a leaf of every tree it is not the root of, so it passes no LSP,
+        and each hub's single-homed edge routers are counted into its
+        subtree.
+        """
         topo = self.topo
         n_edges = len(topo.edge_routers)
         is_edge = {r: int(role == EDGE) for r, role in topo.roles.items()}
         counts = {r: n_edges * edge for r, edge in is_edge.items()}
+        # edge routers at each transit router or single-homed on it
+        leaves = {r: edge for r, edge in is_edge.items() if topo.hub(r) is None}
         trees = {}       # root walked -> number of egresses it serves
         for egress in topo.edge_routers:
             hub = topo.hub(egress)
@@ -209,9 +219,10 @@ class UnicastPlane:
             if hub is not None:
                 counts[hub] -= 1
                 counts[egress] += n_edges - 1
+                leaves[hub] += 1
         for root, copies in trees.items():
             dist, hops = topo.distances(root), topo.toward(root)
-            below = dict(is_edge)    # edge routers in each router's subtree
+            below = leaves.copy()    # edge routers in each router's subtree
             # every parent is nearer the root than its children, and the
             # distances are in settle order, so walking them backwards
             # completes a subtree's count before it is added to its parent

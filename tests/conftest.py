@@ -1,7 +1,10 @@
 """Shared test helpers: brute-force oracles and random topology builder."""
 
+import json
 import random
+import weakref
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NamedTuple
 
 from routescale import bier, multicast
@@ -177,18 +180,43 @@ def enumerate_min_paths(topo, source, dest):
     return out
 
 
+_ALL_PAIRS = weakref.WeakKeyDictionary()      # Topology -> all_pairs_costs(topo)
+
+
+def all_pairs_costs(topo):
+    """``{a: {b: minimum path cost}}`` over every pair of routers, by
+    Floyd-Warshall over ``topo.adj``; cached per Topology (they are
+    immutable).  Reads no table of :class:`Topology`."""
+    cached = _ALL_PAIRS.get(topo)
+    if cached is not None:
+        return cached
+    inf = float("inf")
+    cost = {a: {b: 0 if a == b else topo.adj[a].get(b, inf) for b in topo.roles}
+            for a in topo.roles}
+    for k in topo.roles:
+        via = cost[k]
+        for row in cost.values():
+            to_k = row[k]
+            for b, rest in via.items():
+                if to_k + rest < row[b]:
+                    row[b] = to_k + rest
+    _ALL_PAIRS[topo] = cost
+    return cost
+
+
 def scan_next_hop(topo, at, dest):
     """Per-call neighbor scan: the first neighbor, in id order, whose cost
     plus its own distance to ``dest`` equals the distance from ``at``.
 
-    Reads distances from ``at`` and from each neighbor, never the table
-    toward ``dest`` that :meth:`Topology.next_hop` reads.
+    Reads distances from :func:`all_pairs_costs`, never a table of the
+    Topology that :meth:`Topology.next_hop` reads.
     """
     if at == dest:
         return at
-    total = topo.distances(at)[dest]
+    cost = all_pairs_costs(topo)
+    total = cost[at][dest]
     for nbr in sorted(topo.adj[at]):
-        if topo.adj[at][nbr] + topo.distances(nbr)[dest] == total:
+        if topo.adj[at][nbr] + cost[nbr][dest] == total:
             return nbr
     raise AssertionError(f"no next hop from {at} toward {dest}")
 
@@ -700,9 +728,14 @@ def seeded(seed):
 # topologies on which most routers are single-homed: every edge router of
 # fat-edge and star hangs off one core router; on line 3 both edges hang
 # off the core; "edge hub" is 0(edge)-1(edge)-2(core)-3(edge), where edge
-# 0 is single-homed to edge 1; "weighted fat-edge 30" varies link costs
+# 0 is single-homed to edge 1; "weighted fat-edge 30" varies link costs;
+# "stub costs" is the stub_costs scenario's topology: stubs on links of
+# cost 1 to 3, single-homed core routers, edge routers that are hubs, a
+# pendant pair of routers with two links each and equal-cost ties
 STUB_HEAVY = ("fat-edge 3", "fat-edge 4", "fat-edge 5", "fat-edge 12", "fat-edge 60",
-              "star 2", "star 3", "star 40", "line 3", "edge hub", "weighted fat-edge 30")
+              "star 2", "star 3", "star 40", "line 3", "edge hub", "weighted fat-edge 30",
+              "stub costs")
+STUB_COSTS = Path(__file__).resolve().parent.parent / "scenarios" / "topologies" / "stub_costs.json"
 
 
 def stub_heavy_topology(name):
@@ -710,6 +743,9 @@ def stub_heavy_topology(name):
     if name == "edge hub":
         return build_topology([(0, EDGE), (1, EDGE), (2, "core"), (3, EDGE)],
                               [(0, 1, 2), (1, 2, 1), (2, 3, 3)])
+    if name == "stub costs":
+        spec = json.loads(STUB_COSTS.read_text())["topology"]
+        return build_topology(spec["routers"], spec["links"])
     *weighted, kind, size = name.split()
     spec = gen_topology(kind, int(size))
     links = spec["links"]

@@ -57,10 +57,7 @@ def test_distances_and_next_hops_match_networkx(seed, n, max_cost):
     topo = random_topology(seeded(seed), n, max_cost=max_cost)
     graph = to_networkx(topo)
     for src in topo.roles:
-        dist = topo.distances(src)
-        assert dist == nx.single_source_dijkstra_path_length(graph, src)
-        costs = list(dist.values())
-        assert costs == sorted(costs), "distances must iterate in settle order"
+        check_cost_table(topo, src, nx.single_source_dijkstra_path_length(graph, src))
     for dest in topo.roles:
         assert dict(topo.toward(dest)) == by_order["distances"][dest][1]
         for at in topo.roles:
@@ -71,6 +68,26 @@ def test_distances_and_next_hops_match_networkx(seed, n, max_cost):
             else:
                 paths = nx.all_shortest_paths(graph, at, dest, weight="weight")
                 assert hop == min(path[1] for path in paths)
+
+
+def single_homed(topo):
+    """Routers with one link, to a router with more than one."""
+    return {r for r, nbrs in topo.adj.items()
+            if len(nbrs) == 1 and len(topo.adj[next(iter(nbrs))]) > 1}
+
+
+def check_cost_table(topo, source, lengths):
+    """``topo.distances(source)`` against ``lengths``, every router's
+    minimum cost to ``source``: the source and the transit routers in
+    (cost, id) order, a lazy-heap Dijkstra's settle order, and every
+    single-homed router at its hub's cost plus the link to it."""
+    dist = topo.distances(source)
+    stubs = single_homed(topo) - {source}
+    assert list(dist.items()) == sorted(((r, c) for r, c in lengths.items() if r not in stubs),
+                                        key=lambda kv: (kv[1], kv[0]))
+    for stub in stubs:
+        ((hub, link),) = topo.adj[stub].items()
+        assert dist[hub] + link == lengths[stub]
 
 
 def generated(kind, size):
@@ -94,17 +111,20 @@ def expected_dijkstra_runs(topo, order):
 @pytest.fixture
 def dijkstra_runs(monkeypatch):
     """A list that gains one element per heap Dijkstra run: each run pops
-    exactly one cost-0 entry, its source (link costs are positive)."""
+    exactly one cost-0 entry, its source (link costs are positive).  The
+    patched ``topology.heapq`` lists every router popped in ``popped``."""
     runs = []
+    popped = []
 
     def counting_heappop(heap):
         item = heapq.heappop(heap)
+        popped.append(item[1])
         if item[0] == 0:
             runs.append(item[1])
         return item
 
-    monkeypatch.setattr(topology, "heapq",
-                        SimpleNamespace(heappop=counting_heappop, heappush=heapq.heappush))
+    monkeypatch.setattr(topology, "heapq", SimpleNamespace(
+        heappop=counting_heappop, heappush=heapq.heappush, popped=popped))
     return runs
 
 
@@ -155,6 +175,20 @@ def test_toward_a_stub_then_distances_of_its_hub_run_one_dijkstra(dijkstra_runs,
     assert dijkstra_runs == [hub]
 
 
+# no shortest path crosses a single-homed router, so a hub's Dijkstra
+# neither settles nor stores the routers that hang off it
+@pytest.mark.parametrize("name", ["fat-edge 120", "star 40", "weighted fat-edge 30"])
+def test_a_hubs_dijkstra_pops_transit_routers_only(dijkstra_runs, name):
+    topo = stub_heavy_topology(name)
+    stubs = single_homed(topo)
+    transit = set(topo.roles) - stubs
+    hubs = sorted({next(iter(topo.adj[stub])) for stub in stubs})
+    for hub in hubs:
+        assert len(topo.distances(hub)) == len(transit)
+    assert dijkstra_runs == hubs
+    assert set(topology.heapq.popped) <= transit
+
+
 @st.composite
 def stub_heavy_topologies(draw):
     kind = draw(st.sampled_from(["random", "star", "fat-edge", "line"]))
@@ -182,10 +216,9 @@ def test_every_router_in_any_order_matches_a_from_scratch_dijkstra(topo, data):
     for dest, first in zip(order, toward_first):
         if first:
             topo.toward(dest)
-        dist, hops = topo.distances(dest), topo.toward(dest)
+        hops = topo.toward(dest)
         to_dest = lengths[dest]
-        # a lazy-heap Dijkstra settles in (cost, id) order
-        assert list(dist.items()) == sorted(to_dest.items(), key=lambda kv: (kv[1], kv[0]))
+        check_cost_table(topo, dest, to_dest)
         assert hops == {at: at if at == dest else
                         min(n for n, cost in topo.adj[at].items()
                             if cost + to_dest[n] == to_dest[at])
@@ -197,12 +230,6 @@ def test_every_router_in_any_order_matches_a_from_scratch_dijkstra(topo, data):
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "bench" / "workloads"
-
-
-def single_homed(topo):
-    """Routers with one link, to a router with more than one."""
-    return {r for r, nbrs in topo.adj.items()
-            if len(nbrs) == 1 and len(topo.adj[next(iter(nbrs))]) > 1}
 
 
 # site_growth (fat-edge 120, unicast modes), snapshot_probe (fat-edge 100,
