@@ -8,10 +8,10 @@ BFER's placement ``(SI, bit)`` once, from its BFR-id and the BSL.  The
 BIFT is derived solely from the topology and those placements.
 Logically it holds one entry per BFER, ``(SI, bit) -> (next hop,
 F-BM)``, where the F-BM is the OR of all same-SI bits routed via that
-next hop.  It is stored as ``{router: {SI: slots}}``: ``slots[bit]`` is
-the entry for that bit position (slot 0 and positions no BFER holds are
-None), and every slot that shares a next hop holds the same ``(next
-hop, F-BM)`` pair, so a router stores one pair per next hop in each SI.
+next hop; every entry that shares a next hop carries the same F-BM
+(RFC 8279 section 6.4).  So it is stored as one F-BM per (SI, next
+hop), ``{router: {SI: {next hop: F-BM}}}``, and a router's state is
+bounded by its neighbours and the SIs, not by the BFER count.
 Forwarding partitions a packet's bitstring by next hop, so each BFER
 receives exactly one copy.
 
@@ -21,18 +21,18 @@ Set Identifier: a flood takes its SI and bitstring as plain ints, and
 every copy inside it is a ``(next hop, bits)`` pair within that SI.
 
 Where a bit lands depends only on the BIFT, and a multi-bit copy's
-bits land where their one-bit copies land once every F-BM holds only
-bits that its own slot routes to the same next hop.  A flood keeps those
-landings in a *reach table*, ``{si: {router: row}}``, where a row is a
-list aligned with the router's BIFT slots in that SI, holding the BFER
-each bit position lands on (None until known).  It depends on the BIFT
+bits land where their one-bit copies land once no two F-BMs of a router
+and SI share a bit.  A flood keeps those landings in a *reach table*,
+``{si: {router: row}}``, where a row is a list indexed by bit position,
+up to the highest bit the router's F-BMs in that SI hold, holding the
+BFER each bit lands on (None until known).  It depends on the BIFT
 alone, so every flood over one BIFT may share it, and no other flood
 state is needed.  A flood looks each set bit up in its ingress's row; a
 miss forwards that one bit hop by hop, so no flood forwards a multi-bit
 copy, and a table forwards each (SI, router, bit) at most once.  A
-router gets a row only after its slots in that SI pass the F-BM check,
-so the property is checked, at replay and never at build time.  The
-table holds at most one landing per router and BFER.
+router gets a row only after its F-BMs in that SI pass the disjointness
+check, so the property is checked, at replay and never at build time.
+The table holds at most one landing per router and BFER.
 """
 
 from .errors import BiftLoop, MissingBiftEntry, NoEdgeRouters
@@ -64,89 +64,62 @@ def id_to_si_bit(bfr_id, bsl):
 def build_bift(topo, placements):
     """Every router's BIFT from the unicast shortest-path topology and the
     BFER placements ``{router: (si, bit)}``; the next hop is LOCAL at the
-    BFER itself.  Returns ``{router: {si: slots}}``, the compact form the
-    module docstring describes.
+    BFER itself.  Returns ``{router: {si: {next hop: F-BM}}}``, the form
+    the module docstring describes.
 
     RFC 8279 section 6 derives the BIFT from the unicast next hops; only
     hub tables are read (see ``Topology.hub``).  A single-homed router
-    sends every bit but its own to its hub, so its row is one F-BM per
-    SI, and the slots of an SI it holds no bit in are shared by every
-    single-homed router of that hub.  Any other router's next hop toward
-    a single-homed BFER is the BFER itself at its hub, and elsewhere its
-    next hop toward that hub, so it calls ``next_hop`` once per hub and
-    per multi-link BFER.  Its slots are filled by walking each F-BM's
-    set bits.
+    sends every bit but its own to its hub, so its row in an SI is
+    ``{LOCAL: own, hub: the rest}`` (no hub pair when the rest is 0), and
+    its row in an SI it holds no bit in is one ``{hub: bits}`` dict,
+    shared by every single-homed router of that hub.  Any other router's
+    next hop toward a single-homed BFER is the BFER itself at its hub,
+    and elsewhere its next hop toward that hub, so it calls ``next_hop``
+    once per hub and per multi-link BFER.
 
     A pure function of (topology, placements): group churn never touches it.
     """
     for bfer in placements:
         topo.require(bfer)
-    width = {}     # si -> highest bit position in use
     full = {}      # si -> every bit in use
     behind = {}    # hub or multi-link BFER -> [(BFER, si, mask)] it reaches
     via = {}       # the same targets -> {si: OR of those masks}
     for bfer, (si, bit) in placements.items():
         mask = bit_mask(bit)
-        width[si] = max(width.get(si, 0), bit)
         full[si] = full.get(si, 0) | mask
         hub = topo.hub(bfer)
         target = bfer if hub is None else hub
         behind.setdefault(target, []).append((bfer, si, mask))
         bits = via.setdefault(target, {})
         bits[si] = bits.get(si, 0) | mask
-    # slot 0 and the positions no BFER holds
-    unused = {si: [0] + [b for b in range(1, w + 1) if not full[si] & bit_mask(b)]
-              for si, w in width.items()}
-
-    def spread(si, pair):
-        """Slots of ``si`` holding ``pair`` at every position in use."""
-        row = [pair] * (width[si] + 1)
-        for b in unused[si]:
-            row[b] = None
-        return row
-
-    shared = {}    # (hub, si) -> slots sending every bit of si to the hub
+    shared = {}    # (hub, si) -> the row sending every bit of si to the hub
     bift = {}
     for router in topo.roles:
         hub = topo.hub(router)
         if hub is not None:
             own_si, own_bit = placements.get(router, (None, None))
             row = {}
-            for si in width:
+            for si, bits in full.items():
                 if si == own_si:
                     own = bit_mask(own_bit)
-                    # (hub, 0) lands only on own_bit when the SI holds no other bit
-                    slots = spread(si, (hub, full[si] & ~own))
-                    slots[own_bit] = (LOCAL, own)
-                    row[si] = tuple(slots)
+                    row[si] = {LOCAL: own, hub: bits & ~own} if bits != own else {LOCAL: own}
                 else:
-                    slots = shared.get((hub, si))
-                    if slots is None:
-                        slots = shared[(hub, si)] = tuple(spread(si, (hub, full[si])))
-                    row[si] = slots
+                    row[si] = shared.setdefault((hub, si), {hub: bits})
             bift[router] = row
             continue
         # group same-SI bits by next hop to form the F-BMs
-        fbms = {}      # (si, next_hop) -> fbm
+        row = {si: {} for si in full}
         for target, bits_of in via.items():
             if target == router:
                 # its own bit, and its single-homed BFERs one link away
                 for bfer, si, mask in behind[target]:
                     nh = LOCAL if bfer == router else bfer
-                    fbms[(si, nh)] = fbms.get((si, nh), 0) | mask
+                    row[si][nh] = row[si].get(nh, 0) | mask
                 continue
             nh = topo.next_hop(router, target)
             for si, bits in bits_of.items():
-                fbms[(si, nh)] = fbms.get((si, nh), 0) | bits
-        slots = {si: [None] * (w + 1) for si, w in width.items()}
-        for (si, nh), fbm in fbms.items():
-            pair = (nh, fbm)
-            row = slots[si]
-            while fbm:
-                low = fbm & -fbm
-                row[low.bit_length()] = pair
-                fbm ^= low
-        bift[router] = {si: tuple(row) for si, row in slots.items()}
+                row[si][nh] = row[si].get(nh, 0) | bits
+        bift[router] = row
     return bift
 
 
@@ -154,32 +127,26 @@ def forward_bier(bift, si, bits, at):
     """Partition bitstring ``bits`` of Set Identifier ``si`` by next hop;
     returns one ``(next hop, bits)`` copy per next hop, in the same SI.
 
-    RFC 8279 section 6.5: take the lowest set bit of the working copy,
-    look up its entry, emit ``working & F-BM`` toward the entry's next
-    hop and clear the F-BM from the working copy.  One lookup per copy,
-    bits in ascending order, no two copies share a bit and their OR
-    equals the input.  An entry whose F-BM lacks its own bit would never
-    clear that bit, so it raises MissingBiftEntry like an absent one.
+    RFC 8279 section 6.5: for each F-BM that meets the working copy, emit
+    ``working & F-BM`` toward its next hop and clear the F-BM from the
+    working copy.  No two copies share a bit, so a one-bit input yields
+    exactly one copy, and their OR equals the input.  A bit no F-BM holds
+    is left over and raises MissingBiftEntry, naming the lowest such bit.
     """
     try:
-        slots = bift[at][si]
+        pairs = bift[at][si]
     except KeyError:
-        slots = ()
+        pairs = {}
     copies = []
     working = bits
-    while working:
-        low = working & -working
-        bit = low.bit_length()
-        entry = slots[bit] if bit < len(slots) else None
-        if entry is None:
-            raise MissingBiftEntry(f"router {at}: no BIFT entry for SI {si} bit {bit}")
-        next_hop, fbm = entry
-        if not fbm & low:
-            raise MissingBiftEntry(
-                f"router {at}: the BIFT entry for SI {si} bit {bit} has an F-BM "
-                f"without bit {bit}")
-        copies.append((next_hop, working & fbm))
-        working &= ~fbm
+    for next_hop, fbm in pairs.items():
+        copy = working & fbm
+        if copy:
+            copies.append((next_hop, copy))
+            working ^= copy
+    if working:
+        raise MissingBiftEntry(
+            f"router {at}: no BIFT entry for SI {si} bit {(working & -working).bit_length()}")
     return copies
 
 
@@ -196,8 +163,8 @@ def flood_deliver(bift, si, bits, at, reach):
     ``reach`` is the reach table (see the module docstring) for ``bift``,
     read and extended in place.  Each set bit is looked up in the row of
     ``at``; on a miss that one bit is walked hop by hop (``_walk``).  No
-    multi-bit copy is forwarded: every row passed ``_row``'s F-BM check,
-    so each bit of a multi-bit copy would land where its one-bit copy
+    multi-bit copy is forwarded: every row passed ``_row``'s disjointness
+    check, so each bit of a multi-bit copy would land where its one-bit copy
     lands, and the list is what a hop-by-hop flood delivers.
     """
     known = reach.setdefault(si, {})
@@ -232,6 +199,7 @@ def _walk(bift, si, bit, at, known):
     router = at
     for _ in range(len(bift)):
         path.append(router)
+        # one copy, even over a faulty BIFT: forwarding clears each F-BM it meets
         [(next_hop, _)] = forward_bier(bift, si, mask, router)
         if next_hop == LOCAL:
             bfer = router
@@ -252,29 +220,21 @@ def _walk(bift, si, bit, at, known):
 
 
 def _row(bift, si, router):
-    """A reach row for ``router`` in ``si``: one landing BFER per slot of
-    its BIFT, None until a walk records one.
+    """A reach row for ``router`` in ``si``: one landing BFER per bit
+    position up to the highest bit its F-BMs hold, None until a walk
+    records one.
 
     A multi-bit copy's bits land where their one-bit copies land only if
-    every F-BM holds just bits that their own slots route to the same next
-    hop.  The row is handed out only after ``router``'s slots pass that
-    check; an F-BM holding a bit routed elsewhere, or held by no slot,
-    raises MissingBiftEntry.  Every row a flood reads was made here.
+    no two of the router's F-BMs in ``si`` share a bit.  The row is handed
+    out only after they pass that check; two F-BMs that share a bit raise
+    MissingBiftEntry.  Every row a flood reads was made here.
     """
-    slots = bift[router][si]
-    routed = {}     # next hop -> OR of the bits whose slot names it
-    mask = 1
-    for entry in slots[1:]:
-        if entry is not None:
-            routed[entry[0]] = routed.get(entry[0], 0) | mask
-        mask <<= 1
-    for bit, entry in enumerate(slots[1:], start=1):
-        if entry is not None:
-            next_hop, fbm = entry
-            stray = fbm & ~routed[next_hop]
-            if stray:
-                raise MissingBiftEntry(
-                    f"router {router}: the BIFT entry for SI {si} bit {bit} has an F-BM "
-                    f"with bit {(stray & -stray).bit_length()}, which its own slot "
-                    f"does not route to {next_hop}")
-    return [None] * len(slots)
+    seen = 0
+    for next_hop, fbm in bift[router][si].items():
+        both = seen & fbm
+        if both:
+            raise MissingBiftEntry(
+                f"router {router}: the F-BM of SI {si} toward {next_hop} shares bit "
+                f"{(both & -both).bit_length()} with another F-BM")
+        seen |= fbm
+    return [None] * (seen.bit_length() + 1)

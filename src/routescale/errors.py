@@ -76,7 +76,8 @@ class RpfFailure(SimError):
 # -- BIER -------------------------------------------------------------------
 
 class MissingBiftEntry(SimError):
-    pass
+    """A BIER copy meets a bit that no F-BM of the router holds, or two
+    F-BMs of one router and SI that share a bit."""
 
 
 class BiftLoop(SimError):

@@ -271,7 +271,7 @@ class SimState:
         # the groups with an event since _verified, rejected events and
         # groups never added included; a probe drops each one it has passed
         self._stale = set()
-        # the reach table every flood shares: {si: {router: [BFER or None per slot]}}
+        # the reach table every flood shares: {si: {router: [BFER or None per bit]}}
         self.reach = {}
         if "bier" in scenario.modes:
             self.bit_of = {r: bier.id_to_si_bit(i, scenario.bsl)

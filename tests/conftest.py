@@ -237,10 +237,11 @@ def rebuild_from_membership(topo, groups, membership):
 
 def expand_bift(bift):
     """A BIFT as ``{router: {(si, bit): (next hop, F-BM)}}``, one entry per
-    occupied slot of ``build_bift``'s per-SI slot tuples."""
-    return {router: {(si, bit): entry
-                     for si, slots in row.items()
-                     for bit, entry in enumerate(slots) if entry is not None}
+    bit of each ``(next hop, F-BM)`` pair of ``build_bift``'s rows."""
+    return {router: {(si, bit): (next_hop, fbm)
+                     for si, pairs in row.items()
+                     for next_hop, fbm in pairs.items()
+                     for bit in bit_positions(fbm)}
             for router, row in bift.items()}
 
 
@@ -257,8 +258,8 @@ def bit_positions(bits):
 def scan_forward_bier(bift, si, bits, at):
     """Bit-by-bit BIER forwarding: tests every position up to the highest
     set bit, one lookup in the expanded BIFT per set bit still in the
-    working copy; ``(next hop, bits)`` copies.  An entry whose F-BM lacks
-    its own bit raises MissingBiftEntry, as in ``forward_bier``."""
+    working copy; ``(next hop, bits)`` copies.  A bit with no entry raises
+    MissingBiftEntry, as in ``forward_bier``."""
     row = expand_bift(bift).get(at, {})
     copies = []
     working = bits
@@ -269,10 +270,6 @@ def scan_forward_bier(bift, si, bits, at):
             if entry is None:
                 raise MissingBiftEntry(f"router {at}: no BIFT entry for SI {si} bit {bit}")
             next_hop, fbm = entry
-            if not fbm & bit_mask(bit):
-                raise MissingBiftEntry(
-                    f"router {at}: the BIFT entry for SI {si} bit {bit} has an F-BM "
-                    f"without bit {bit}")
             copies.append((next_hop, working & fbm))
             working &= ~fbm
         bit += 1

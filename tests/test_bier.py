@@ -1,6 +1,4 @@
-import sys
 import threading
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,6 @@ from conftest import (
     expand_bift,
     random_topology,
     reference_bift,
-    scan_forward_bier,
     seeded,
     stub_heavy_topology,
 )
@@ -32,28 +29,6 @@ from routescale.bier import (
 from routescale.errors import BiftLoop, MissingBiftEntry, NoEdgeRouters
 from routescale.multicast import SgKey, SgState
 from routescale.topology import build_topology
-
-
-@contextmanager
-def line_budget(func, lines):
-    """Make ``func``, called in this thread, raise RuntimeError once its
-    frames have run ``lines`` lines, so a call that loops forever fails."""
-    left = lines
-
-    def count(frame, event, arg):
-        nonlocal left
-        if event == "line":
-            left -= 1
-            if left < 0:
-                raise RuntimeError(f"{func.__name__} ran more than {lines} lines")
-        return count
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: count if frame.f_code is func.__code__ else None)
-    try:
-        yield
-    finally:
-        sys.settrace(previous)
 
 
 def line3():
@@ -166,8 +141,8 @@ class TestForward:
     def test_local_copy_with_several_bits(self):
         # a hand-built table in which router 0 holds bits 1 and 3 locally:
         # one LOCAL copy delivers its router once per bit it carries
-        bift = {0: {0: (None, (LOCAL, 0b101), (1, 0b010), (LOCAL, 0b101))},
-                1: {0: (None, (0, 0b101), (LOCAL, 0b010), (0, 0b101))}}
+        bift = {0: {0: {LOCAL: 0b101, 1: 0b010}},
+                1: {0: {0: 0b101, LOCAL: 0b010}}}
         assert forward_bier(bift, 0, 0b111, 0) == [(LOCAL, 0b101), (1, 0b010)]
         assert sorted(flood_deliver(bift, 0, 0b111, 0, {})) == [0, 0, 1]
 
@@ -176,12 +151,14 @@ class TestForward:
     # or all of them share one, which a loop must leave without a landing
     # for the looping bit in any router's row
     @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
-    @pytest.mark.parametrize("at_1, at_2", [(1, LOCAL), (2, 1)])
-    def test_looping_slot_raises_bift_loop(self, at_1, at_2, shared):
+    @pytest.mark.parametrize("row_1, row_2", [({0: 0b01, 1: 0b10}, {1: 0b01, LOCAL: 0b10}),
+                                              ({0: 0b01, 2: 0b10}, {1: 0b11})],
+                             ids=["self", "bounce"])
+    def test_looping_fbm_raises_bift_loop(self, row_1, row_2, shared):
         reach = {}
-        bift = {0: {0: (None, (LOCAL, 0b01), (1, 0b10))},
-                1: {0: (None, (0, 0b01), (at_1, 0b10))},
-                2: {0: (None, (1, 0b01), (at_2, 0b10))}}
+        bift = {0: {0: {LOCAL: 0b01, 1: 0b10}},
+                1: {0: row_1},
+                2: {0: row_2}}
         raised = []
 
         def flood():
@@ -201,36 +178,38 @@ class TestForward:
     # line 0 - 1 - 2 - 3: bit 2 (router 3) crosses routers 0 and 1, then
     # router 2 has no entry for it
     def test_missing_entry_mid_walk_records_nothing(self):
-        bift = {0: {0: (None, (LOCAL, 0b01), (1, 0b10))},
-                1: {0: (None, (0, 0b01), (2, 0b10))},
-                2: {0: (None, (1, 0b01))},
-                3: {0: (None, (2, 0b01), (LOCAL, 0b10))}}
+        bift = {0: {0: {LOCAL: 0b01, 1: 0b10}},
+                1: {0: {0: 0b01, 2: 0b10}},
+                2: {0: {1: 0b01}},
+                3: {0: {2: 0b01, LOCAL: 0b10}}}
         reach = {}
         for _ in range(2):
             with pytest.raises(MissingBiftEntry, match="router 2: no BIFT entry for SI 0 bit 2"):
                 flood_deliver(bift, 0, 0b10, 0, reach)
             assert not any(reach.values())
         # bit 1 lands on router 0 whatever the walk of bit 2 did; each row
-        # has one landing per slot of its router's BIFT
+        # runs to the highest bit its router's F-BMs hold
         assert flood_deliver(bift, 0, 0b01, 1, reach) == [0]
         assert reach == {0: {1: [None, 0, None], 0: [None, 0, None]}}
 
-    # triangle 0 - 1 - 2, router 3 behind router 0: router 0's slot 1 sends
-    # an F-BM holding bit 2 to router 1, but slot 2 routes bit 2 to router
-    # 2, so a multi-bit copy would not land where its one-bit copies land.
-    # A walk that crosses router 0 raises and records nothing; one that
-    # does not cross it is unaffected
+    # triangle 0 - 1 - 2, router 3 behind router 0: router 0's F-BMs toward
+    # routers 1 and 2 both hold bit 2, so a multi-bit copy need not land
+    # where its one-bit copies land.  A walk that crosses router 0 raises
+    # and records nothing, also when router 0 sits mid-walk and both F-BMs
+    # meet the one-bit copy (forwarding clears the first F-BM, so the copy
+    # is still one); a walk that does not cross it is unaffected
     @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
-    @pytest.mark.parametrize("at, bits", [(0, 0b01), (0, 0b10), (0, 0b11), (3, 0b01)])
-    def test_fbm_holding_a_bit_its_slot_routes_elsewhere_raises(self, at, bits, shared):
+    @pytest.mark.parametrize("at, bits", [(0, 0b01), (0, 0b10), (0, 0b11), (3, 0b01),
+                                          (3, 0b10)])
+    def test_fbms_sharing_a_bit_raise(self, at, bits, shared):
         reach = {}
-        bift = {0: {0: (None, (1, 0b11), (2, 0b10))},
-                1: {0: (None, (LOCAL, 0b01), (2, 0b10))},
-                2: {0: (None, (1, 0b01), (LOCAL, 0b10))},
-                3: {0: (None, (0, 0b01), (0, 0b10))}}
+        bift = {0: {0: {1: 0b11, 2: 0b10}},
+                1: {0: {LOCAL: 0b01, 2: 0b10}},
+                2: {0: {1: 0b01, LOCAL: 0b10}},
+                3: {0: {0: 0b11}}}
         for _ in range(2):
-            with pytest.raises(MissingBiftEntry, match="router 0: the BIFT entry for SI 0 "
-                                                       "bit 1 has an F-BM with bit 2"):
+            with pytest.raises(MissingBiftEntry, match="router 0: the F-BM of SI 0 toward 2 "
+                                                       "shares bit 2 with another F-BM"):
                 flood_deliver(bift, 0, bits, at, reach if shared else {})
             assert not any(reach.values())
         assert flood_deliver(bift, 0, 0b11, 1, reach) == [1, 2]
@@ -241,15 +220,6 @@ class TestForward:
         reach = {}
         assert flood_deliver(bift, 0, 0, 1, reach) == []
         assert not any(reach.values())
-
-    # slot 1 holds an F-BM without bit 1: clearing that F-BM from the
-    # working copy never clears bit 1
-    @pytest.mark.parametrize("forward", [forward_bier, scan_forward_bier])
-    def test_slot_whose_fbm_lacks_its_own_bit_raises(self, forward):
-        bift = {0: {0: (None, (LOCAL, 0b10), (LOCAL, 0b10))}}
-        with pytest.raises(MissingBiftEntry, match="F-BM without bit 1"):
-            with line_budget(forward, 1000):
-                forward(bift, 0, 0b01, 0)
 
 
 class TestBiftSize:
@@ -301,33 +271,6 @@ class TestProperties:
                 combined |= copy
             assert combined == bits
 
-    def test_fbms_partition_reachable_bits_per_si(self):
-        rng = seeded(47)
-        for _ in range(25):
-            topo = random_topology(rng, rng.randint(1, 8))
-            bsl = rng.choice([4, 8])
-            ids = assign_bfr_ids(topo.edge_routers)
-            bift = expand_bift(build_bift(topo, bfer_placements(topo.edge_routers, bsl)))
-            all_bits = {}
-            for _, bfr_id in ids.items():
-                si, bit = id_to_si_bit(bfr_id, bsl)
-                all_bits[si] = all_bits.get(si, 0) | bit_mask(bit)
-            for router, entries in bift.items():
-                per_nh = {}
-                for (si, bit), (nh, fbm) in entries.items():
-                    assert fbm & bit_mask(bit)
-                    per_nh.setdefault((si, nh), set()).add(fbm)
-                for (si, nh), fbms in per_nh.items():
-                    assert len(fbms) == 1    # same next hop, identical F-BM
-                for si, full in all_bits.items():
-                    union = 0
-                    for (s, nh), fbms in per_nh.items():
-                        if s == si:
-                            fbm = next(iter(fbms))
-                            assert union & fbm == 0
-                            union |= fbm
-                    assert union == full
-
     def test_equivalence_with_stateful_multicast(self):
         rng = seeded(53)
         for _ in range(30):
@@ -362,12 +305,6 @@ def test_build_bift_matches_reference(seed, n, bsl, data):
     placements = {r: id_to_si_bit(i, bsl) for i, r in enumerate(order, start=1)}
     bift = build_bift(topo, placements)
     assert expand_bift(bift) == reference_bift(topo, placements)
-    # one stored (next hop, F-BM) pair per distinct (si, next hop) at each router
-    for router, row in bift.items():
-        pairs = {(si, id(entry)) for si, slots in row.items() for entry in slots
-                 if entry is not None}
-        hops = {(si, nh) for (si, _), (nh, _) in expand_bift(bift)[router].items()}
-        assert len(pairs) == len(hops)
 
 
 # single-homed routers' rows are built from their hub alone, and every
@@ -381,6 +318,35 @@ def test_build_bift_matches_reference_on_stub_heavy_topologies(name, bsl):
     placements = {r: id_to_si_bit(i, bsl) for i, r in enumerate(order, start=1)}
     bift = build_bift(topo, placements)
     assert expand_bift(bift) == reference_bift(topo, placements)
+
+
+# expand_bift hides an empty F-BM and two F-BMs that share a bit, so each
+# (router, SI) row of build_bift is checked as stored: non-empty F-BMs,
+# pairwise disjoint, whose OR is the SI's bits in use, each toward LOCAL
+# or a neighbour
+@pytest.mark.parametrize("bsl", [1, 3, 256])
+@pytest.mark.parametrize("name", ("random",) + STUB_HEAVY)
+def test_build_bift_rows_are_disjoint_fbms_toward_neighbours(name, bsl):
+    rng = seeded(bsl)
+    topos = ([random_topology(rng, rng.randint(1, 10)) for _ in range(20)] if name == "random"
+             else [stub_heavy_topology(name)])
+    for topo in topos:
+        placements = bfer_placements(topo.edge_routers, bsl)
+        in_use = {}
+        for si, bit in placements.values():
+            in_use[si] = in_use.get(si, 0) | bit_mask(bit)
+        bift = build_bift(topo, placements)
+        assert set(bift) == set(topo.roles)
+        for router, row in bift.items():
+            assert set(row) == set(in_use)
+            for si, pairs in row.items():
+                seen = 0
+                for next_hop, fbm in pairs.items():
+                    assert fbm != 0
+                    assert seen & fbm == 0
+                    seen |= fbm
+                    assert next_hop == LOCAL or next_hop in topo.adj[router]
+                assert seen == in_use[si]
 
 
 def test_bit_positions_roundtrip():

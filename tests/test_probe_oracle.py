@@ -69,8 +69,10 @@ def test_bier_forwarding_matches_bit_by_bit_scan(seed, n, bsl, data):
         bits &= owned.get(si, 0)
     at = data.draw(st.sampled_from(sorted(topo.roles)))
 
-    assert (outcome(forward_bier, bift, si, bits, at)
-            == outcome(scan_forward_bier, bift, si, bits, at))
+    # the same copies: forward_bier emits them in F-BM order, the scan in
+    # the order of their lowest bits
+    assert (as_multiset(outcome(forward_bier, bift, si, bits, at))
+            == as_multiset(outcome(scan_forward_bier, bift, si, bits, at)))
     assert (as_multiset(outcome(flood_deliver, bift, si, bits, at, {}))
             == as_multiset(outcome(scan_flood_deliver, bift, si, bits, at)))
 
@@ -79,9 +81,9 @@ def check_shared_reach(topo, bsl, data):
     """Floods from drawn ingresses, with drawn headers and SIs, all sharing
     one reach table: each delivers what a bit-by-bit scan delivers and
     what a flood with a fresh table delivers, in that flood's order; every
-    row has one slot per slot of its router's BIFT, and every landing in it
-    is a one-bit scan's BFER; an SI holds at most routers x BFERs landings.
-    Every router's BIFT passes the check a row is made under."""
+    row runs to the highest bit its router's F-BMs hold, and every landing
+    in it is a one-bit scan's BFER; an SI holds at most routers x BFERs
+    landings.  Every router's BIFT passes the check a row is made under."""
     ids = assign_bfr_ids(topo.edge_routers)
     bift = build_bift(topo, {r: id_to_si_bit(i, bsl) for r, i in ids.items()})
     owned = {}    # si -> bits some BFER holds
@@ -105,12 +107,20 @@ def check_shared_reach(topo, bsl, data):
                     for bit, bfer in enumerate(row) if bfer is not None]
         assert len(landings) <= len(bift) * owned.get(si, 0).bit_count()
         for router, row in rows.items():
-            assert len(row) == len(bift[router][si])
+            assert len(row) == held(bift[router][si]).bit_length() + 1
         for router, bit, bfer in landings:
             assert scan_flood_deliver(bift, si, bit_mask(bit), router) == [bfer]
     for router, row in bift.items():
-        for si, slots in row.items():
-            assert _row(bift, si, router) == [None] * len(slots)
+        for si, pairs in row.items():
+            assert _row(bift, si, router) == [None] * (held(pairs).bit_length() + 1)
+
+
+def held(pairs):
+    """The OR of a BIFT row's F-BMs."""
+    bits = 0
+    for fbm in pairs.values():
+        bits |= fbm
+    return bits
 
 
 @settings(max_examples=150, deadline=None)
