@@ -6,6 +6,9 @@ interval.  Replaying the schedule records, at every snapshot, each
 router's state counts and one delivery record: every active group with
 the receivers its probe verified, for all multicast modes at once.
 ``emit_csv`` expands a record into one delivery row per group and mode.
+The replay steps from event to event, not from tick to tick, and takes
+each snapshot and probe before the first event past its tick.  A
+group's (S,G) key is built once, when the group is added.
 
 Both records cost what changed since the previous snapshot, not the
 size of the network.  A state snapshot reuses every router row whose
@@ -178,6 +181,8 @@ def _build_providers(section, topo):
 
 def build_scenario(config, base_dir=None):
     """Validate a scenario dict (parsed JSON) into a Scenario."""
+    if not isinstance(config, dict):
+        raise ScenarioError(f"malformed scenario: must be a JSON object, got {config!r:.40}")
     known = {"topology", "providers", "workload", "modes", "bsl",
              "snapshot_interval", "fault"}
     extra = set(config) - known
@@ -187,7 +192,11 @@ def build_scenario(config, base_dir=None):
         raise ScenarioError("scenario needs a topology section")
     topo = _build_topology_section(config["topology"], base_dir)
 
-    modes = tuple(config.get("modes", MODES))
+    modes = config.get("modes", MODES)
+    if not isinstance(modes, (list, tuple)):
+        raise ScenarioError(f"malformed scenario: modes must be a list of mode names, "
+                            f"got {modes!r:.40}")
+    modes = tuple(modes)
     if not modes:
         raise ScenarioError(f"no mode enabled (choose from {MODES})")
     for m in modes:
@@ -237,7 +246,7 @@ def load_scenario(path, modes=None):
         config = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
-    if modes is not None:
+    if modes is not None and isinstance(config, dict):
         config["modes"] = list(modes)
     try:
         return build_scenario(config, base_dir=path.parent)
@@ -258,7 +267,7 @@ class SimState:
             if any(m in UNICAST_MODES for m in scenario.modes) else None
         )
         self.sg_state = SgState() if "stateful_mcast" in scenario.modes else None
-        self.groups = {}        # group -> source edge
+        self.groups = {}        # group -> its SgKey(source edge, group), built at add_group
         self.membership = {}    # group -> set of receiver edges
         # the BFIR's map-and-encap state: group -> {si: bits}, the bitstring
         # of its members in each Set Identifier, which a join sets and a
@@ -316,18 +325,21 @@ class SimState:
         # every other event is on group args[0] and may change what its probe reads
         group = args[0]
         self._stale.add(group)
-        if kind != workload.ADD_GROUP and group not in self.groups:
-            raise SimError(f"event references unknown group {group}")
         if kind == workload.ADD_GROUP:
             group, source_edge = args
             if self.topo.roles.get(source_edge) != EDGE:
                 raise SimError(f"add_group {group} sourced at non-edge router {source_edge}")
-            if self.groups.setdefault(group, source_edge) != source_edge:
+            sg = self.groups.setdefault(group, SgKey(source_edge, group))
+            if sg.source_edge != source_edge:
                 raise SimError(f"group {group} re-added with a different source")
             self.membership.setdefault(group, set())
             self.bitstrings.setdefault(group, {})
-        elif kind == workload.JOIN:
-            group, receiver = args
+            return
+        sg = self.groups.get(group)
+        if sg is None:
+            raise SimError(f"event references unknown group {group}")
+        _, receiver = args
+        if kind == workload.JOIN:
             if self.topo.roles.get(receiver) != EDGE:
                 raise SimError(f"join of group {group} targets non-edge router {receiver}")
             self.membership[group].add(receiver)
@@ -336,10 +348,8 @@ class SimState:
                 bits = self.bitstrings[group]
                 bits[si] = bits.get(si, 0) | bier.bit_mask(bit)
             if self.sg_state is not None:
-                sg = SgKey(self.groups[group], group)
                 multicast.join(self.sg_state, self.topo, sg, receiver)
-        elif kind == workload.LEAVE:
-            group, receiver = args
+        else:
             if receiver not in self.membership[group]:
                 raise SimError(f"leave for non-member edge {receiver} of group {group}")
             self.membership[group].discard(receiver)
@@ -350,7 +360,6 @@ class SimState:
                 if not bits[si]:
                     del bits[si]
             if self.sg_state is not None:
-                sg = SgKey(self.groups[group], group)
                 multicast.leave(self.sg_state, self.topo, sg, receiver)
 
     # -- measurement ----------------------------------------------------
@@ -438,38 +447,51 @@ class SimState:
         router is walked, one hop at a time, and no multi-bit copy is
         forwarded.
         """
-        source = self.groups[group]
+        sg = self.groups[group]
         if self.sg_state is not None:
-            yield "stateful", multicast.simulate_delivery(self.sg_state, SgKey(source, group))
+            yield "stateful", multicast.simulate_delivery(self.sg_state, sg)
         if self.bift is not None:
             copies = []
             for si, bits in sorted(self.bitstrings[group].items()):
                 if self.scenario.fault == "bier_drop_lowest_bit":
                     bits &= bits - 1
-                copies += bier.flood_deliver(self.bift, si, bits, source, self.reach)
+                copies += bier.flood_deliver(self.bift, si, bits, sg.source_edge, self.reach)
             yield "bier", copies
 
 
 def run(scenario, seed=None):
     """Replay the scenario's schedule; returns (state snapshots, delivery
-    snapshots), one of each per snapshot tick, in tick order."""
+    snapshots), one of each per snapshot tick, in tick order.
+
+    Snapshot ticks are the multiples of ``snapshot_interval`` up to the
+    last event's tick, and that tick (0 for an empty schedule).  Each
+    sees every event up to its tick.  The loop walks the events, not the
+    ticks: before the first event past a snapshot tick, that snapshot
+    and its probe are taken, so a tick without an event costs nothing
+    unless a snapshot falls on it.
+    """
     params = scenario.workload
     if seed is not None:
         params = replace(params, seed=seed)
-    schedule = workload.generate(scenario.topology, params)
+    events = workload.generate(scenario.topology, params).events
     sim = SimState(scenario)
+    interval = scenario.snapshot_interval
     snapshots = []
     report = []
-    events = schedule.events
-    max_tick = events[-1].tick if events else 0
-    i = 0
-    for tick in range(max_tick + 1):
-        while i < len(events) and events[i].tick == tick:
-            sim.apply(events[i])
-            i += 1
-        if tick % scenario.snapshot_interval == 0 or tick == max_tick:
-            snapshots.append(sim.snapshot(tick))
-            report.append(sim.probe(tick))
+
+    def record(tick):
+        snapshots.append(sim.snapshot(tick))
+        report.append(sim.probe(tick))
+
+    apply = sim.apply
+    due = 0             # the next snapshot tick
+    for event in events:
+        while due < event.tick:
+            record(due)
+            due += interval
+        apply(event)
+    # every earlier snapshot tick is before the last event's
+    record(events[-1].tick if events else 0)
     return snapshots, report
 
 

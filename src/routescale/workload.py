@@ -1,8 +1,15 @@
 """Deterministic workload generator: end-site growth and group churn.
 
-A schedule is an ordered list of integer-tick events.  Generation is
-fully determined by (seed, params, topology), drawing from Python's
-``random.Random`` (Mersenne Twister) seeded with ``params.seed``.
+A schedule is an ordered list of integer-tick events, one per tick.
+Generation is fully determined by (seed, params, topology), drawing
+from Python's ``random.Random`` (Mersenne Twister) seeded with
+``params.seed``.  Each uniform pick from a list (a site's edge router,
+a group's source, the join-or-leave coin, a churned group and its
+receiver) reads ``rng.getrandbits`` the way ``Random.choice`` does on
+Python 3.10 to 3.13, so it draws the index ``choice`` would, with fewer
+calls; the coin is a pick from the kinds possible, which still draws
+when only one is.  A group's initial members still come from
+``rng.sample`` and ``rng.randint``.
 """
 
 import bisect
@@ -72,17 +79,29 @@ def generate(topo, params):
         )
 
     rng = random.Random(params.seed)
+    getrandbits = rng.getrandbits
+
+    def below(n):
+        """A uniform int in [0, n), n > 0, drawn as ``rng.choice`` draws
+        its index (``Random._randbelow_with_getrandbits``)."""
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     events = []
     tick = 0
 
+    n_edges = len(edges)
     for site_id in range(params.n_sites):
-        events.append(Event(tick, ADD_SITE, (site_id, rng.choice(edges))))
+        events.append(Event(tick, ADD_SITE, (site_id, edges[below(n_edges)])))
         tick += 1
 
     members = {}        # group -> sorted receiver edges
     outside = {}        # group -> sorted edges not receiving
     for group in range(params.n_groups):
-        events.append(Event(tick, ADD_GROUP, (group, rng.choice(edges))))
+        events.append(Event(tick, ADD_GROUP, (group, edges[below(n_edges)])))
         tick += 1
         receivers = rng.sample(edges, rng.randint(params.members_min, params.members_max))
         for receiver in receivers:
@@ -96,24 +115,32 @@ def generate(topo, params):
     joinable = [g for g in sorted(members) if outside[g]]
     leavable = [g for g in sorted(members) if members[g]]
     for _ in range(params.churn_events):
-        choices = (["join"] if joinable else []) + (["leave"] if leavable else [])
-        if not choices:
+        # the coin is a choice from ["join", "leave"], or from the one
+        # kind left, which still draws
+        if joinable and leavable:
+            join = below(2) == 0
+        elif joinable or leavable:
+            below(1)
+            join = bool(joinable)
+        else:
             break
-        if rng.choice(choices) == "join":
-            group = rng.choice(joinable)
-            receiver = rng.choice(outside[group])
+        if join:
+            group = joinable[below(len(joinable))]
+            candidates = outside[group]
+            receiver = candidates[below(len(candidates))]
             events.append(Event(tick, JOIN, (group, receiver)))
-            _move(receiver, outside[group], members[group])
-            if not outside[group]:
+            _move(receiver, candidates, members[group])
+            if not candidates:
                 joinable.remove(group)
             if len(members[group]) == 1:
                 bisect.insort(leavable, group)
         else:
-            group = rng.choice(leavable)
-            receiver = rng.choice(members[group])
+            group = leavable[below(len(leavable))]
+            candidates = members[group]
+            receiver = candidates[below(len(candidates))]
             events.append(Event(tick, LEAVE, (group, receiver)))
-            _move(receiver, members[group], outside[group])
-            if not members[group]:
+            _move(receiver, candidates, outside[group])
+            if not candidates:
                 leavable.remove(group)
             if len(outside[group]) == 1:
                 bisect.insort(joinable, group)

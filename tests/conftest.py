@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from routescale import bier, multicast
+from routescale import bier, multicast, workload
 from routescale.bier import LOCAL, bit_mask
 from routescale.errors import (
     DeliveryMismatch,
@@ -19,7 +19,7 @@ from routescale.errors import (
     SimError,
 )
 from routescale.generators import gen_topology
-from routescale.harness import DELIVERY_HEADER, STATE_HEADER, StateSnapshot
+from routescale.harness import DELIVERY_HEADER, STATE_HEADER, SimState, StateSnapshot
 from routescale.multicast import SgKey, SgState, join
 from routescale.topology import EDGE, build_topology
 from routescale.unicast import (
@@ -367,17 +367,48 @@ def full_probe(sim, tick):
 
     for group in sorted(sim.groups):
         expected = frozenset(sim.membership[group])
+        source = sim.groups[group].source_edge
         if sim.sg_state is not None:
-            sg = SgKey(sim.groups[group], group)
+            sg = SgKey(source, group)
             check(group, "stateful", multicast.simulate_delivery(sim.sg_state, sg), expected)
         if sim.bift is not None:
             delivered = []
             for si, bits in encapsulate_bier([bit_of[r] for r in expected]):
                 if sim.scenario.fault == "bier_drop_lowest_bit":
                     bits &= bits - 1
-                delivered += bier.flood_deliver(sim.bift, si, bits, sim.groups[group], {})
+                delivered += bier.flood_deliver(sim.bift, si, bits, source, {})
             check(group, "bier", delivered, expected)
     return rows
+
+
+def tick_by_tick(sim, events, interval):
+    """Replay ``events`` into ``sim`` one tick at a time, from tick 0 to
+    the last event's tick, yielding each snapshot tick (a multiple of
+    ``interval``, or the last tick) once every event up to it is
+    applied.  Costs O(ticks + events)."""
+    last = events[-1].tick if events else 0
+    i = 0
+    for tick in range(last + 1):
+        while i < len(events) and events[i].tick == tick:
+            sim.apply(events[i])
+            i += 1
+        if tick % interval == 0 or tick == last:
+            yield tick
+
+
+def reference_run(scenario, seed=None):
+    """``harness.run`` stepping every tick: the same schedule, from
+    ``workload.generate`` as looked up at the call, and a snapshot and a
+    probe at each tick ``tick_by_tick`` yields."""
+    params = scenario.workload if seed is None else replace(scenario.workload, seed=seed)
+    events = workload.generate(scenario.topology, params).events
+    sim = SimState(scenario)
+    snapshots = []
+    report = []
+    for tick in tick_by_tick(sim, events, scenario.snapshot_interval):
+        snapshots.append(sim.snapshot(tick))
+        report.append(sim.probe(tick))
+    return snapshots, report
 
 
 def assert_rows_match_schedule(scenario, report):
@@ -456,9 +487,10 @@ def schedule_from_text(text):
 
 
 def reference_generate(topo, params):
-    """``workload.generate`` re-sorting the joinable groups, the leavable
-    groups and the chosen group's candidate receivers at every churn step
-    (no parameter validation)."""
+    """``workload.generate`` drawing every pick with ``rng.choice`` and
+    re-sorting the joinable groups, the leavable groups and the chosen
+    group's candidate receivers at every churn step (no parameter
+    validation)."""
     edges = topo.edge_routers
     rng = random.Random(params.seed)
     events = []

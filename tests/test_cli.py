@@ -34,6 +34,23 @@ class TestValidate:
             assert cli_main(["validate", "--scenario", str(bad)]) == 1
             assert "malformed scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "must be a JSON object, got [1, 2]"),
+        ({"topology": {"kind": "line", "size": 3}, "modes": "bier"},
+         "modes must be a list of mode names, got 'bier'"),
+    ])
+    def test_malformed_scenario_shape(self, tmp_path, capsys, config, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        runs = [["validate"], ["run", "--out", str(tmp_path / "out")]]
+        if isinstance(config, list):
+            # --modes replaces a scenario's modes, which a list does not have
+            runs.append(["run", "--out", str(tmp_path / "out"), "--modes", "bier"])
+        for argv in runs:
+            assert cli_main([*argv, "--scenario", str(bad)]) == 1, argv
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, argv
+
     def test_link_to_undefined_router(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"topology": {"routers": [[0, "edge"]], "links": [[0, 5, 1]]}}))

@@ -18,6 +18,7 @@ from conftest import (
     full_snapshot,
     random_topology,
     reference_emit_csv,
+    reference_run,
     seeded,
     sg_as_dict,
 )
@@ -35,9 +36,10 @@ from routescale.harness import (
     load_scenario,
     run,
 )
+from routescale.multicast import SgKey
 from routescale.topology import build_topology
 from routescale.unicast import MAX_SITES
-from routescale.workload import Event
+from routescale.workload import Event, Schedule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXAMPLE_SCENARIO = Path(__file__).parent.parent / "scenarios" / "example.json"
@@ -75,6 +77,16 @@ class TestScenarioLoading:
     def test_empty_mode_list_rejected(self):
         with pytest.raises(ScenarioError, match="no mode"):
             build_scenario(small_config(modes=[]))
+
+    def test_modes_not_a_list_rejected(self):
+        # a string would otherwise be read as one mode per character
+        with pytest.raises(ScenarioError, match="modes must be a list of mode names, got 'bier'"):
+            build_scenario(small_config(modes="bier"))
+
+    @pytest.mark.parametrize("config", [[1, 2], "line", None])
+    def test_scenario_not_an_object_rejected(self, config):
+        with pytest.raises(ScenarioError, match="must be a JSON object"):
+            build_scenario(config)
 
     def test_missing_topology_rejected(self):
         with pytest.raises(ScenarioError):
@@ -347,6 +359,81 @@ class TestRun:
         assert {g: set(m) for g, m in sim.membership.items()} == before
 
 
+def snapshot_ticks(last, interval):
+    """The ticks ``run`` snapshots for a schedule ending at ``last``."""
+    return sorted(set(range(0, last + 1, interval)) | {last})
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=8),
+       modes=st.sets(st.sampled_from(MODES), min_size=1).map(
+           lambda chosen: tuple(m for m in MODES if m in chosen)),
+       bsl=st.integers(min_value=1, max_value=8), interval=st.integers(min_value=1, max_value=60),
+       n_sites=st.integers(min_value=0, max_value=4), n_groups=st.integers(min_value=0, max_value=3),
+       members_max=st.integers(min_value=1, max_value=4),
+       churn=st.integers(min_value=0, max_value=20))
+@example(seed=5, n=6, modes=MODES, bsl=2, interval=1, n_sites=2, n_groups=2, members_max=2,
+         churn=10)
+@example(seed=6, n=6, modes=MODES, bsl=2, interval=10**6, n_sites=2, n_groups=2, members_max=2,
+         churn=10)
+def test_run_matches_tick_by_tick_reference(seed, n, modes, bsl, interval, n_sites, n_groups,
+                                            members_max, churn):
+    # intervals run from every tick to past the last tick (at most 39)
+    topo = random_topology(seeded(seed), n)
+    params = workload.Params(seed=seed, n_sites=n_sites, n_groups=n_groups,
+                             members_max=min(members_max, len(topo.edge_routers)),
+                             churn_events=churn)
+    scenario = Scenario(topo, auto_providers(topo), params, modes, bsl, interval)
+    snapshots, report = run(scenario)
+    assert (snapshots, report) == reference_run(scenario)
+    last = len(workload.generate(topo, params).events) - 1
+    assert [snap.tick for snap in snapshots] == snapshot_ticks(max(last, 0), interval)
+    assert [record.tick for record in report] == [snap.tick for snap in snapshots]
+
+
+# schedules generate never makes: ticks without an event, several events
+# at one tick, and no event at all; line 3's edge routers are 0 and 2
+HAND_BUILT = {
+    "gaps and shared ticks": [
+        Event(0, workload.ADD_SITE, (0, 0)), Event(0, workload.ADD_GROUP, (0, 0)),
+        Event(4, workload.JOIN, (0, 2)), Event(4, workload.ADD_SITE, (1, 2)),
+        Event(4, workload.ADD_GROUP, (1, 2)), Event(5, workload.JOIN, (1, 0)),
+        Event(11, workload.LEAVE, (0, 2)), Event(11, workload.JOIN, (0, 0)),
+    ],
+    "first event late": [Event(7, workload.ADD_GROUP, (0, 2)), Event(7, workload.JOIN, (0, 0)),
+                         Event(9, workload.LEAVE, (0, 0))],
+    "one tick": [Event(0, workload.ADD_GROUP, (0, 0)), Event(0, workload.JOIN, (0, 2)),
+                 Event(0, workload.JOIN, (0, 0))],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("interval", [1, 2, 3, 5, 11, 12, 100])
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_run_matches_tick_by_tick_reference_on_hand_built_schedules(monkeypatch, name, interval):
+    events = HAND_BUILT[name]
+    monkeypatch.setattr(workload, "generate", lambda topo, params: Schedule(list(events)))
+    scenario = build_scenario(small_config(snapshot_interval=interval))
+    snapshots, report = run(scenario)
+    assert (snapshots, report) == reference_run(scenario)
+    last = events[-1].tick if events else 0
+    assert [snap.tick for snap in snapshots] == snapshot_ticks(last, interval)
+    # each record holds the membership after every event up to its tick
+    for record in report:
+        members = {}
+        for event in events:
+            if event.tick > record.tick:
+                break
+            group, *rest = event.args
+            if event.kind == workload.ADD_GROUP:
+                members[group] = set()
+            elif event.kind == workload.JOIN:
+                members[group].add(rest[0])
+            elif event.kind == workload.LEAVE:
+                members[group].discard(rest[0])
+        assert record.groups == [(g, frozenset(members[g])) for g in sorted(members)]
+
+
 class TestBierFloodReuse:
     """A re-probed group floods every Set Identifier it has a bitstring in,
     and a bit that already landed from its ingress is not forwarded again."""
@@ -427,7 +514,7 @@ class TestBierFloodReuse:
         sim, calls, first = self.joined(monkeypatch)
         with pytest.raises(SimError, match="re-added with a different source"):
             sim.apply(Event(1, workload.ADD_GROUP, (1, 5)))
-        assert sim.groups[1] == 1
+        assert sim.groups[1] == SgKey(1, 1)
         second, floods, forwarded = self.probe(sim, 1, calls)
         assert second.groups == first.groups == [(1, frozenset({2, 6, 10}))]
         assert floods == [(0, 0b10), (1, 0b10), (2, 0b10)]
@@ -565,7 +652,7 @@ def test_bfir_bitstrings_match_an_encapsulation_of_the_membership(seed, n, bsl, 
         if op == "add_group":
             source = edges[pick % len(edges)]
             event = (workload.ADD_GROUP, (group, source))
-            rejected = known and sim.groups[group] != source
+            rejected = known and sim.groups[group].source_edge != source
         elif op == "join":
             event = (workload.JOIN, (group, edges[pick % len(edges)]))
             rejected = not known

@@ -18,6 +18,7 @@ from conftest import (
     seeded,
     sorted_simulate_delivery,
     stub_heavy_topology,
+    tick_by_tick,
 )
 from routescale import multicast, workload
 from routescale.bier import (
@@ -196,7 +197,7 @@ def test_incremental_probe_matches_full_probe(seed, n, bsl, fault, data):
         if group not in sim.groups:
             events = [(workload.ADD_GROUP, (group, edges[pick]))]
         elif op == "add_group":
-            events = [(workload.ADD_GROUP, (group, sim.groups[group]))]
+            events = [(workload.ADD_GROUP, (group, sim.groups[group].source_edge))]
         elif op == "join":
             # may re-join a current member
             events = [(workload.JOIN, (group, edges[pick]))]
@@ -215,16 +216,11 @@ def test_fault_fixture_aborts_where_a_full_probe_does():
     with pytest.raises(DeliveryMismatch) as excinfo:
         run(scenario)
     aborted = ("mismatch", (excinfo.value.tick, excinfo.value.group, excinfo.value.mode))
-    # the same replay with a full re-probe at every snapshot
+    # the same replay, stepping every tick, with a full re-probe at every snapshot
     sim = SimState(scenario)
     events = workload.generate(scenario.topology, scenario.workload).events
-    last = events[-1].tick
-    for tick in range(last + 1):
-        for event in events:
-            if event.tick == tick:
-                sim.apply(event)
-        if tick % scenario.snapshot_interval == 0 or tick == last:
-            outcome = probe_outcome(full_probe, sim, tick)
-            if outcome[0] == "mismatch":
-                break
+    for tick in tick_by_tick(sim, events, scenario.snapshot_interval):
+        outcome = probe_outcome(full_probe, sim, tick)
+        if outcome[0] == "mismatch":
+            break
     assert outcome == aborted

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,12 @@ from conftest import (
 )
 from routescale import workload
 from routescale.errors import InvalidParams
+from routescale.harness import load_scenario
 from routescale.topology import build_topology
 from routescale.workload import Params, generate
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH_WORKLOADS = sorted((Path(__file__).parent.parent / "bench" / "workloads").glob("*.json"))
 
 
 def line3():
@@ -104,6 +107,17 @@ def test_generate_matches_resorting_reference(seed, n, data):
                     members_max=members_max,
                     churn_events=data.draw(st.integers(min_value=0, max_value=80)))
     assert generate(topo, params).events == reference_generate(topo, params).events
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 13, 21])
+@pytest.mark.parametrize("path", BENCH_WORKLOADS, ids=lambda path: path.stem)
+def test_generate_matches_resorting_reference_on_benchmark_workloads(path, seed):
+    # the ladder's lists (44 to 96 edge routers, up to 120 groups) are
+    # longer than any the hypothesis test above draws from
+    scenario = load_scenario(path)
+    params = replace(scenario.workload, seed=seed)
+    assert generate(scenario.topology, params).events == reference_generate(
+        scenario.topology, params).events
 
 
 class TestTextFormat:
