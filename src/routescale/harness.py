@@ -11,11 +11,14 @@ each snapshot and probe before the first event past its tick.  A
 group's (S,G) key is built once, when the group is added.
 
 Both records cost what changed since the previous snapshot, not the
-size of the network.  A state snapshot reuses every router row whose
-counts no event can have changed: the label and BIFT columns are fixed
-at construction, the unicast columns change only when a site is added,
-and the (S,G) column only at routers where a join or leave created or
-deleted an entry.  A delivery record is the previous one patched: only
+size of the network.  A state snapshot keeps the unicast counts, which
+depend on a router's role only, once per role, and each router's own
+counts in a row of its own (see ``StateSnapshot``).  The role counts
+change only when a site is added, which makes one new role dict and
+rebuilds no router row; the label and BIFT counts are fixed at
+construction, and the (S,G) count changes only at routers where a join
+or leave created or deleted an entry, so only those rows are rebuilt.
+A delivery record is the previous one patched: only
 the groups that had an event since are re-probed, in every multicast
 mode, comparing the delivered receivers against the membership ground
 truth, and every other group keeps the receiver set it last verified,
@@ -33,14 +36,16 @@ router, bit) in the run (see ``bier.flood_deliver``).  Any mismatch
 aborts the run so scaling numbers are never reported from an incorrect
 forwarding plane.
 
-Writing the CSVs also costs what changed: a state row or a group's
-receivers shared with an earlier snapshot is formatted once, and each
-snapshot's text is written to the file as soon as it is formatted, so
-the writer holds no more than one snapshot's text.
+Writing the CSVs also costs what changed: a role's counts, a router's
+row or a group's receivers shared with an earlier snapshot is formatted
+once, and each snapshot's text is written to the file as soon as it is
+formatted, so the writer holds no more than one snapshot's text.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, replace
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -78,11 +83,21 @@ class Scenario:
     fault: str = None
 
 
-@dataclass
-class StateSnapshot:
+class StateSnapshot(NamedTuple):
+    """Every router's state counts at ``tick``.
+
+    The unicast counts depend on a router's role only, so they are kept
+    once per role: ``roles`` maps each role to its ``(fib, mapping)``.
+    ``rows`` holds each router's own counts, ``(router, role, labels,
+    sg, bift)``, sorted by router.  state.csv's row for a router is its
+    row with ``roles[role]`` put after the role.  Snapshots share the
+    ``roles`` dict until a site is added, and each row until its counts
+    change; neither is modified once returned.
+    """
+
     tick: int
-    # rows: (router, role, fib, mapping, labels, sg, bift), sorted by router
-    rows: list = field(default_factory=list)
+    roles: dict
+    rows: list
 
 
 class DeliverySnapshot(NamedTuple):
@@ -137,12 +152,22 @@ def _integer(value, name):
     return value
 
 
+def _object(value, name):
+    """``value`` if it is a dict (a JSON object); else a ScenarioError
+    naming ``name``."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"malformed scenario: {name} must be a JSON object, "
+                            f"got {value!r:.40}")
+    return value
+
+
 def _build_topology_section(section, base_dir):
-    if "file" in section:
+    if "file" in _object(section, "topology"):
         path = Path(base_dir or ".") / section["file"]
         section = json.loads(path.read_text())
-        if "topology" in section:
+        if isinstance(section, dict) and "topology" in section:
             section = section["topology"]
+        _object(section, f"topology in {path}")
     try:
         if "kind" in section:
             section = gen_topology(section["kind"], _integer(section["size"], "topology size"))
@@ -163,8 +188,12 @@ def _build_providers(section, topo):
                 f"unicast modes support at most {MAX_PROVIDERS} (/8 locators under 0/1)"
             )
         return auto_providers(topo)
+    if not isinstance(section, list):
+        raise ScenarioError(f'malformed scenario: providers must be "auto" or a list of '
+                            f"provider objects, got {section!r:.40}")
     providers = []
     for p in section:
+        _object(p, "providers entry")
         try:
             pid = _integer(p["id"], "provider id")
             routers = frozenset(_integer(r, f"provider {pid} router") for r in p["routers"])
@@ -181,8 +210,7 @@ def _build_providers(section, topo):
 
 def build_scenario(config, base_dir=None):
     """Validate a scenario dict (parsed JSON) into a Scenario."""
-    if not isinstance(config, dict):
-        raise ScenarioError(f"malformed scenario: must be a JSON object, got {config!r:.40}")
+    _object(config, "scenario")
     known = {"topology", "providers", "workload", "modes", "bsl",
              "snapshot_interval", "fault"}
     extra = set(config) - known
@@ -211,7 +239,7 @@ def build_scenario(config, base_dir=None):
         providers = _build_providers(config.get("providers", "auto"), topo)
         check_providers(topo, providers)
 
-    params = workload.Params.from_dict(config.get("workload", {}))
+    params = workload.Params.from_dict(_object(config.get("workload", {}), "workload"))
     # so do site prefixes: one /24 under 1/1 per site id 0..n_sites-1
     if unicast and params.n_sites > MAX_SITES:
         raise ScenarioError(
@@ -299,14 +327,15 @@ class SimState:
         for r in routers:
             self._role_router.setdefault(topo.roles[r], r)
         self._n_identifiers = len(self.unicast.identifiers) if self.unicast else 0
-        cols = self._unicast_columns()
+        # role -> (fib, mapping), replaced, never modified, when a site is added
+        self._roles = self._unicast_columns()
         n_bfers = len(self.bit_of) if self.bift is not None else 0
-        # router -> its report row, in router order; a cell is rewritten
-        # only when its count may have changed (see snapshot), and no
-        # (S,G) entry exists yet
+        # router -> its own row, (router, role, labels, sg, bift), in router
+        # order; a row is replaced only when its (S,G) count may have
+        # changed (see snapshot), and no (S,G) entry exists yet
         self._rows = {r: (
-            r, topo.roles[r], *cols[topo.roles[r]],
-            self.unicast.label_entries(r) if "mpls" in self.modes else 0, 0, n_bfers,
+            r, topo.roles[r], self.unicast.label_entries(r) if "mpls" in self.modes else 0,
+            0, n_bfers,
         ) for r in routers}
 
     def apply(self, event):
@@ -373,28 +402,27 @@ class SimState:
         ) for role, router in self._role_router.items()}
 
     def snapshot(self, tick):
-        """Every router's state counts at ``tick``, sorted by router.
+        """Every router's state counts at ``tick``, as a ``StateSnapshot``.
 
         Only what an event may have changed since the previous snapshot
         is re-read: the (S,G) count at each router where an entry was
         created or deleted, and, after a site was added, the unicast
-        columns of every row.  The label and BIFT columns never change
-        after construction.  Rows that did not change are shared with
-        earlier snapshots; the returned list is never modified afterwards.
+        counts of each role, which makes a new role dict and leaves
+        every router row as it was.  The label and BIFT counts never
+        change after construction.  Rows and role dicts that did not
+        change are shared with earlier snapshots; the returned list is
+        never modified afterwards.
         """
         rows = self._rows
         if self.sg_state is not None:
             for router in self.sg_state.changed:
-                _, role, fib, mapping, labels, _, bift_n = rows[router]
-                rows[router] = (router, role, fib, mapping, labels,
-                                self.sg_state.count(router), bift_n)
+                _, role, labels, _, bift_n = rows[router]
+                rows[router] = (router, role, labels, self.sg_state.count(router), bift_n)
             self.sg_state.changed.clear()
         if self.unicast is not None and len(self.unicast.identifiers) != self._n_identifiers:
             self._n_identifiers = len(self.unicast.identifiers)
-            cols = self._unicast_columns()
-            self._rows = {router: (router, role, *cols[role], labels, sg, bift_n)
-                          for router, role, _, _, labels, sg, bift_n in rows.values()}
-        return StateSnapshot(tick, list(self._rows.values()))
+            self._roles = self._unicast_columns()
+        return StateSnapshot(tick, self._roles, list(rows.values()))
 
     def probe(self, tick):
         """One ``DeliverySnapshot`` of every active group's verified
@@ -499,11 +527,18 @@ def emit_csv(snapshots, report, out_dir):
     """Write state.csv and delivery.csv from the snapshots ``run`` returns,
     which are in tick order.
 
-    state.csv has one row per router per snapshot, in router order.
+    state.csv has one row per router per snapshot, in router order: the
+    router's row with its role's ``(fib, mapping)`` put after the role.
     delivery.csv has one row per group and multicast mode per delivery
     snapshot, in group order and then mode name order.  Each snapshot's
     lines are joined into one string and written to the open file, so
     the writer holds one snapshot's text at a time, not the file's.
+
+    A state line is formatted in three parts, each again only when it
+    changed: the router's ``router,role,`` and ``labels,sg,bift`` when
+    its row is a new object, its role's ``fib,mapping,`` when the role
+    dict is.  A new role dict rebuilds every line from the parts at C
+    speed; otherwise only a changed row's line is rebuilt.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -511,22 +546,38 @@ def emit_csv(snapshots, report, out_dir):
     delivery_path = out_dir / "delivery.csv"
 
     # a row that no event changed is the same object as the row at its
-    # position in the previous snapshot (see SimState.snapshot), so it
-    # reuses the text formatted there
+    # position in the previous snapshot, and so is a role dict no site
+    # changed (see SimState.snapshot); a line is head + cells + tail
     with open(state_path, "w") as out:
         out.write(STATE_HEADER + "\n")
-        prev_rows = prev_texts = ()
-        for snap in snapshots:
-            rows = snap.rows
-            if len(rows) == len(prev_rows):
-                texts = [text if row is prev else "%s,%s,%s,%s,%s,%s,%s" % row
-                         for row, prev, text in zip(rows, prev_rows, prev_texts)]
+        prev_roles = prev_rows = None
+        heads = tails = lines = ()
+        for tick, roles, rows in snapshots:
+            if prev_rows is None or len(rows) != len(prev_rows):
+                heads = ["%s,%s," % row[:2] for row in rows]
+                tails = ["%s,%s,%s" % row[2:] for row in rows]
+                changed = ()
+                prev_roles = None
             else:
-                texts = ["%s,%s,%s,%s,%s,%s,%s" % row for row in rows]
-            if texts:
-                out.write(f"{snap.tick}," + f"\n{snap.tick},".join(texts))
+                changed = compress(range(len(rows)), map(operator.is_not, rows, prev_rows))
+            new_roles = roles is not prev_roles
+            if new_roles:
+                cells = {role: "%s,%s," % counts for role, counts in roles.items()}
+            for i in changed:
+                router, role, labels, sg, bift_n = rows[i]
+                prev = prev_rows[i]
+                if router != prev[0] or role != prev[1]:
+                    heads[i] = f"{router},{role},"
+                tail = tails[i] = f"{labels},{sg},{bift_n}"
+                if not new_roles:
+                    lines[i] = heads[i] + cells[role] + tail
+            if new_roles:
+                row_cells = map(cells.__getitem__, map(operator.itemgetter(1), rows))
+                lines = list(map(operator.add, map(operator.add, heads, row_cells), tails))
+            if lines:
+                out.write(f"{tick}," + f"\n{tick},".join(lines))
                 out.write("\n")
-            prev_rows, prev_texts = rows, texts
+            prev_roles, prev_rows = roles, rows
 
     # every record is a verified probe: ok is 1 and delivered equals
     # expected.  A group repeats its receivers until an event on it, so

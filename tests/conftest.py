@@ -19,7 +19,7 @@ from routescale.errors import (
     SimError,
 )
 from routescale.generators import gen_topology
-from routescale.harness import DELIVERY_HEADER, STATE_HEADER, SimState, StateSnapshot
+from routescale.harness import DELIVERY_HEADER, STATE_HEADER, SimState
 from routescale.multicast import SgKey, SgState, join
 from routescale.topology import EDGE, build_topology
 from routescale.unicast import (
@@ -62,12 +62,20 @@ def expand_report(report):
             for mode in record.modes]
 
 
+def state_rows(snapshot):
+    """A ``StateSnapshot`` as state.csv's rows, without the tick: one
+    ``(router, role, fib, mapping, labels, sg, bift)`` per router row,
+    its role's unicast counts put after the role."""
+    return [(router, role, *snapshot.roles[role], *rest)
+            for router, role, *rest in snapshot.rows]
+
+
 def reference_emit_csv(snapshots, report):
     """The text of state.csv and delivery.csv, formatted one row at a
     time, with the expanded delivery rows sorted by (tick, group, mode)."""
     state = [STATE_HEADER]
     for snap in snapshots:
-        for row in snap.rows:
+        for row in state_rows(snap):
             state.append(",".join(map(str, (snap.tick, *row))))
     delivery = [DELIVERY_HEADER]
     for row in sorted(expand_report(report), key=lambda r: (r.tick, r.group, r.mode)):
@@ -436,9 +444,10 @@ def bfer_placements(edge_routers, bsl):
             for r, i in bier.assign_bfr_ids(edge_routers).items()}
 
 
-def full_snapshot(sim, tick):
-    """Every router's state counts of a ``SimState``, each read from its
-    source at this call; never reads the rows ``sim.snapshot`` keeps."""
+def full_snapshot(sim):
+    """Every router's state counts of a ``SimState``, as ``state_rows``
+    expands a snapshot, each read from its source at this call; never
+    reads the rows or role counts ``sim.snapshot`` keeps."""
     bift = expand_bift(sim.bift) if sim.bift is not None else None
     rows = []
     for router in sorted(sim.topo.roles):
@@ -451,7 +460,7 @@ def full_snapshot(sim, tick):
             sim.sg_state.count(router) if sim.sg_state is not None else 0,
             len(bift[router]) if bift is not None else 0,
         ))
-    return StateSnapshot(tick, rows)
+    return rows
 
 
 # the generator draws from random.Random, seeded with the workload seed

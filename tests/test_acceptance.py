@@ -18,6 +18,7 @@ from conftest import (
     random_topology,
     rebuild_from_membership,
     sg_as_dict,
+    state_rows,
 )
 from routescale import bier, multicast
 from routescale.bier import assign_bfr_ids, build_bift, flood_deliver, id_to_si_bit
@@ -73,11 +74,11 @@ def test_criterion_1_bift_invariance_vs_sg_growth():
         })
         snapshots, report = run(scenario)
         for snap in snapshots:
-            for _router, _role, _fib, _mapping, _labels, _sg, bift_n in snap.rows:
+            for _router, _role, _fib, _mapping, _labels, _sg, bift_n in state_rows(snap):
                 assert bift_n == 20
         final = snapshots[-1]
         results[n_groups] = max(
-            sg for _r, role, _f, _m, _l, sg, _b in final.rows if role == "core")
+            sg for _r, role, _f, _m, _l, sg, _b in state_rows(final) if role == "core")
     assert results[1000] >= 10 * results[100]
     assert results[100] > results[10]
     _passed(1, "BIFT invariance law")

@@ -38,6 +38,15 @@ class TestValidate:
         ([1, 2], "must be a JSON object, got [1, 2]"),
         ({"topology": {"kind": "line", "size": 3}, "modes": "bier"},
          "modes must be a list of mode names, got 'bier'"),
+        ({"topology": {"kind": "line", "size": 3}, "workload": "abc"},
+         "workload must be a JSON object, got 'abc'"),
+        ({"topology": {"kind": "line", "size": 3}, "workload": [1, 2]},
+         "workload must be a JSON object, got [1, 2]"),
+        ({"topology": [1, 2]}, "topology must be a JSON object, got [1, 2]"),
+        ({"topology": {"kind": "line", "size": 3}, "providers": 5},
+         'providers must be "auto" or a list of provider objects, got 5'),
+        ({"topology": {"kind": "line", "size": 3}, "providers": [5]},
+         "providers entry must be a JSON object, got 5"),
     ])
     def test_malformed_scenario_shape(self, tmp_path, capsys, config, message):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +23,7 @@ from conftest import (
     reference_run,
     seeded,
     sg_as_dict,
+    state_rows,
 )
 from routescale import bier, harness, multicast, unicast, workload
 from routescale.errors import DeliveryMismatch, ScenarioError, SimError, UnattachedSite
@@ -87,6 +90,31 @@ class TestScenarioLoading:
     def test_scenario_not_an_object_rejected(self, config):
         with pytest.raises(ScenarioError, match="must be a JSON object"):
             build_scenario(config)
+
+    # a section of the wrong JSON type is named: "abc" was read as three
+    # unknown workload params, and a list or an int raised a TypeError
+    @pytest.mark.parametrize("section, value, message", [
+        ("workload", "abc", "workload must be a JSON object, got 'abc'"),
+        ("workload", [1, 2], "workload must be a JSON object, got [1, 2]"),
+        ("workload", None, "workload must be a JSON object, got None"),
+        ("topology", [1, 2], "topology must be a JSON object, got [1, 2]"),
+        ("topology", 5, "topology must be a JSON object, got 5"),
+        ("providers", 5, 'providers must be "auto" or a list of provider objects, got 5'),
+        ("providers", "manual",
+         "providers must be \"auto\" or a list of provider objects, got 'manual'"),
+        ("providers", [5], "providers entry must be a JSON object, got 5"),
+    ])
+    def test_section_of_the_wrong_type_rejected(self, section, value, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            build_scenario(small_config(**{section: value}))
+
+    @pytest.mark.parametrize("content", [[1, 2], {"topology": "line"}])
+    def test_topology_file_of_the_wrong_type_rejected(self, tmp_path, content):
+        (tmp_path / "topo.json").write_text(json.dumps(content))
+        config = small_config(topology={"file": "topo.json"})
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"topology in {tmp_path / 'topo.json'} must be a JSON object")):
+            build_scenario(config, base_dir=tmp_path)
 
     def test_missing_topology_rejected(self):
         with pytest.raises(ScenarioError):
@@ -191,7 +219,7 @@ class TestRun:
         assert len(snapshots) == 1 and snapshots[0].tick == 0
         assert len(report) == 1 and report[0].tick == 0
         assert expand_report(report) == []
-        for _, _, _, _, _, sg, bift_n in snapshots[0].rows:
+        for _, _, _, _, _, sg, bift_n in state_rows(snapshots[0]):
             assert sg == 0
             assert bift_n == len(scenario.topology.edge_routers)
 
@@ -230,7 +258,7 @@ class TestRun:
         before = sim.snapshot(0)
         sim.apply(Event(0, workload.ADD_SITE, (0, 0)))
         after = sim.snapshot(1)
-        for b, a in zip(before.rows, after.rows):
+        for b, a in zip(state_rows(before), state_rows(after)):
             assert a[2] == b[2] + 1          # flat FIB grew by one everywhere
         # mapencap FIB unchanged: still |providers| at every router
         assert sim.unicast.encap_fib_size() == 2
@@ -246,7 +274,7 @@ class TestRun:
                 sim.apply(Event(1, workload.ADD_SITE, (4, router)))
             assert str(excinfo.value) == f"site 4 attached to non-edge router {router}"
         assert not isinstance(excinfo.value, ScenarioError)     # exit code 2
-        assert sim.snapshot(1).rows == before.rows
+        assert state_rows(sim.snapshot(1)) == state_rows(before)
 
     def test_unicast_columns_read_once_per_role(self, monkeypatch):
         # fat-edge 12: two core routers and ten edge routers
@@ -282,7 +310,7 @@ class TestRun:
             for modes in itertools.combinations(MODES, n):
                 sim = SimState(build_scenario(small_config(modes=list(modes))))
                 assert calls == [], modes
-                labels = [row[4] for row in sim.snapshot(0).rows]
+                labels = [row[4] for row in state_rows(sim.snapshot(0))]
                 if "mpls" in modes:
                     assert labels == [3, 2, 3], modes
                 else:
@@ -734,7 +762,7 @@ def test_single_mode_runs_reproduce_the_all_mode_run(path):
         column = MODE_COLUMN[mode]
         assert [snap.tick for snap in alone] == [snap.tick for snap in snapshots], mode
         for snap, mine in zip(snapshots, alone):
-            columns, mine_columns = list(zip(*snap.rows)), list(zip(*mine.rows))
+            columns, mine_columns = list(zip(*state_rows(snap))), list(zip(*state_rows(mine)))
             assert mine_columns[:2] == columns[:2], (mode, snap.tick)
             assert mine_columns[column] == columns[column], (mode, snap.tick)
             assert not any(any(counts) for i, counts in enumerate(mine_columns)
@@ -763,14 +791,15 @@ def test_incremental_snapshot_matches_full_snapshot(seed, n, bsl, data):
     ops = data.draw(st.lists(st.tuples(st.sampled_from(SNAPSHOT_OPS), st.integers(0, 2),
                                        st.integers(0, len(edges) - 1)),
                              max_size=40))
-    taken = []      # (snapshot, a copy of its rows when it was taken)
+    taken = []      # (snapshot, its expanded rows when it was taken)
     n_sites = 0
     for tick, (op, group, pick) in enumerate(ops + [("snapshot", 0, 0)]):
         members = sorted(sim.membership.get(group, ()))
         if op == "snapshot":
             snap = sim.snapshot(tick)
-            assert snap.rows == full_snapshot(sim, tick).rows
-            taken.append((snap, list(snap.rows)))
+            rows = state_rows(snap)
+            assert rows == full_snapshot(sim)
+            taken.append((snap, rows))
             continue
         if op == "add_site":
             events = [(workload.ADD_SITE, (n_sites, edges[pick]))]
@@ -788,7 +817,7 @@ def test_incremental_snapshot_matches_full_snapshot(seed, n, bsl, data):
             sim.apply(Event(tick, kind, args))
     # later events never reach an earlier snapshot
     for snap, rows in taken:
-        assert snap.rows == rows
+        assert state_rows(snap) == rows
 
 
 class TestCsv:
@@ -799,8 +828,8 @@ class TestCsv:
 
     def test_row_count_arithmetic(self, tmp_path):
         snaps = [
-            StateSnapshot(0, [(r, "edge", 0, 0, 0, 0, 0) for r in range(3)]),
-            StateSnapshot(10, [(r, "edge", 1, 0, 0, 0, 0) for r in range(3)]),
+            StateSnapshot(0, {"edge": (0, 0)}, [(r, "edge", 0, 0, 0) for r in range(3)]),
+            StateSnapshot(10, {"edge": (1, 0)}, [(r, "edge", 0, 0, 0) for r in range(3)]),
         ]
         state_path, _ = emit_csv(snaps, [], tmp_path)
         lines = state_path.read_text().splitlines()
@@ -867,7 +896,123 @@ def test_emit_csv_matches_reference_writer(seed, n, modes, bsl, interval, n_site
                              members_max=min(members_max, len(topo.edge_routers)),
                              churn_events=churn)
     scenario = Scenario(topo, auto_providers(topo), params, modes, bsl, interval)
-    snapshots, report = run(scenario)
+    assert_writes_reference_csv(*run(scenario))
+
+
+def assert_writes_reference_csv(snapshots, report):
     with tempfile.TemporaryDirectory() as out:
         got = tuple(path.read_bytes() for path in emit_csv(snapshots, report, out))
     assert got == tuple(text.encode() for text in reference_emit_csv(snapshots, report))
+
+
+def fat_edge_12_sim(**overrides):
+    """A ``SimState`` in every mode over fat-edge 12: routers 0 and 1 are
+    core, 2 to 11 edge."""
+    return SimState(build_scenario(small_config(
+        topology={"kind": "fat-edge", "size": 12}, providers="auto", **overrides)))
+
+
+def sites_between_sg_changes():
+    """Snapshots of a replay in which a site is added before every
+    snapshot, and most ticks also join or leave group 0."""
+    sim = fat_edge_12_sim()
+    edges = sim.topo.edge_routers
+    snapshots = []
+    for tick in range(12):
+        sim.apply(Event(tick, workload.ADD_SITE, (tick, edges[tick % len(edges)])))
+        if tick == 0:
+            sim.apply(Event(tick, workload.ADD_GROUP, (0, edges[0])))
+        elif tick % 4 == 3:
+            sim.apply(Event(tick, workload.LEAVE, (0, edges[tick - 2])))
+        elif tick % 4:
+            sim.apply(Event(tick, workload.JOIN, (0, edges[tick % len(edges)])))
+        snapshots.append(sim.snapshot(tick))
+    return snapshots
+
+
+ROLES = {"core": (4, 0), "edge": (4, 2)}
+ROWS = [(0, "core", 3, 1, 2), (1, "edge", 2, 0, 2), (2, "edge", 2, 1, 2)]
+SG_ROW = (2, "edge", 2, 5, 2)       # ROWS[2] after a join
+# hand-built snapshot sequences for the writer's cases that a replay
+# reaches rarely or never; a list of rows or a role dict that a case
+# repeats is the same object, as a replay shares it
+WRITER_CASES = {
+    "site_before_every_snapshot": sites_between_sg_changes,
+    "new_role_dict_same_rows": lambda: [
+        StateSnapshot(0, ROLES, ROWS),
+        StateSnapshot(1, {"core": (5, 0), "edge": (5, 2)}, ROWS),
+        StateSnapshot(2, {"core": (5, 0), "edge": (5, 2)}, list(ROWS)),
+        StateSnapshot(3, {"edge": (6, 2), "core": (6, 1)}, list(ROWS)),
+    ],
+    "same_role_dict_new_rows": lambda: [
+        StateSnapshot(0, ROLES, ROWS),
+        StateSnapshot(1, ROLES, [ROWS[0], (1, "edge", 2, 7, 2), ROWS[2]]),
+        StateSnapshot(2, ROLES, [(0, "core", 3, 1, 2), (1, "edge", 2, 7, 2), ROWS[2]]),
+        # a different router, of another role, at a position
+        StateSnapshot(3, ROLES, [ROWS[0], (5, "core", 1, 1, 1), ROWS[2]]),
+    ],
+    # a generated schedule adds every site before its first group
+    "new_rows_then_new_role_dict": lambda: [
+        StateSnapshot(0, ROLES, ROWS),
+        StateSnapshot(1, ROLES, ROWS[:2] + [SG_ROW]),
+        StateSnapshot(2, {"core": (5, 0), "edge": (5, 2)}, ROWS[:2] + [SG_ROW]),
+    ],
+    "empty_snapshot": lambda: [
+        StateSnapshot(0, {}, []),
+        StateSnapshot(1, ROLES, ROWS),
+        StateSnapshot(2, ROLES, []),
+        StateSnapshot(3, ROLES, ROWS),
+        StateSnapshot(4, {"core": (9, 0)}, []),
+        StateSnapshot(5, ROLES, ROWS),
+    ],
+    "router_count_changes": lambda: [
+        StateSnapshot(0, ROLES, ROWS),
+        StateSnapshot(1, ROLES, ROWS + [(3, "edge", 0, 0, 0), (4, "core", 0, 0, 0)]),
+        StateSnapshot(2, {"core": (1, 1), "edge": (1, 1)}, ROWS[1:]),
+        StateSnapshot(3, {"core": (1, 1), "edge": (1, 1)}, [(7, "core", 0, 0, 0)] + ROWS[2:]),
+        StateSnapshot(4, ROLES, ROWS[:1]),
+        StateSnapshot(5, ROLES, ROWS),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_emit_csv_matches_reference_writer_on_explicit_cases(case):
+    assert_writes_reference_csv(WRITER_CASES[case](), [])
+
+
+class TestSnapshotCost:
+    """A snapshot costs what changed: a site addition makes one new role
+    dict and rebuilds no router row."""
+
+    def test_site_addition_rebuilds_no_router_row(self):
+        sim = fat_edge_12_sim(workload={"seed": 1})
+        edges = sim.topo.edge_routers
+        sim.apply(Event(0, workload.ADD_GROUP, (0, edges[0])))
+        sim.apply(Event(1, workload.JOIN, (0, edges[1])))
+        before = sim.snapshot(1)
+        for tick, site in enumerate((0, 1, 2), start=2):
+            sim.apply(Event(tick, workload.ADD_SITE, (site, edges[site])))
+            after = sim.snapshot(tick)
+            assert after.roles is not before.roles
+            assert after.roles != before.roles
+            assert len(after.rows) == len(before.rows) == 12
+            assert all(a is b for a, b in zip(after.rows, before.rows))
+            before = after
+
+    def test_rows_built_are_routers_plus_sg_count_changes(self):
+        scenario = build_scenario(small_config(
+            topology={"kind": "fat-edge", "size": 12}, providers="auto", snapshot_interval=1,
+            workload={"seed": 1, "n_sites": 20, "n_groups": 4, "members_min": 2,
+                      "members_max": 5, "churn_events": 30}))
+        snapshots, _ = run(scenario)
+        sg_changes = sum(
+            row[5] != prev_row[5]
+            for prev, snap in itertools.pairwise(snapshots)
+            for row, prev_row in zip(state_rows(snap), state_rows(prev)))
+        distinct = {id(row) for snap in snapshots for row in snap.rows}
+        assert sg_changes > 0
+        assert len(distinct) <= len(scenario.topology.roles) + sg_changes
+        # one role dict per site added: site 0 is added at tick 0, before
+        # the first snapshot, and every later one at its own tick
+        assert len({id(snap.roles) for snap in snapshots}) == 20
