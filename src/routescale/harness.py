@@ -161,8 +161,31 @@ def _object(value, name):
     return value
 
 
+def _list(value, name, what):
+    """``value`` if it is a list (a JSON array) or a tuple; else a
+    ScenarioError naming ``name``, a list of ``what``."""
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"malformed scenario: {name} must be a list of {what}, "
+                            f"got {value!r:.40}")
+    return value
+
+
+def _rows(value, name, fields):
+    """``value`` if it is a list of lists of one item per name in
+    ``fields``; else a ScenarioError naming ``name``."""
+    shape = f"[{', '.join(fields)}]"
+    for row in _list(value, name, f"{shape} lists"):
+        if not isinstance(row, (list, tuple)) or len(row) != len(fields):
+            raise ScenarioError(f"malformed scenario: each of {name} must be a list "
+                                f"{shape}, got {row!r:.40}")
+    return value
+
+
 def _build_topology_section(section, base_dir):
     if "file" in _object(section, "topology"):
+        if not isinstance(section["file"], str):
+            raise ScenarioError(f"malformed scenario: topology file must be a path string, "
+                                f"got {section['file']!r:.40}")
         path = Path(base_dir or ".") / section["file"]
         section = json.loads(path.read_text())
         if isinstance(section, dict) and "topology" in section:
@@ -170,8 +193,10 @@ def _build_topology_section(section, base_dir):
         _object(section, f"topology in {path}")
     try:
         if "kind" in section:
-            section = gen_topology(section["kind"], _integer(section["size"], "topology size"))
-        return build_topology(section["routers"], section["links"])
+            spec = gen_topology(section["kind"], _integer(section["size"], "topology size"))
+            return build_topology(spec["routers"], spec["links"])
+        return build_topology(_rows(section["routers"], "topology routers", ("id", "role")),
+                              _rows(section["links"], "topology links", ("a", "b", "cost")))
     except KeyError as exc:
         raise ScenarioError(f"topology section missing key {exc}") from None
 
@@ -196,7 +221,9 @@ def _build_providers(section, topo):
         _object(p, "providers entry")
         try:
             pid = _integer(p["id"], "provider id")
-            routers = frozenset(_integer(r, f"provider {pid} router") for r in p["routers"])
+            routers = frozenset(_integer(r, f"provider {pid} router")
+                                for r in _list(p["routers"], f"provider {pid} routers",
+                                               "router ids"))
         except KeyError as exc:
             raise ScenarioError(f"provider entry missing key {exc}") from None
         if not 0 <= pid < MAX_PROVIDERS:
@@ -477,7 +504,7 @@ class SimState:
         """
         sg = self.groups[group]
         if self.sg_state is not None:
-            yield "stateful", multicast.simulate_delivery(self.sg_state, sg)
+            yield "stateful", multicast.simulate_delivery(self.sg_state, self.topo, sg)
         if self.bift is not None:
             copies = []
             for si, bits in sorted(self.bitstrings[group].items()):

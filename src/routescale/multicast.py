@@ -1,20 +1,24 @@
 """Stateful source-specific multicast: join/prune driven (S,G) state.
 
 Joins walk the reverse shortest path from the receiver's edge router
-toward the source's edge router, installing per-router (S,G) entries of
-{incoming interface, outgoing interface set}.  Because next hops are a
-deterministic function of (router, destination), join paths from
-different receivers merge into one consistent tree.  A tree is only
-ever written and read as a whole, one (S,G) at a time, so the state is
-stored tree-first: each join, prune or delivery walk reads one dict.
+toward the source's edge router, installing at each router an (S,G)
+entry that is its set of outgoing interfaces: downstream neighbours
+and/or ``LOCAL`` for local delivery.  An entry stores no incoming
+interface.  As in PIM-SM, a router's RPF neighbour toward the source is
+read from the unicast next-hop table, ``topo.toward(source)``, not kept
+as join state, so joins, prunes and the delivery walk's RPF check all
+read the one table.  Because next hops are a deterministic function of
+(router, destination), join paths from different receivers merge into
+one consistent tree.  A tree is only ever written and read as a whole,
+one (S,G) at a time, so the state is stored tree-first: each join,
+prune or delivery walk reads one dict.
 """
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import NoState, NotJoined, RpfFailure
 
-LOCAL = "local"           # iif at the source edge; oif meaning local delivery
+LOCAL = "local"           # oif meaning local delivery
 
 
 class SgKey(NamedTuple):
@@ -24,24 +28,20 @@ class SgKey(NamedTuple):
     group: int
 
 
-@dataclass(slots=True)
-class SgEntry:
-    iif: object                      # upstream neighbor RouterId, or LOCAL
-    oifs: set = field(default_factory=set)   # neighbor ids and/or LOCAL
-
-
 class SgState:
-    """(S,G) trees, ``trees[sg] = {router: SgEntry}``, and each router's
-    entry count, ``counts[router]``: the number of trees that hold it.
+    """(S,G) trees, ``trees[sg] = {router: set of oifs}``, and each
+    router's entry count, ``counts[router]``: the number of trees that
+    hold it.
 
-    ``join`` and ``leave`` keep both; a tree whose last entry is deleted
-    is dropped.  ``changed`` collects every router where an entry was
-    created or deleted, the only writes that change a router's count;
-    its reader clears it.
+    ``join`` and ``leave`` keep both; an entry is deleted when its last
+    oif is, and a tree whose last entry is deleted is dropped.
+    ``changed`` collects every router where an entry was created or
+    deleted, the only writes that change a router's count; its reader
+    clears it.
     """
 
     def __init__(self):
-        self.trees = {}              # SgKey -> {router: SgEntry}
+        self.trees = {}              # SgKey -> {router: set of oifs}
         self.counts = {}             # router -> entries
         self.changed = set()
 
@@ -52,10 +52,11 @@ class SgState:
 def join(state, topo, sg, receiver_edge):
     """Graft ``receiver_edge`` onto the (S,G) tree.
 
-    Walks from the receiver toward the source edge; stops as soon as a
-    router already has the required downstream interface (the tree above
-    is already in place).  Idempotent.  The next-hop table toward the
-    source, ``topo.toward``, is read once per join.
+    Walks from the receiver toward the source edge through the next-hop
+    table toward the source, ``topo.toward``, read once per join.  The
+    walk stops at the first router that already has an entry: a router
+    holds an entry only while the branch above it, up to the source, is
+    in place.  Idempotent.
     """
     topo.require(receiver_edge)
     source = sg.source_edge
@@ -64,80 +65,93 @@ def join(state, topo, sg, receiver_edge):
     if tree is None:
         tree = state.trees[sg] = {}
     counts = state.counts
+    changed = state.changed
     cur = receiver_edge
     downstream = LOCAL
     while True:
-        entry = tree.get(cur)
-        if entry is None:
-            entry = tree[cur] = SgEntry(LOCAL if cur == source else toward[cur])
-            counts[cur] = counts.get(cur, 0) + 1
-            state.changed.add(cur)
-        elif downstream in entry.oifs:
+        oifs = tree.get(cur)
+        if oifs is not None:
+            oifs.add(downstream)
             return state
-        entry.oifs.add(downstream)
+        tree[cur] = {downstream}
+        counts[cur] = counts.get(cur, 0) + 1
+        changed.add(cur)
         if cur == source:
             return state
         downstream = cur
-        cur = entry.iif
+        cur = toward[cur]
 
 
 def leave(state, topo, sg, receiver_edge):
     """Prune ``receiver_edge`` from the (S,G) tree.
 
     Removes local delivery at the receiver edge and propagates the prune
-    upstream as long as entries run out of outgoing interfaces.  An
+    upstream, through the next-hop table toward the source, as long as
+    entries run out of outgoing interfaces; it stops at the source.  An
     upstream router without an entry raises NoState.
     """
     topo.require(receiver_edge)
     tree = state.trees.get(sg, {})
-    entry = tree.get(receiver_edge)
-    if entry is None or LOCAL not in entry.oifs:
+    oifs = tree.get(receiver_edge)
+    if oifs is None or LOCAL not in oifs:
         raise NotJoined(f"{sg} has no local receiver at router {receiver_edge}")
+    source = sg.source_edge
+    toward = topo.toward(source)
     cur = receiver_edge
     oif = LOCAL
     while True:
-        entry.oifs.discard(oif)
-        if entry.oifs:
+        oifs.discard(oif)
+        if oifs:
             return state
         del tree[cur]
         state.counts[cur] -= 1
         state.changed.add(cur)
         if not tree:
             del state.trees[sg]
-        if entry.iif == LOCAL:
+        if cur == source:
             return state
         oif = cur
-        cur = entry.iif
-        entry = tree.get(cur)
-        if entry is None:
+        cur = toward[cur]
+        oifs = tree.get(cur)
+        if oifs is None:
             raise NoState(f"router {cur} has no state for {sg}, upstream of router {oif}")
 
 
-def simulate_delivery(state, sg):
+def simulate_delivery(state, topo, sg):
     """Edge routers receiving a local copy when the source injects one packet.
 
-    Each router a copy reaches must hold an entry (else NoState), and the
-    copy must arrive on that entry's incoming interface, LOCAL at the
-    source edge (the RPF check; else RpfFailure).  The list is a multiset
-    in no particular order: one element per local copy, so a duplicate
-    delivery shows as a repeated router.
+    The source edge replicates to its oifs, and so does each router a
+    copy reaches.  A copy sent from ``at`` to router ``oif`` must find an
+    entry there (else NoState) and must come from ``oif``'s RPF
+    neighbour, ``topo.toward(source)[oif]`` (the RPF check; else
+    RpfFailure).  The source has no RPF neighbour, so a copy sent to it
+    always fails the check; and since a router's RPF neighbour is one
+    hop nearer the source, a walk around an oif cycle fails it too.  The
+    list is a multiset in no particular order: one element per local
+    copy, so a duplicate delivery shows as a repeated router.
     """
     delivered = []
+    source = sg.source_edge
     tree = state.trees.get(sg)
-    if tree is None or sg.source_edge not in tree:
+    if tree is None or source not in tree:
         return delivered
-    stack = [(sg.source_edge, LOCAL)]
+    toward = topo.toward(source)
+    if source in tree[source]:
+        raise RpfFailure(f"router {source}: {sg} arrived from {source}, "
+                         "expected none at the source")
+    stack = [source]
     while stack:
-        at, arrived_from = stack.pop()
-        entry = tree.get(at)
-        if entry is None:
-            raise NoState(f"router {at} has no state for {sg}")
-        if entry.iif != arrived_from:
-            raise RpfFailure(
-                f"router {at}: {sg} arrived from {arrived_from}, expected {entry.iif}")
-        for oif in entry.oifs:
-            if oif == LOCAL:
-                delivered.append(at)
-            else:
-                stack.append((oif, at))
+        at = stack.pop()
+        oifs = tree[at]
+        if LOCAL in oifs:
+            delivered.append(at)
+        for oif in oifs:
+            if oif in tree:
+                if toward[oif] != at:
+                    expected = "none at the source" if oif == source else toward[oif]
+                    raise RpfFailure(
+                        f"router {oif}: {sg} arrived from {at}, expected {expected}")
+                stack.append(oif)
+            elif oif != LOCAL:
+                raise NoState(f"router {oif} has no state for {sg}")
     return delivered

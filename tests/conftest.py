@@ -138,10 +138,10 @@ def sg_total(state):
 
 
 def sg_as_dict(state):
-    """Plain-data view of an ``SgState``'s trees, ``{sg: {router: (iif,
-    oifs)}}``, for structural equality checks."""
+    """Plain-data view of an ``SgState``'s trees, ``{sg: {router:
+    frozenset(oifs)}}``, for structural equality checks."""
     return {
-        sg: {router: (e.iif, frozenset(e.oifs)) for router, e in tree.items()}
+        sg: {router: frozenset(oifs) for router, oifs in tree.items()}
         for sg, tree in state.trees.items()
     }
 
@@ -227,6 +227,24 @@ def scan_next_hop(topo, at, dest):
         if topo.adj[at][nbr] + cost[nbr][dest] == total:
             return nbr
     raise AssertionError(f"no next hop from {at} toward {dest}")
+
+
+def reference_sg_tree(topo, source, members):
+    """The (S,G) tree of ``members``, ``{router: frozenset(oifs)}``, as
+    ``sg_as_dict`` shows one tree: each member's reverse path, walked hop
+    by hop with :func:`scan_next_hop`, never a table of the Topology,
+    adds each router's downstream neighbour, and ``LOCAL`` at the member
+    itself.  Each hop is strictly nearer the source, so every walk ends
+    there.  No members, no tree: ``{}``."""
+    oifs = {}
+    for member in members:
+        cur, downstream = member, multicast.LOCAL
+        while True:
+            oifs.setdefault(cur, set()).add(downstream)
+            if cur == source:
+                break
+            cur, downstream = scan_next_hop(topo, cur, source), cur
+    return {router: frozenset(out) for router, out in oifs.items()}
 
 
 def rebuild_from_membership(topo, groups, membership):
@@ -317,9 +335,11 @@ def reference_bift(topo, placements):
             for router, hops in hop_of.items()}
 
 
-def sorted_simulate_delivery(state, sg):
+def sorted_simulate_delivery(state, topo, sg):
     """(S,G) replication visiting each router's outgoing interfaces in
-    sorted order, with the NoState and RPF checks of ``simulate_delivery``."""
+    sorted order, with the NoState and RPF checks of ``simulate_delivery``;
+    a router's RPF neighbour comes from :func:`scan_next_hop`, and the
+    source has none."""
     delivered = []
     tree = state.trees.get(sg, {})
     if sg.source_edge not in tree:
@@ -329,9 +349,11 @@ def sorted_simulate_delivery(state, sg):
         at, arrived_from = stack.pop()
         if at not in tree:
             raise NoState(f"router {at} has no state for {sg}")
-        if tree[at].iif != arrived_from:
+        rpf = (multicast.LOCAL if at == sg.source_edge
+               else scan_next_hop(topo, at, sg.source_edge))
+        if rpf != arrived_from:
             raise RpfFailure(f"router {at}: {sg} arrived from {arrived_from}")
-        for oif in sorted(tree[at].oifs, key=str):
+        for oif in sorted(tree[at], key=str):
             if oif == multicast.LOCAL:
                 delivered.append(at)
             else:
@@ -378,7 +400,8 @@ def full_probe(sim, tick):
         source = sim.groups[group].source_edge
         if sim.sg_state is not None:
             sg = SgKey(source, group)
-            check(group, "stateful", multicast.simulate_delivery(sim.sg_state, sg), expected)
+            delivered = multicast.simulate_delivery(sim.sg_state, sim.topo, sg)
+            check(group, "stateful", delivered, expected)
         if sim.bift is not None:
             delivered = []
             for si, bits in encapsulate_bier([bit_of[r] for r in expected]):

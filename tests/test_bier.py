@@ -286,7 +286,7 @@ class TestProperties:
             sg = SgKey(source, 1)
             for receiver in members:
                 multicast.join(state, topo, sg, receiver)
-            stateful = set(multicast.simulate_delivery(state, sg))
+            stateful = set(multicast.simulate_delivery(state, topo, sg))
 
             delivered = []
             for si, bits in encapsulate_bier([id_to_si_bit(ids[r], bsl) for r in members]):

@@ -47,6 +47,13 @@ class TestValidate:
          'providers must be "auto" or a list of provider objects, got 5'),
         ({"topology": {"kind": "line", "size": 3}, "providers": [5]},
          "providers entry must be a JSON object, got 5"),
+        ({"topology": {"kind": "line", "size": 3}, "providers": [{"id": 0, "routers": 5}]},
+         "provider 0 routers must be a list of router ids, got 5"),
+        ({"topology": {"routers": 5, "links": []}},
+         "topology routers must be a list of [id, role] lists, got 5"),
+        ({"topology": {"routers": [[0, "edge"]], "links": [[0, 1]]}},
+         "each of topology links must be a list [a, b, cost], got [0, 1]"),
+        ({"topology": {"file": 5}}, "topology file must be a path string, got 5"),
     ])
     def test_malformed_scenario_shape(self, tmp_path, capsys, config, message):
         bad = tmp_path / "bad.json"

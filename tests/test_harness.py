@@ -108,6 +108,28 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match=re.escape(message)):
             build_scenario(small_config(**{section: value}))
 
+    # a field of the wrong JSON type inside a section is named too: a
+    # number for a list raised "'int' object is not iterable", and a
+    # number for a file name "unsupported operand type(s) for /"
+    @pytest.mark.parametrize("section, value, message", [
+        ("providers", [{"id": 0, "routers": 5}],
+         "provider 0 routers must be a list of router ids, got 5"),
+        ("providers", [{"id": 0, "routers": "012"}],
+         "provider 0 routers must be a list of router ids, got '012'"),
+        ("topology", {"routers": 5, "links": []},
+         "topology routers must be a list of [id, role] lists, got 5"),
+        ("topology", {"routers": [[0, "edge"]], "links": 5},
+         "topology links must be a list of [a, b, cost] lists, got 5"),
+        ("topology", {"routers": [5], "links": []},
+         "each of topology routers must be a list [id, role], got 5"),
+        ("topology", {"routers": [[0, "edge"], [1, "edge"]], "links": [[0, 1]]},
+         "each of topology links must be a list [a, b, cost], got [0, 1]"),
+        ("topology", {"file": 5}, "topology file must be a path string, got 5"),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, section, value, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            build_scenario(small_config(**{section: value}))
+
     @pytest.mark.parametrize("content", [[1, 2], {"topology": "line"}])
     def test_topology_file_of_the_wrong_type_rejected(self, tmp_path, content):
         (tmp_path / "topo.json").write_text(json.dumps(content))
@@ -583,9 +605,9 @@ class TestPatchedRecord:
         probed = []
         original = multicast.simulate_delivery
 
-        def counting(state, sg):
+        def counting(state, topo, sg):
             probed.append(sg.group)
-            return original(state, sg)
+            return original(state, topo, sg)
 
         monkeypatch.setattr(multicast, "simulate_delivery", counting)
         return probed

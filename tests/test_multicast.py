@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from conftest import (
     path_to,
     random_topology,
     rebuild_from_membership,
+    reference_sg_tree,
     seeded,
     sg_as_dict,
     sg_total,
@@ -13,7 +17,6 @@ from conftest import (
 from routescale.errors import NoState, NotJoined, RpfFailure, UnknownRouter
 from routescale.multicast import (
     LOCAL,
-    SgEntry,
     SgKey,
     SgState,
     join,
@@ -21,6 +24,21 @@ from routescale.multicast import (
     simulate_delivery,
 )
 from routescale.topology import build_topology
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, a block still running after ``seconds``."""
+    def fail(*_):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def line3():
@@ -33,7 +51,7 @@ class TestJoin:
         state = SgState()
         sg = SgKey(0, 1)
         join(state, topo, sg, 0)
-        assert sg_as_dict(state) == {sg: {0: (LOCAL, frozenset({LOCAL}))}}
+        assert sg_as_dict(state) == {sg: {0: frozenset({LOCAL})}}
 
     def test_line_tree_shape(self):
         topo = line3()
@@ -41,9 +59,9 @@ class TestJoin:
         sg = SgKey(0, 1)
         join(state, topo, sg, 2)
         assert sg_as_dict(state) == {sg: {
-            2: (1, frozenset({LOCAL})),
-            1: (0, frozenset({2})),
-            0: (LOCAL, frozenset({1})),
+            2: frozenset({LOCAL}),
+            1: frozenset({2}),
+            0: frozenset({1}),
         }}
         assert state.counts == {0: 1, 1: 1, 2: 1} and state.changed == {0, 1, 2}
 
@@ -87,7 +105,7 @@ class TestLeave:
         leave(state, topo, sg, 3)
         rebuilt = rebuild_from_membership(topo, {9: 1}, {9: {2}})
         assert sg_as_dict(state) == sg_as_dict(rebuilt)
-        assert state.trees[sg][0].oifs == {2}
+        assert state.trees[sg][0] == {2}
 
     def test_leave_without_join(self):
         topo = line3()
@@ -106,37 +124,74 @@ class TestLeave:
 
 
 class TestForward:
-    """``simulate_delivery`` over hand-built trees: the replication, NoState
-    and RPF checks it makes at each router a copy reaches."""
+    """``simulate_delivery`` over trees joined on a real topology, some
+    then rewired by hand: the replication, NoState and RPF checks it
+    makes at each router a copy reaches, reading each router's RPF
+    neighbour from the next-hop table toward the source."""
 
-    def line_tree(self, transit_oifs):
+    def line_tree(self):
+        """line 3, source 0, receiver 2: ``{0: {1}, 1: {2}, 2: {LOCAL}}``."""
+        topo = line3()
         state = SgState()
         sg = SgKey(0, 1)
-        state.trees[sg] = {0: SgEntry(LOCAL, {1}), 1: SgEntry(0, transit_oifs),
-                           2: SgEntry(1, {LOCAL})}
-        return state, sg
+        join(state, topo, sg, 2)
+        return topo, state, sg
 
     def test_transit_replication(self):
-        state, sg = self.line_tree({2})
-        assert simulate_delivery(state, sg) == [2]
-        state, sg = self.line_tree({2, LOCAL})
-        assert sorted(simulate_delivery(state, sg)) == [1, 2]
+        topo, state, sg = self.line_tree()
+        assert simulate_delivery(state, topo, sg) == [2]
+        state.trees[sg][1].add(LOCAL)
+        assert sorted(simulate_delivery(state, topo, sg)) == [1, 2]
 
-    def test_rpf_failure_on_wrong_arrival(self):
-        state, sg = self.line_tree({2})
-        state.trees[sg][1].iif = 2
-        with pytest.raises(RpfFailure, match="router 1"):
-            simulate_delivery(state, sg)
+    def test_rpf_failure_on_wrong_oif(self):
+        # square 0-1-3-2-0 of unit links: 3's next hop toward source 0 is
+        # 1, the smaller of two equal-cost neighbours, so a copy that 2
+        # sends on to 3 fails the RPF check at 3
+        topo = build_topology([(0, "edge"), (1, "core"), (2, "core"), (3, "edge")],
+                              [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
+        state = SgState()
+        sg = SgKey(0, 1)
+        join(state, topo, sg, 3)
+        assert sg_as_dict(state) == {sg: {0: frozenset({1}), 1: frozenset({3}),
+                                          3: frozenset({LOCAL})}}
+        assert simulate_delivery(state, topo, sg) == [3]
+        state.trees[sg] = {0: {2}, 2: {3}, 3: {LOCAL}}
+        with pytest.raises(RpfFailure, match="router 3: .* arrived from 2, expected 1"):
+            simulate_delivery(state, topo, sg)
+
+    def test_copy_sent_back_to_the_source(self):
+        # 0 -> 1 -> 0 would replicate forever without the check
+        topo, state, sg = self.line_tree()
+        state.trees[sg][1].add(0)
+        with time_limit(2), pytest.raises(RpfFailure, match="router 0: .* arrived from 1"):
+            simulate_delivery(state, topo, sg)
+        # the source has no RPF neighbour, not even itself
+        topo, state, sg = self.line_tree()
+        state.trees[sg][0].add(0)
+        with time_limit(2), pytest.raises(RpfFailure, match="router 0: .* arrived from 0"):
+            simulate_delivery(state, topo, sg)
+
+    def test_oif_cycle_fails_the_rpf_check(self):
+        # 1 -> 2 -> 1 would replicate forever without the check
+        topo, state, sg = self.line_tree()
+        state.trees[sg][2].add(1)
+        with time_limit(2), pytest.raises(RpfFailure, match="router 1: .* arrived from 2"):
+            simulate_delivery(state, topo, sg)
+        # a router that sends a copy to itself
+        topo, state, sg = self.line_tree()
+        state.trees[sg][1].add(1)
+        with time_limit(2), pytest.raises(RpfFailure, match="router 1: .* arrived from 1"):
+            simulate_delivery(state, topo, sg)
 
     def test_no_state(self):
-        state, sg = self.line_tree({2})
+        topo, state, sg = self.line_tree()
         del state.trees[sg][2]
         with pytest.raises(NoState, match="router 2"):
-            simulate_delivery(state, sg)
+            simulate_delivery(state, topo, sg)
         # no tree, or no entry at the source: the source sends nothing
-        assert simulate_delivery(SgState(), sg) == []
+        assert simulate_delivery(SgState(), topo, sg) == []
         del state.trees[sg][0]
-        assert simulate_delivery(state, sg) == []
+        assert simulate_delivery(state, topo, sg) == []
 
     def test_fan_out_router_replicates_per_branch(self):
         topo = build_topology(
@@ -147,8 +202,9 @@ class TestForward:
         sg = SgKey(1, 5)
         for receiver in (2, 3, 4):
             join(state, topo, sg, receiver)
-        assert state.trees[sg][0] == SgEntry(1, {2, 3, 4})
-        assert sorted(simulate_delivery(state, sg)) == [2, 3, 4]
+        assert state.trees[sg][0] == {2, 3, 4}
+        assert state.trees[sg][1] == {0}
+        assert sorted(simulate_delivery(state, topo, sg)) == [2, 3, 4]
 
 
 class TestCounts:
@@ -188,7 +244,7 @@ class TestProperties:
             members = set(rng.sample(edges, rng.randint(0, len(edges))))
             for receiver in members:
                 join(state, topo, sg, receiver)
-            delivered = simulate_delivery(state, sg)
+            delivered = simulate_delivery(state, topo, sg)
             assert len(delivered) == len(set(delivered))   # no duplicates
             assert set(delivered) == members
 
@@ -265,5 +321,38 @@ def test_counts_trees_and_delivery_after_every_join_and_leave(seed, n, data):
         assert moved == state.changed
         assert sg_as_dict(state) == sg_as_dict(rebuild_from_membership(topo, groups, membership))
         for probed in sgs:
-            delivered = simulate_delivery(state, probed)
+            delivered = simulate_delivery(state, topo, probed)
             assert sorted(delivered) == sorted(membership[probed.group])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12),
+       st.data())
+def test_trees_match_the_scan_next_hop_oracle_after_every_event(seed, n, data):
+    # the oracle walks each member's reverse path with scan_next_hop, which
+    # reads no Topology table, so it checks the next hops join reads too
+    rng = seeded(seed)
+    topo = random_topology(rng, n)
+    edges = topo.edge_routers
+    sgs = [SgKey(rng.choice(edges), group) for group in (1, 2, 3)]
+    members = {sg: set() for sg in sgs}
+    state = SgState()
+    for _ in range(data.draw(st.integers(min_value=0, max_value=40))):
+        sg = data.draw(st.sampled_from(sgs))
+        if members[sg] and data.draw(st.booleans()):
+            receiver = data.draw(st.sampled_from(sorted(members[sg])))
+            leave(state, topo, sg, receiver)
+            members[sg].discard(receiver)
+        else:
+            receiver = data.draw(st.sampled_from(edges))
+            join(state, topo, sg, receiver)
+            members[sg].add(receiver)
+        expected = {sg: reference_sg_tree(topo, sg.source_edge, joined)
+                    for sg, joined in members.items() if joined}
+        assert sg_as_dict(state) == expected
+        for router in topo.roles:
+            assert state.count(router) == sum(router in tree for tree in expected.values())
+        for probed in sgs:
+            delivered = simulate_delivery(state, topo, probed)
+            assert len(delivered) == len(members[probed])
+            assert set(delivered) == members[probed]

@@ -159,8 +159,8 @@ def test_sg_replication_matches_sorted_reference(seed, n, data):
             multicast.leave(state, topo, sg, edge)
             members[sg].discard(edge)
         for probed in sgs:
-            delivered = multicast.simulate_delivery(state, probed)
-            assert Counter(delivered) == Counter(sorted_simulate_delivery(state, probed))
+            delivered = multicast.simulate_delivery(state, topo, probed)
+            assert Counter(delivered) == Counter(sorted_simulate_delivery(state, topo, probed))
             assert Counter(delivered) == Counter(members[probed])
 
 
