@@ -67,6 +67,10 @@ MODES = ("flat", "mapencap", "mpls", "stateful_mcast", "bier")
 UNICAST_MODES = ("flat", "mapencap", "mpls")
 # fault injections for testing the abort path; each perturbs BIER headers
 FAULTS = ("bier_drop_lowest_bit",)
+# a scenario's keys; only topology is required
+SECTIONS = ("topology", "providers", "workload", "modes", "bsl", "snapshot_interval", "fault")
+PROVIDER_KEYS = ("id", "routers")
+SNAPSHOT_INTERVAL = 10
 
 STATE_HEADER = "tick,router,role,fib,mapping,labels,sg,bift"
 DELIVERY_HEADER = "tick,group,mode,ok,delivered,expected"
@@ -79,7 +83,7 @@ class Scenario:
     workload: workload.Params
     modes: tuple = MODES
     bsl: int = bier.DEFAULT_BSL
-    snapshot_interval: int = 10
+    snapshot_interval: int = SNAPSHOT_INTERVAL
     fault: str = None
 
 
@@ -145,28 +149,29 @@ def auto_providers(topo):
     ]
 
 
+def _expect(ok, value, name, what):
+    """Nothing if ``ok``; else a ScenarioError: ``name`` must be ``what``."""
+    if not ok:
+        raise ScenarioError(f"malformed scenario: {name} must be {what}, got {value!r:.40}")
+
+
 def _integer(value, name):
     """``value`` if it is an ``int`` (not a bool); else a ScenarioError."""
-    if not is_int(value):
-        raise ScenarioError(f"malformed scenario: {name} must be an integer, got {value!r}")
+    _expect(is_int(value), value, name, "an integer")
     return value
 
 
-def _object(value, name):
-    """``value`` if it is a dict (a JSON object); else a ScenarioError
-    naming ``name``."""
-    if not isinstance(value, dict):
-        raise ScenarioError(f"malformed scenario: {name} must be a JSON object, "
-                            f"got {value!r:.40}")
-    return value
-
-
-def _list(value, name, what):
-    """``value`` if it is a list (a JSON array) or a tuple; else a
-    ScenarioError naming ``name``, a list of ``what``."""
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioError(f"malformed scenario: {name} must be a list of {what}, "
-                            f"got {value!r:.40}")
+def _object(value, name, keys=None, required=()):
+    """``value`` if it is a dict (a JSON object) with no key outside
+    ``keys`` (any key, if None) and every key of ``required``; else a
+    ScenarioError naming ``name`` and the first rule broken."""
+    _expect(isinstance(value, dict), value, name, "a JSON object")
+    extra = set() if keys is None else set(value) - set(keys)
+    if extra:
+        raise ScenarioError(f"unknown {name} keys: {sorted(extra)}")
+    for key in required:
+        if key not in value:
+            raise ScenarioError(f"{name} section missing key {key!r}")
     return value
 
 
@@ -174,31 +179,43 @@ def _rows(value, name, fields):
     """``value`` if it is a list of lists of one item per name in
     ``fields``; else a ScenarioError naming ``name``."""
     shape = f"[{', '.join(fields)}]"
-    for row in _list(value, name, f"{shape} lists"):
-        if not isinstance(row, (list, tuple)) or len(row) != len(fields):
-            raise ScenarioError(f"malformed scenario: each of {name} must be a list "
-                                f"{shape}, got {row!r:.40}")
+    _expect(isinstance(value, (list, tuple)), value, name, f"a list of {shape} lists")
+    for row in value:
+        _expect(isinstance(row, (list, tuple)) and len(row) == len(fields),
+                row, f"each of {name}", f"a list {shape}")
     return value
 
 
+def _read_json(path, what):
+    """The parsed JSON of file ``path``; a file that cannot be read,
+    decoded or parsed is a ScenarioError naming ``what``."""
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from None
+
+
 def _build_topology_section(section, base_dir):
-    if "file" in _object(section, "topology"):
-        if not isinstance(section["file"], str):
-            raise ScenarioError(f"malformed scenario: topology file must be a path string, "
-                                f"got {section['file']!r:.40}")
-        path = Path(base_dir or ".") / section["file"]
-        section = json.loads(path.read_text())
+    """The topology of one of three forms: ``{"file"}``, a path from
+    ``base_dir``; ``{"kind", "size"}``, a generated topology; or
+    ``{"routers", "links"}``.  A topology file holds one of the two
+    inline forms, bare or as ``{"topology": ...}``."""
+    name = "topology"
+    if "file" in _object(section, name):
+        file = _object(section, name, ("file",))["file"]
+        _expect(isinstance(file, str), file, "topology file", "a path string")
+        path = Path(base_dir or ".") / file
+        section = _read_json(path, "topology file")
         if isinstance(section, dict) and "topology" in section:
             section = section["topology"]
-        _object(section, f"topology in {path}")
-    try:
-        if "kind" in section:
-            spec = gen_topology(section["kind"], _integer(section["size"], "topology size"))
-            return build_topology(spec["routers"], spec["links"])
-        return build_topology(_rows(section["routers"], "topology routers", ("id", "role")),
-                              _rows(section["links"], "topology links", ("a", "b", "cost")))
-    except KeyError as exc:
-        raise ScenarioError(f"topology section missing key {exc}") from None
+        name = f"topology in {path}"
+    form = ("kind", "size") if "kind" in _object(section, name) else ("routers", "links")
+    _object(section, name, form, form)
+    if "kind" in section:
+        spec = gen_topology(section["kind"], _integer(section["size"], "topology size"))
+        return build_topology(spec["routers"], spec["links"])
+    return build_topology(_rows(section["routers"], "topology routers", ("id", "role")),
+                          _rows(section["links"], "topology links", ("a", "b", "cost")))
 
 
 def _build_providers(section, topo):
@@ -213,19 +230,16 @@ def _build_providers(section, topo):
                 f"unicast modes support at most {MAX_PROVIDERS} (/8 locators under 0/1)"
             )
         return auto_providers(topo)
-    if not isinstance(section, list):
-        raise ScenarioError(f'malformed scenario: providers must be "auto" or a list of '
-                            f"provider objects, got {section!r:.40}")
+    _expect(isinstance(section, list), section, "providers",
+            '"auto" or a list of provider objects')
     providers = []
     for p in section:
-        _object(p, "providers entry")
-        try:
-            pid = _integer(p["id"], "provider id")
-            routers = frozenset(_integer(r, f"provider {pid} router")
-                                for r in _list(p["routers"], f"provider {pid} routers",
-                                               "router ids"))
-        except KeyError as exc:
-            raise ScenarioError(f"provider entry missing key {exc}") from None
+        _object(p, "providers entry", PROVIDER_KEYS, PROVIDER_KEYS)
+        pid = _integer(p["id"], "provider id")
+        routers = p["routers"]
+        _expect(isinstance(routers, (list, tuple)), routers, f"provider {pid} routers",
+                "a list of router ids")
+        routers = frozenset(_integer(r, f"provider {pid} router") for r in routers)
         if not 0 <= pid < MAX_PROVIDERS:
             raise ScenarioError(
                 f"provider id {pid} out of range 0..{MAX_PROVIDERS - 1} "
@@ -237,20 +251,11 @@ def _build_providers(section, topo):
 
 def build_scenario(config, base_dir=None):
     """Validate a scenario dict (parsed JSON) into a Scenario."""
-    _object(config, "scenario")
-    known = {"topology", "providers", "workload", "modes", "bsl",
-             "snapshot_interval", "fault"}
-    extra = set(config) - known
-    if extra:
-        raise ScenarioError(f"unknown scenario keys: {sorted(extra)}")
-    if "topology" not in config:
-        raise ScenarioError("scenario needs a topology section")
+    _object(config, "scenario", SECTIONS, ("topology",))
     topo = _build_topology_section(config["topology"], base_dir)
 
     modes = config.get("modes", MODES)
-    if not isinstance(modes, (list, tuple)):
-        raise ScenarioError(f"malformed scenario: modes must be a list of mode names, "
-                            f"got {modes!r:.40}")
+    _expect(isinstance(modes, (list, tuple)), modes, "modes", "a list of mode names")
     modes = tuple(modes)
     if not modes:
         raise ScenarioError(f"no mode enabled (choose from {MODES})")
@@ -266,7 +271,8 @@ def build_scenario(config, base_dir=None):
         providers = _build_providers(config.get("providers", "auto"), topo)
         check_providers(topo, providers)
 
-    params = workload.Params.from_dict(_object(config.get("workload", {}), "workload"))
+    params = workload.Params(**_object(config.get("workload", {}), "workload",
+                                       workload.Params.__dataclass_fields__))
     # so do site prefixes: one /24 under 1/1 per site id 0..n_sites-1
     if unicast and params.n_sites > MAX_SITES:
         raise ScenarioError(
@@ -276,7 +282,7 @@ def build_scenario(config, base_dir=None):
     bsl = _integer(config.get("bsl", bier.DEFAULT_BSL), "bsl")
     if bsl < 1:
         raise ScenarioError(f"bsl must be >= 1, got {bsl}")
-    interval = _integer(config.get("snapshot_interval", 10), "snapshot_interval")
+    interval = _integer(config.get("snapshot_interval", SNAPSHOT_INTERVAL), "snapshot_interval")
     if interval < 1:
         raise ScenarioError(f"snapshot_interval must be >= 1, got {interval}")
 
@@ -297,10 +303,7 @@ def build_scenario(config, base_dir=None):
 def load_scenario(path, modes=None):
     """Read and validate a scenario file; ``modes`` replaces its modes."""
     path = Path(path)
-    try:
-        config = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
+    config = _read_json(path, "scenario")
     if modes is not None and isinstance(config, dict):
         config["modes"] = list(modes)
     try:
@@ -353,8 +356,8 @@ class SimState:
         self._role_router = {}
         for r in routers:
             self._role_router.setdefault(topo.roles[r], r)
-        self._n_identifiers = len(self.unicast.identifiers) if self.unicast else 0
-        # role -> (fib, mapping), replaced, never modified, when a site is added
+        # role -> (fib, mapping), never modified; None after a site is
+        # added, until the next snapshot builds it again
         self._roles = self._unicast_columns()
         n_bfers = len(self.bit_of) if self.bift is not None else 0
         # router -> its own row, (router, role, labels, sg, bift), in router
@@ -375,6 +378,7 @@ class SimState:
             # table holds sites, but the event is checked the same way
             if self.unicast is not None:
                 self.unicast.add_site(site_id, edge)
+                self._roles = None
             elif self.topo.roles.get(edge) != EDGE:
                 raise UnattachedSite(f"site {site_id} attached to non-edge router {edge}")
             return
@@ -446,8 +450,7 @@ class SimState:
                 _, role, labels, _, bift_n = rows[router]
                 rows[router] = (router, role, labels, self.sg_state.count(router), bift_n)
             self.sg_state.changed.clear()
-        if self.unicast is not None and len(self.unicast.identifiers) != self._n_identifiers:
-            self._n_identifiers = len(self.unicast.identifiers)
+        if self._roles is None:
             self._roles = self._unicast_columns()
         return StateSnapshot(tick, self._roles, list(rows.values()))
 

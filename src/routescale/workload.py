@@ -52,14 +52,6 @@ class Params:
         if self.n_groups > 0 and not 1 <= self.members_min <= self.members_max:
             raise InvalidParams("need 1 <= members_min <= members_max")
 
-    @classmethod
-    def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise InvalidParams(f"unknown workload params: {sorted(extra)}")
-        return cls(**d)
-
 
 @dataclass
 class Schedule:

@@ -11,6 +11,7 @@ from routescale.unicast import MAX_SITES
 FIXTURES = Path(__file__).parent / "fixtures"
 EXAMPLE_SCENARIO = str(Path(__file__).parent.parent / "scenarios" / "example.json")
 BIER_WIDE_SCENARIO = str(Path(__file__).parent.parent / "scenarios" / "bier_wide.json")
+BROKEN_TOPOLOGY = "broken_topology.json"
 
 
 class TestValidate:
@@ -54,10 +55,28 @@ class TestValidate:
         ({"topology": {"routers": [[0, "edge"]], "links": [[0, 1]]}},
          "each of topology links must be a list [a, b, cost], got [0, 1]"),
         ({"topology": {"file": 5}}, "topology file must be a path string, got 5"),
+        # each JSON object rejects a key outside its shape
+        ({"topology": {"kind": "grid", "size": 4, "cost": 3}}, "unknown topology keys: ['cost']"),
+        ({"topology": {"file": "topo.json", "kind": "star", "size": 9}},
+         "unknown topology keys: ['kind', 'size']"),
+        ({"topology": {"routers": [[0, "edge"], [1, "edge"]], "links": [[0, 1, 1]], "size": 50}},
+         "unknown topology keys: ['size']"),
+        ({"topology": {"kind": "line", "size": 3}, "modes": ["flat"],
+          "providers": [{"id": 0, "routers": [0, 1], "edge": 9}, {"id": 1, "routers": [2]}]},
+         "unknown providers entry keys: ['edge']"),
+        ({"topology": {"kind": "line", "size": 3, "links": 5}},
+         "unknown topology keys: ['links']"),
+        # an input file that cannot be read or parsed (BROKEN_TOPOLOGY holds invalid JSON)
+        pytest.param(b"\xff\xfe", "cannot read scenario", id="not UTF-8"),
+        pytest.param(b'{"topology": {"kind": "line", "size": 3}, "bsl": ' + b"1" * 4301 + b"}",
+                     "cannot read scenario", id="4301 digits"),
+        ({"topology": {"file": BROKEN_TOPOLOGY}}, "cannot read topology file"),
+        ({"topology": {"file": "missing.json"}}, "cannot read topology file"),
     ])
     def test_malformed_scenario_shape(self, tmp_path, capsys, config, message):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(config))
+        bad.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+        (tmp_path / BROKEN_TOPOLOGY).write_text('{"topology": ')
         runs = [["validate"], ["run", "--out", str(tmp_path / "out")]]
         if isinstance(config, list):
             # --modes replaces a scenario's modes, which a list does not have
@@ -207,6 +226,72 @@ def test_missing_key_exits_1(tmp_path, capsys, overrides):
         assert cli_main([*argv, "--scenario", scenario]) == 1, argv
         err = capsys.readouterr().err
         assert "validation failure" in err and "missing key" in err, err
+
+
+# a valid scenario with an inline topology, explicit providers and every mode
+INLINE_SCENARIO = {
+    "topology": {"routers": [[0, "edge"], [1, "core"], [2, "edge"]],
+                 "links": [[0, 1, 1], [1, 2, 2]]},
+    "providers": [{"id": 0, "routers": [0, 1]}, {"id": 1, "routers": [2]}],
+    "workload": {"seed": 1, "n_sites": 2, "n_groups": 1, "members_min": 1,
+                 "members_max": 2, "churn_events": 2},
+    "modes": list(harness.MODES),
+    "bsl": 8,
+    "snapshot_interval": 1,
+}
+# JSON values of six types; an edit puts one where a value of another type was
+SWAPS = (True, 1.5, "x", None, [], {})
+
+
+def containers(value, path=()):
+    """Yield ``(path, container)`` for ``value`` and each JSON object or
+    array in it, ``path`` being the keys and indices that lead to it."""
+    if isinstance(value, (dict, list)):
+        yield path, value
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from containers(item, (*path, key))
+
+
+def edited(config, path, key, value):
+    """A copy of ``config`` whose container at ``path`` holds ``value`` at ``key``."""
+    config = json.loads(json.dumps(config))
+    container = config
+    for step in path:
+        container = container[step]
+    container[key] = value
+    return config
+
+
+def test_every_edit_outside_the_shape_exits_1(tmp_path, capsys):
+    """One unknown key in any JSON object, or one value swapped for a
+    value of another JSON type anywhere below the root, fails validation
+    with exit 1: an unknown key is named, and no exception escapes."""
+    scenario = tmp_path / "scenario.json"
+
+    def validate(config):
+        scenario.write_text(json.dumps(config))
+        return cli_main(["validate", "--scenario", str(scenario)]), capsys.readouterr().err
+
+    accepted = []
+    n_edits = 0
+    for base in (json.loads(Path(EXAMPLE_SCENARIO).read_text()), INLINE_SCENARIO):
+        assert validate(base)[0] == 0
+        for path, container in containers(base):
+            if isinstance(container, dict):
+                n_edits += 1
+                rc, err = validate(edited(base, path, "zz_unknown", 1))
+                if rc != 1 or "zz_unknown" not in err:
+                    accepted.append((path, "zz_unknown", rc, err))
+            for key, value in (container.items() if isinstance(container, dict)
+                               else enumerate(container)):
+                for swap in SWAPS:
+                    if type(swap) is type(value):
+                        continue
+                    n_edits += 1
+                    rc, err = validate(edited(base, path, key, swap))
+                    if rc != 1 or not err.startswith("validation failure"):
+                        accepted.append(((*path, key), swap, rc, err))
+    assert n_edits > 300 and accepted == []
 
 
 # the classes whose failures exit with code 1; every other SimError exits 2

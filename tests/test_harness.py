@@ -130,6 +130,62 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match=re.escape(message)):
             build_scenario(small_config(**{section: value}))
 
+    # every JSON object rejects a key outside its shape and names a missing
+    # one: the first five of these ran, ignoring the key
+    @pytest.mark.parametrize("section, value, message", [
+        ("topology", {"kind": "grid", "size": 4, "cost": 3}, "unknown topology keys: ['cost']"),
+        ("topology", {"file": "topo.json", "kind": "star", "size": 9},
+         "unknown topology keys: ['kind', 'size']"),
+        ("topology", {"routers": [[0, "edge"], [1, "edge"]], "links": [[0, 1, 1]], "size": 50},
+         "unknown topology keys: ['size']"),
+        ("topology", {"kind": "line", "size": 3, "links": 5}, "unknown topology keys: ['links']"),
+        ("providers", [{"id": 0, "routers": [0, 1], "edge": 9}, {"id": 1, "routers": [2]}],
+         "unknown providers entry keys: ['edge']"),
+        ("workload", {"seed": 1, "bogus": 2}, "unknown workload keys: ['bogus']"),
+        ("topology", {"kind": "grid"}, "topology section missing key 'size'"),
+        ("topology", {"links": []}, "topology section missing key 'routers'"),
+        ("providers", [{"routers": [0, 1, 2]}], "providers entry section missing key 'id'"),
+        ("providers", [{"id": 0}], "providers entry section missing key 'routers'"),
+    ])
+    def test_key_outside_the_shape_rejected(self, section, value, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            build_scenario(small_config(**{section: value}))
+
+    # a topology file holds an inline form: it cannot name another file
+    @pytest.mark.parametrize("content, message", [
+        ({"file": "topo.json"}, "keys: ['file']"),
+        ({"topology": {"kind": "line", "size": 3, "bsl": 8}}, "keys: ['bsl']"),
+        ({"topology": {"kind": "line"}}, "section missing key 'size'"),
+    ])
+    def test_topology_file_outside_the_inline_forms_rejected(self, tmp_path, content, message):
+        (tmp_path / "topo.json").write_text(json.dumps(content))
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"topology in {tmp_path / 'topo.json'}")) as excinfo:
+            build_scenario(small_config(topology={"file": "topo.json"}), base_dir=tmp_path)
+        assert message in str(excinfo.value)
+
+    # an input file that cannot be read or parsed is a ScenarioError naming it
+    @pytest.mark.parametrize("content", [None, b"{", b"\xff\xfe",
+                                         b'{"kind": "line", "size": ' + b"1" * 4301 + b"}"],
+                             ids=["missing", "invalid JSON", "not UTF-8", "4301 digits"])
+    def test_unreadable_topology_file_rejected(self, tmp_path, content):
+        if content is not None:
+            (tmp_path / "topo.json").write_bytes(content)
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"cannot read topology file {tmp_path / 'topo.json'}: ")):
+            build_scenario(small_config(topology={"file": "topo.json"}), base_dir=tmp_path)
+
+    @pytest.mark.parametrize("content", [None, b"{", b"\xff\xfe",
+                                         b'{"topology": {"kind": "line", "size": 3}, "bsl": '
+                                         + b"1" * 4301 + b"}"],
+                             ids=["missing", "invalid JSON", "not UTF-8", "4301 digits"])
+    def test_unreadable_scenario_file_rejected(self, tmp_path, content):
+        path = tmp_path / "scenario.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ScenarioError, match=re.escape(f"cannot read scenario {path}: ")):
+            load_scenario(path)
+
     @pytest.mark.parametrize("content", [[1, 2], {"topology": "line"}])
     def test_topology_file_of_the_wrong_type_rejected(self, tmp_path, content):
         (tmp_path / "topo.json").write_text(json.dumps(content))
@@ -139,7 +195,7 @@ class TestScenarioLoading:
             build_scenario(config, base_dir=tmp_path)
 
     def test_missing_topology_rejected(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="scenario section missing key 'topology'"):
             build_scenario({"workload": {}})
 
     def test_members_max_checked_against_edges(self):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,8 +14,8 @@ from conftest import (
     seeded,
 )
 from routescale import workload
-from routescale.errors import InvalidParams
-from routescale.harness import load_scenario
+from routescale.errors import InvalidParams, ScenarioError
+from routescale.harness import build_scenario, load_scenario
 from routescale.topology import build_topology
 from routescale.workload import Params, generate
 
@@ -62,8 +63,10 @@ class TestGenerate:
             generate(line3(), Params(seed=1, n_sites=-1))
 
     def test_unknown_param_key_rejected(self):
-        with pytest.raises(InvalidParams):
-            Params.from_dict({"seed": 1, "bogus": 2})
+        # a scenario's workload section is the one way to name a param
+        with pytest.raises(ScenarioError, match=re.escape("unknown workload keys: ['bogus']")):
+            build_scenario({"topology": {"kind": "line", "size": 3},
+                            "workload": {"seed": 1, "bogus": 2}})
 
 
 class TestWellFormedness:
