@@ -54,14 +54,7 @@ from .errors import DeliveryMismatch, ScenarioError, SimError, UnattachedSite
 from .generators import gen_topology
 from .multicast import SgKey, SgState
 from .topology import EDGE, build_topology, is_int
-from .unicast import (
-    MAX_PROVIDERS,
-    MAX_SITES,
-    Provider,
-    UnicastPlane,
-    check_providers,
-    provider_prefix,
-)
+from .unicast import MAX_SITES, Provider, UnicastPlane, check_edge_count, check_providers
 
 MODES = ("flat", "mapencap", "mpls", "stateful_mcast", "bier")
 UNICAST_MODES = ("flat", "mapencap", "mpls")
@@ -143,10 +136,7 @@ def auto_providers(topo):
         at, link = (router, 0) if hub is None else (hub, topo.adj[router][hub])
         _, nearest = min((dist[at] + added + link, e) for dist, added, e in ranked)
         owned[pid_of_edge[nearest]].add(router)
-    return [
-        Provider(pid, provider_prefix(pid), frozenset(routers))
-        for pid, routers in sorted(owned.items())
-    ]
+    return [Provider(pid, frozenset(routers)) for pid, routers in sorted(owned.items())]
 
 
 def _expect(ok, value, name, what):
@@ -206,9 +196,9 @@ def _build_topology_section(section, base_dir):
         _expect(isinstance(file, str), file, "topology file", "a path string")
         path = Path(base_dir or ".") / file
         section = _read_json(path, "topology file")
-        if isinstance(section, dict) and "topology" in section:
-            section = section["topology"]
         name = f"topology in {path}"
+        if isinstance(section, dict) and "topology" in section:
+            section = _object(section, name, ("topology",))["topology"]
     form = ("kind", "size") if "kind" in _object(section, name) else ("routers", "links")
     _object(section, name, form, form)
     if "kind" in section:
@@ -220,15 +210,11 @@ def _build_topology_section(section, base_dir):
 
 def _build_providers(section, topo):
     """Providers for the unicast modes: ``"auto"`` or a list of
-    ``{"id", "routers"}``.  Locators are /8 prefixes under 0/1, so ids
-    run from 0 to MAX_PROVIDERS - 1."""
+    ``{"id", "routers"}``.  A topology of more edge routers than the
+    address plan has locators is refused first (``check_edge_count``);
+    ``check_providers`` checks the ids and routers of either form."""
+    check_edge_count(topo)
     if section == "auto":
-        n_edges = len(topo.edge_routers)
-        if n_edges > MAX_PROVIDERS:
-            raise ScenarioError(
-                f"auto providers: {n_edges} edge routers need {n_edges} providers, but "
-                f"unicast modes support at most {MAX_PROVIDERS} (/8 locators under 0/1)"
-            )
         return auto_providers(topo)
     _expect(isinstance(section, list), section, "providers",
             '"auto" or a list of provider objects')
@@ -240,12 +226,7 @@ def _build_providers(section, topo):
         _expect(isinstance(routers, (list, tuple)), routers, f"provider {pid} routers",
                 "a list of router ids")
         routers = frozenset(_integer(r, f"provider {pid} router") for r in routers)
-        if not 0 <= pid < MAX_PROVIDERS:
-            raise ScenarioError(
-                f"provider id {pid} out of range 0..{MAX_PROVIDERS - 1} "
-                "(/8 locators under 0/1)"
-            )
-        providers.append(Provider(pid, provider_prefix(pid), routers))
+        providers.append(Provider(pid, routers))
     return providers
 
 

@@ -2,10 +2,11 @@
 
 The module keeps the state whose per-router sizes a run reports; it
 forwards no packet.  All three modes share one provider/end-site
-address model over a 32-bit prefix space.  End sites carry
-provider-independent identifier prefixes (top bit set); providers carry
-aggregatable locator prefixes (top bit clear), so the two namespaces
-never overlap.
+address plan over a 32-bit address space, held as ints.  End sites
+carry provider-independent /24 identifiers under 1/1 (top bit set);
+provider ``i`` carries the aggregatable /16 locator ``i << 16`` under
+0/1 (top bit clear), so the two namespaces never overlap and a locator
+is a function of the provider id alone.
 
 A site is two ints, its id and its attached edge router: the identifier
 table maps the site's /24 identifier to that edge, as a map-and-encap
@@ -29,72 +30,31 @@ from .topology import EDGE
 
 IDENTIFIER_BASE = 0x8000_0000     # identifier space: 128.0.0.0/1
 SITE_PREFIX_LEN = 24
-PROVIDER_PREFIX_LEN = 8
-MAX_PROVIDERS = 1 << (PROVIDER_PREFIX_LEN - 1)    # /8 locators under 0/1
+PROVIDER_PREFIX_LEN = 16
+MAX_PROVIDERS = 1 << (PROVIDER_PREFIX_LEN - 1)    # /16 locators under 0/1
 MAX_SITES = 1 << (SITE_PREFIX_LEN - 1)            # /24 identifiers under 1/1
 FIRST_LABEL = 16
 
 
-@dataclass(frozen=True, order=True)
-class Prefix:
-    """Bit pattern of ``length`` leading bits in a 32-bit space."""
-
-    value: int
-    length: int
-
-    def __post_init__(self):
-        if not 0 <= self.length <= 32:
-            raise InvalidPrefix(f"prefix length {self.length} out of range")
-        mask = self.mask()
-        if self.value & ~mask & 0xFFFF_FFFF:
-            raise InvalidPrefix("prefix has bits set beyond its length")
-
-    def mask(self):
-        return ((1 << self.length) - 1) << (32 - self.length) if self.length else 0
-
-    def __str__(self):
-        return f"{self.value:#010x}/{self.length}"
-
-
-def provider_prefix(provider_id):
-    """Deterministic /8 locator prefix for a provider id."""
-    if not 0 <= provider_id < MAX_PROVIDERS:
-        raise InvalidPrefix(f"provider id {provider_id} out of range")
-    return Prefix(provider_id << 24, PROVIDER_PREFIX_LEN)
-
-
 @dataclass(frozen=True)
 class Provider:
+    """A provider id, which fixes its locator, and the routers it owns."""
+
     provider_id: int
-    locator_prefix: Prefix
     owned_routers: frozenset
 
 
-class PrefixTable:
-    """Prefix table: one exact-match dict per prefix length,
-    ``{length: {value: action}}``, holding each prefix at most once.
+class PrefixTable(dict):
+    """The site identifier table, ``{value: edge}``: one exact-match
+    dict of /24 identifiers, each held at most once, to the attached
+    edge router of its site."""
 
-    A prefix is inserted as its two ints, so a table of many prefixes
-    builds no object per prefix; the identifier table's action is the
-    site's attached edge router."""
+    __slots__ = ()
 
-    __slots__ = ("_by_length", "_count")
-
-    def __init__(self):
-        self._by_length = {}
-        self._count = 0
-
-    def __len__(self):
-        return self._count
-
-    def add(self, value, length, action):
-        table = self._by_length.get(length)
-        if table is None:
-            self._by_length[length] = table = {}
-        if value in table:
-            raise InvalidPrefix(f"duplicate prefix {Prefix(value, length)}")
-        table[value] = action
-        self._count += 1
+    def add(self, value, action):
+        if value in self:
+            raise InvalidPrefix(f"duplicate prefix {value:#010x}/{SITE_PREFIX_LEN}")
+        self[value] = action
 
 
 class LabelTables:
@@ -139,12 +99,30 @@ def establish_lsp(topo, labels, ingress, egress):
     labels.ilm[egress][in_labels[-1]] = ("pop", None, None)
 
 
+def check_edge_count(topo):
+    """Every edge router needs a provider of its own, so the unicast
+    modes refuse a topology of more edge routers than there are
+    locators, before any provider is built."""
+    n_edges = len(topo.edge_routers)
+    if n_edges > MAX_PROVIDERS:
+        raise ScenarioError(
+            f"invalid providers: {n_edges} edge routers need {n_edges} providers, but "
+            f"unicast modes support at most {MAX_PROVIDERS} (/16 locators under 0/1)"
+        )
+
+
 def check_providers(topo, providers):
     """Providers must partition the routers, each owning at least one
-    router and at most one edge."""
+    router and at most one edge, and each id must name one of the
+    MAX_PROVIDERS locators."""
     ids = set()
     owner = {}
     for p in providers:
+        if not 0 <= p.provider_id < MAX_PROVIDERS:
+            raise ScenarioError(
+                f"invalid providers: provider id {p.provider_id} out of range "
+                f"0..{MAX_PROVIDERS - 1} (/16 locators under 0/1)"
+            )
         if p.provider_id in ids:
             raise ScenarioError(f"invalid providers: duplicate provider id {p.provider_id}")
         ids.add(p.provider_id)
@@ -172,20 +150,19 @@ class UnicastPlane:
 
     Every router's FIB action for a prefix is "deliver locally" at the
     prefix's egress router and the next hop toward that egress elsewhere,
-    so the per-router FIBs are not stored: two shared tables hold the
-    site identifiers (each site's /24 -> its attached edge router) and
-    the provider locators, and every per-router size is a count derived
-    from them.  Label counts are derived from the next-hop trees, one
-    walk per hub, without building the LSP mesh.  The providers are
-    validated when the scenario is built (:func:`check_providers`).
+    so the per-router FIBs are not stored: one shared table holds the
+    site identifiers (each site's /24 -> its attached edge router), the
+    providers are counted, one distinct locator each, and every
+    per-router size is a count derived from the two.  Label counts are
+    derived from the next-hop trees, one walk per hub, without building
+    the LSP mesh.  The providers are validated when the scenario is
+    built (:func:`check_providers`).
     """
 
     def __init__(self, topo, providers):
         self.topo = topo
-        self.identifiers = PrefixTable()   # site prefix -> attached edge router
-        self.locators = PrefixTable()      # locator prefix -> Provider
-        for p in providers:
-            self.locators.add(p.locator_prefix.value, p.locator_prefix.length, p)
+        self.n_providers = len(providers)
+        self.identifiers = PrefixTable()   # site identifier -> attached edge router
 
     @cached_property
     def _label_counts(self):
@@ -241,15 +218,15 @@ class UnicastPlane:
             raise InvalidPrefix(f"site id {site_id} out of range")
         if self.topo.roles.get(edge) != EDGE:
             raise UnattachedSite(f"site {site_id} attached to non-edge router {edge}")
-        self.identifiers.add(IDENTIFIER_BASE | site_id << 8, SITE_PREFIX_LEN, edge)
+        self.identifiers.add(IDENTIFIER_BASE | site_id << 8, edge)
 
     # -- state counts -------------------------------------------------------
 
     def flat_fib_size(self):
-        return len(self.locators) + len(self.identifiers)
+        return self.n_providers + len(self.identifiers)
 
     def encap_fib_size(self):
-        return len(self.locators)
+        return self.n_providers
 
     def mapping_entries(self, router):
         return len(self.identifiers) if self.topo.roles[router] == EDGE else 0

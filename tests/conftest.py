@@ -24,10 +24,11 @@ from routescale.multicast import SgKey, SgState, join
 from routescale.topology import EDGE, build_topology
 from routescale.unicast import (
     IDENTIFIER_BASE,
+    MAX_PROVIDERS,
     MAX_SITES,
+    PROVIDER_PREFIX_LEN,
     SITE_PREFIX_LEN,
     LabelTables,
-    Prefix,
     establish_lsp,
 )
 from routescale.workload import (
@@ -100,6 +101,24 @@ def path_to(topo, source, dest):
         if len(path) > len(topo.roles):
             raise AssertionError("next-hop loop detected")
     return path
+
+
+@dataclass(frozen=True)
+class Prefix:
+    """Bit pattern of ``length`` leading bits in a 32-bit space: the
+    reference tables' prefix, which longest-prefix matching reads."""
+
+    value: int
+    length: int
+
+    def __post_init__(self):
+        if not 0 <= self.length <= 32:
+            raise InvalidPrefix(f"prefix length {self.length} out of range")
+        if self.value & ~self.mask() & 0xFFFF_FFFF:
+            raise InvalidPrefix("prefix has bits set beyond its length")
+
+    def mask(self):
+        return ((1 << self.length) - 1) << (32 - self.length) if self.length else 0
 
 
 def prefix_contains(prefix, addr):
@@ -563,6 +582,13 @@ def reference_generate(topo, params):
     return Schedule(events)
 
 
+def provider_prefix(provider_id):
+    """Deterministic /16 locator prefix under 0/1 for a provider id."""
+    if not 0 <= provider_id < MAX_PROVIDERS:
+        raise InvalidPrefix(f"provider id {provider_id} out of range")
+    return Prefix(provider_id << (32 - PROVIDER_PREFIX_LEN), PROVIDER_PREFIX_LEN)
+
+
 def site_prefix(site_id):
     """Deterministic /24 identifier prefix for a site id."""
     if not 0 <= site_id < MAX_SITES:
@@ -657,10 +683,11 @@ class MaterialisedFibs:
             # the provider's edge router if it has one, else its lowest-id
             # router: locator traffic terminates there
             anchor = edges[0] if edges else min(p.owned_routers)
-            locator_of.update((e, p.locator_prefix) for e in edges)
+            locator = provider_prefix(p.provider_id)
+            locator_of.update((e, locator) for e in edges)
             for r in routers:
-                self.flat[r][p.locator_prefix] = action(r, anchor)
-                self.encap[r][p.locator_prefix] = action(r, anchor)
+                self.flat[r][locator] = action(r, anchor)
+                self.encap[r][locator] = action(r, anchor)
         for site in sites:
             self.local_sites[site.attached_edge].append(site)
             for r in routers:

@@ -51,12 +51,12 @@ def criterion2_topology():
 
 
 def criterion2_providers():
-    from routescale.unicast import Provider, provider_prefix
+    from routescale.unicast import Provider
 
     return [
-        Provider(0, provider_prefix(0), frozenset({0, 1})),
-        Provider(1, provider_prefix(1), frozenset({2, 4})),
-        Provider(2, provider_prefix(2), frozenset({3, 5})),
+        Provider(0, frozenset({0, 1})),
+        Provider(1, frozenset({2, 4})),
+        Provider(2, frozenset({3, 5})),
     ]
 
 

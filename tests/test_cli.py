@@ -12,6 +12,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EXAMPLE_SCENARIO = str(Path(__file__).parent.parent / "scenarios" / "example.json")
 BIER_WIDE_SCENARIO = str(Path(__file__).parent.parent / "scenarios" / "bier_wide.json")
 BROKEN_TOPOLOGY = "broken_topology.json"
+# a topology file whose {"topology": ...} wrapper holds two keys beside it
+WRAPPED_TOPOLOGY = "wrapped_topology.json"
 
 
 class TestValidate:
@@ -66,6 +68,8 @@ class TestValidate:
          "unknown providers entry keys: ['edge']"),
         ({"topology": {"kind": "line", "size": 3, "links": 5}},
          "unknown topology keys: ['links']"),
+        ({"topology": {"file": WRAPPED_TOPOLOGY}, "modes": ["bier"]},
+         f"{WRAPPED_TOPOLOGY} keys: ['links', 'zz']"),
         # an input file that cannot be read or parsed (BROKEN_TOPOLOGY holds invalid JSON)
         pytest.param(b"\xff\xfe", "cannot read scenario", id="not UTF-8"),
         pytest.param(b'{"topology": {"kind": "line", "size": 3}, "bsl": ' + b"1" * 4301 + b"}",
@@ -77,6 +81,8 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         (tmp_path / BROKEN_TOPOLOGY).write_text('{"topology": ')
+        (tmp_path / WRAPPED_TOPOLOGY).write_text(json.dumps(
+            {"topology": {"kind": "line", "size": 3}, "links": 5, "zz": 1}))
         runs = [["validate"], ["run", "--out", str(tmp_path / "out")]]
         if isinstance(config, list):
             # --modes replaces a scenario's modes, which a list does not have
@@ -390,19 +396,25 @@ class TestRun:
         assert rows and all(row.split(",")[3] == "1" for row in rows)
 
     def test_modes_override_is_validated(self, tmp_path, capsys):
-        # beyond 128 edge routers a unicast mode has too few /8 locators
-        rc = cli_main(["run", "--scenario", BIER_WIDE_SCENARIO,
-                       "--out", str(tmp_path / "a"), "--modes", "flat,bier"])
+        # beyond 32,768 edge routers a unicast mode has too few /16 locators
+        assert cli_main(["gen-topology", "--kind", "star", "--size", "32770",
+                         "--out", str(tmp_path / "star.json")]) == 0
+        scenario = tmp_path / "wide.json"
+        scenario.write_text(json.dumps({"topology": {"file": "star.json"},
+                                        "modes": ["stateful_mcast"]}))
+        capsys.readouterr()
+        rc = cli_main(["run", "--scenario", str(scenario),
+                       "--out", str(tmp_path / "a"), "--modes", "flat,stateful_mcast"])
         assert rc == 1
-        assert "at most 128" in capsys.readouterr().err
+        assert "at most 32768" in capsys.readouterr().err
         # and dropping the unicast modes lifts the limit
-        config = json.loads(Path(BIER_WIDE_SCENARIO).read_text())
-        config["modes"] = ["flat", "bier"]
-        scenario = tmp_path / "wide_unicast.json"
-        scenario.write_text(json.dumps(config))
-        assert cli_main(["validate", "--scenario", str(scenario)]) == 1
-        assert cli_main(["run", "--scenario", str(scenario),
-                         "--out", str(tmp_path / "b"), "--modes", "bier"]) == 0
+        wide_unicast = tmp_path / "wide_unicast.json"
+        wide_unicast.write_text(json.dumps({"topology": {"file": "star.json"},
+                                            "modes": ["flat", "stateful_mcast"]}))
+        assert cli_main(["validate", "--scenario", str(wide_unicast)]) == 1
+        assert "at most 32768" in capsys.readouterr().err
+        assert cli_main(["run", "--scenario", str(wide_unicast),
+                         "--out", str(tmp_path / "b"), "--modes", "stateful_mcast"]) == 0
 
     def test_seed_override_is_deterministic(self, tmp_path):
         for name in ("a", "b"):

@@ -228,29 +228,46 @@ class TestScenarioLoading:
 
 
 class TestProviderValidation:
-    """Providers exist for the unicast modes only; /8 locators cap them at 128."""
+    """Providers exist for the unicast modes only; /16 locators under 0/1
+    cap them at 32,768, one per edge router at most."""
 
     def star200(self, modes):
         return small_config(topology={"kind": "star", "size": 200}, modes=modes, bsl=64,
                             workload={"seed": 3, "n_groups": 4, "members_min": 2,
                                       "members_max": 80, "churn_events": 40})
 
-    def test_bier_only_beyond_the_limit_builds(self):
+    def star(self, size, modes):
+        return small_config(topology={"kind": "star", "size": size}, modes=modes,
+                            workload={"seed": 1})
+
+    def test_bier_only_builds_no_providers(self):
         scenario = build_scenario(self.star200(["bier"]))
         assert scenario.providers == []
         sim = SimState(scenario)
         # 199 BFERs at BSL 64 span four Set Identifiers
         assert {si for si, _ in sim.bit_of.values()} == {0, 1, 2, 3}
 
-    def test_unicast_mode_beyond_the_limit_rejected(self):
-        with pytest.raises(ScenarioError, match="at most 128"):
-            build_scenario(self.star200(["flat", "bier"]))
+    def test_unicast_mode_beyond_the_limit_rejected(self, monkeypatch):
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "auto_providers", built.append)
+            with pytest.raises(ScenarioError, match="32769 edge routers .* at most 32768"):
+                build_scenario(self.star(32770, ["flat", "bier"]))
+        # refused before any provider is built
+        assert built == []
+        # one edge router fewer: a provider for each, ids 0 to 32767
+        providers = build_scenario(self.star(32769, ["flat"])).providers
+        assert [p.provider_id for p in providers] == list(range(32768))
 
     def test_explicit_provider_id_out_of_range_rejected(self):
-        config = small_config(providers=[{"id": 0, "routers": [0, 1]},
-                                         {"id": 128, "routers": [2]}])
-        with pytest.raises(ScenarioError, match="out of range"):
-            build_scenario(config)
+        def config(pid):
+            return small_config(providers=[{"id": 0, "routers": [0, 1]},
+                                           {"id": pid, "routers": [2]}])
+
+        for pid in (32768, -1):
+            with pytest.raises(ScenarioError, match=f"provider id {pid} out of range 0..32767"):
+                build_scenario(config(pid))
+        assert [p.provider_id for p in build_scenario(config(32767)).providers] == [0, 32767]
 
     def test_provider_entry_without_id_rejected(self):
         with pytest.raises(ScenarioError, match="missing key"):

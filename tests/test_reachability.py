@@ -34,7 +34,6 @@ LSP_MESH = ("bench/layers.py wraps establish_lsp, and has no way yet to skip a "
 # "module.qualified.name" -> why no scenario run reaches it
 ALLOWLIST = {
     "cli._Parser.error": ERROR_ONLY,
-    "unicast.Prefix.__str__": ERROR_ONLY,
     "cli.main": "the console-script entry; the runs here call cli_main",
     "topology.shortest_paths": WRAPPED,
     "unicast.establish_lsp": LSP_MESH,

@@ -10,6 +10,7 @@ from conftest import (
     NoMapping,
     NoRoute,
     Packet,
+    Prefix,
     Send,
     host_address,
     lsp_mesh,
@@ -17,6 +18,7 @@ from conftest import (
     mesh_entries,
     path_to,
     prefix_contains,
+    provider_prefix,
     random_topology,
     seeded,
     site_prefix,
@@ -28,11 +30,9 @@ from routescale.topology import EDGE, build_topology
 from routescale.unicast import (
     LabelTables,
     MAX_SITES,
-    Prefix,
     PrefixTable,
     UnicastPlane,
     establish_lsp,
-    provider_prefix,
 )
 
 
@@ -76,9 +76,10 @@ class TestPrefix:
 class TestPrefixTable:
     def test_duplicate_prefix_rejected(self):
         table = PrefixTable()
-        table.add(0, 8, "a")
-        with pytest.raises(InvalidPrefix):
-            table.add(0, 8, "b")
+        table.add(0x8000_0000, "a")
+        with pytest.raises(InvalidPrefix, match=r"^duplicate prefix 0x80000000/24$"):
+            table.add(0x8000_0000, "b")
+        assert table == {0x8000_0000: "a"}
 
 
 def y_topology():
@@ -110,13 +111,6 @@ class TestFlatFib:
     def test_site_on_non_edge_router_rejected(self):
         with pytest.raises(UnattachedSite):
             plane_with_sites(line3(), [(0, 1)])
-
-
-def table_contents(table):
-    """``{(length, value): action}`` of every prefix in a PrefixTable."""
-    return {(length, value): action
-            for length, by_value in table._by_length.items()
-            for value, action in by_value.items()}
 
 
 def reference_add_site_error(topo, accepted, site_id, edge):
@@ -179,9 +173,7 @@ class TestIdentifierTable:
             else:
                 assert expected is None
                 accepted[site_id] = edge
-            assert len(plane.identifiers) == len(accepted)
-            assert table_contents(plane.identifiers) == {
-                (24, site_prefix(i).value): e for i, e in accepted.items()}
+            assert plane.identifiers == {site_prefix(i).value: e for i, e in accepted.items()}
             fibs = MaterialisedFibs(topo, providers,
                                     [make_site(i, e) for i, e in accepted.items()])
             for r in topo.roles:
@@ -353,43 +345,67 @@ def planes(draw):
     return plane, MaterialisedFibs(topo, providers, sites), providers, sites
 
 
+def check_against_the_reference(plane, fibs, providers, sites, unrouted_from):
+    """Sizes match the materialised tables at every router, a walk from
+    every router reaches each site, and one unregistered site and every
+    locator are unrouted as inner destinations from each router of
+    ``unrouted_from``."""
+    topo = plane.topo
+    for r in topo.roles:
+        assert plane.flat_fib_size() == fibs.flat_fib_size(r)
+        assert plane.encap_fib_size() == fibs.encap_fib_size(r)
+        assert plane.mapping_entries(r) == fibs.mapping_entries(r)
+        assert plane.label_entries(r) == fibs.label_entries(r)
+    unrouted = [host_address(site_prefix(len(sites)))]
+    unrouted += [host_address(provider_prefix(p.provider_id)) for p in providers]
+    no_ingress = {"flat": NoRoute, "mapencap": NoMapping, "mpls": NoLabelBinding}
+    for mode in ("flat", "mapencap", "mpls"):
+        for src in topo.roles:
+            # only flat forwards an inner address from a core router
+            ingress = mode == "flat" or topo.roles[src] == "edge"
+            for site in sites:
+                outcome = walk(fibs, mode, src, host_address(site.identifier_prefix))
+                if not ingress:
+                    assert outcome is no_ingress[mode]
+                    continue
+                path = path_to(topo, src, site.attached_edge)
+                # a FIB lookup at every hop in flat; in map-and-encap
+                # at every hop once encapsulated; in MPLS only the
+                # ingress classification, none at transit
+                if mode == "flat":
+                    made = dict.fromkeys(path, 1)
+                elif len(path) == 1:
+                    made = {}
+                elif mode == "mapencap":
+                    made = dict.fromkeys(path, 1)
+                else:
+                    made = {src: 1}
+                assert outcome == (site.site_id, path, made)
+            if src not in unrouted_from:
+                continue
+            for addr in unrouted:
+                outcome = walk(fibs, mode, src, addr)
+                assert outcome is (NoRoute if ingress else no_ingress[mode])
+
+
 class TestDerivedTables:
     @settings(max_examples=100, deadline=None)
     @given(planes())
     def test_sizes_match_and_every_walk_reaches_its_site(self, drawn):
         plane, fibs, providers, sites = drawn
-        topo = plane.topo
-        for r in topo.roles:
-            assert plane.flat_fib_size() == fibs.flat_fib_size(r)
-            assert plane.encap_fib_size() == fibs.encap_fib_size(r)
-            assert plane.mapping_entries(r) == fibs.mapping_entries(r)
-            assert plane.label_entries(r) == fibs.label_entries(r)
-        # every site, one unregistered site, every locator
-        unrouted = [host_address(site_prefix(len(sites)))]
-        unrouted += [host_address(p.locator_prefix) for p in providers]
-        no_ingress = {"flat": NoRoute, "mapencap": NoMapping, "mpls": NoLabelBinding}
-        for mode in ("flat", "mapencap", "mpls"):
-            for src in topo.roles:
-                # only flat forwards an inner address from a core router
-                ingress = mode == "flat" or topo.roles[src] == "edge"
-                for site in sites:
-                    outcome = walk(fibs, mode, src, host_address(site.identifier_prefix))
-                    if not ingress:
-                        assert outcome is no_ingress[mode]
-                        continue
-                    path = path_to(topo, src, site.attached_edge)
-                    # a FIB lookup at every hop in flat; in map-and-encap
-                    # at every hop once encapsulated; in MPLS only the
-                    # ingress classification, none at transit
-                    if mode == "flat":
-                        made = dict.fromkeys(path, 1)
-                    elif len(path) == 1:
-                        made = {}
-                    elif mode == "mapencap":
-                        made = dict.fromkeys(path, 1)
-                    else:
-                        made = {src: 1}
-                    assert outcome == (site.site_id, path, made)
-                for addr in unrouted:
-                    outcome = walk(fibs, mode, src, addr)
-                    assert outcome is (NoRoute if ingress else no_ingress[mode])
+        check_against_the_reference(plane, fibs, providers, sites, plane.topo.roles)
+
+    def test_star_200_past_the_old_cap(self):
+        # 199 providers, ids 0 to 198: more than /8 locators under 0/1
+        # could number; the locator walks start at the hub and at the edge
+        # routers of the lowest and highest ids
+        topo = stub_heavy_topology("star 200")
+        providers = auto_providers(topo)
+        assert [p.provider_id for p in providers] == list(range(199))
+        sites = [make_site(i, edge) for i, edge in enumerate([1, 2, 100, 199, 199, 57])]
+        plane = UnicastPlane(topo, providers)
+        for site in sites:
+            plane.add_site(site.site_id, site.attached_edge)
+        assert plane.flat_fib_size() == 205 and plane.encap_fib_size() == 199
+        fibs = MaterialisedFibs(topo, providers, sites)
+        check_against_the_reference(plane, fibs, providers, sites, [0, 1, 199])
