@@ -507,12 +507,15 @@ def run(scenario, seed=None):
     sees every event up to its tick.  The loop walks the events, not the
     ticks: before the first event past a snapshot tick, that snapshot
     and its probe are taken, so a tick without an event costs nothing
-    unless a snapshot falls on it.
+    unless a snapshot falls on it.  Each event is dropped from the
+    schedule once applied, so the schedule shrinks as the state grows.
     """
     params = scenario.workload
     if seed is not None:
         params = replace(params, seed=seed)
     events = workload.generate(scenario.topology, params).events
+    events.reverse()        # popped from the end, in tick order
+    last = events[0].tick if events else 0
     sim = SimState(scenario)
     interval = scenario.snapshot_interval
     snapshots = []
@@ -523,14 +526,16 @@ def run(scenario, seed=None):
         report.append(sim.probe(tick))
 
     apply = sim.apply
+    pop = events.pop
     due = 0             # the next snapshot tick
-    for event in events:
+    while events:
+        event = pop()
         while due < event.tick:
             record(due)
             due += interval
         apply(event)
     # every earlier snapshot tick is before the last event's
-    record(events[-1].tick if events else 0)
+    record(last)
     return snapshots, report
 
 

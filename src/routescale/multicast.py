@@ -2,16 +2,18 @@
 
 Joins walk the reverse shortest path from the receiver's edge router
 toward the source's edge router, installing at each router an (S,G)
-entry that is its set of outgoing interfaces: downstream neighbours
-and/or ``LOCAL`` for local delivery.  An entry stores no incoming
-interface.  As in PIM-SM, a router's RPF neighbour toward the source is
-read from the unicast next-hop table, ``topo.toward(source)``, not kept
-as join state, so joins, prunes and the delivery walk's RPF check all
-read the one table.  Because next hops are a deterministic function of
-(router, destination), join paths from different receivers merge into
-one consistent tree.  A tree is only ever written and read as a whole,
-one (S,G) at a time, so the state is stored tree-first: each join,
-prune or delivery walk reads one dict.
+entry that is its outgoing interfaces: downstream neighbours and/or
+``LOCAL`` for local delivery.  Most entries hold one oif, and such an
+entry holds it bare (the router id, or ``LOCAL``); a ``set`` is made
+only at the second oif, so each size has one form.  An entry stores no
+incoming interface.  As in PIM-SM, a router's RPF neighbour toward the
+source is read from the unicast next-hop table, ``topo.toward(source)``,
+not kept as join state, so joins, prunes and the delivery walk's RPF
+check all read the one table.  Because next hops are a deterministic
+function of (router, destination), join paths from different receivers
+merge into one consistent tree.  A tree is only ever written and read
+as a whole, one (S,G) at a time, so the state is stored tree-first:
+each join, prune or delivery walk reads one dict.
 """
 
 from typing import NamedTuple
@@ -29,19 +31,20 @@ class SgKey(NamedTuple):
 
 
 class SgState:
-    """(S,G) trees, ``trees[sg] = {router: set of oifs}``, and each
-    router's entry count, ``counts[router]``: the number of trees that
-    hold it.
+    """(S,G) trees, ``trees[sg] = {router: oif or set of >= 2 oifs}``,
+    and each router's entry count, ``counts[router]``: the number of
+    trees that hold it.
 
     ``join`` and ``leave`` keep both; an entry is deleted when its last
-    oif is, and a tree whose last entry is deleted is dropped.
+    oif is, goes back to bare when one oif is left in its set, and a
+    tree whose last entry is deleted is dropped.
     ``changed`` collects every router where an entry was created or
     deleted, the only writes that change a router's count; its reader
     clears it.
     """
 
     def __init__(self):
-        self.trees = {}              # SgKey -> {router: set of oifs}
+        self.trees = {}              # SgKey -> {router: oif or set of >= 2 oifs}
         self.counts = {}             # router -> entries
         self.changed = set()
 
@@ -71,9 +74,12 @@ def join(state, topo, sg, receiver_edge):
     while True:
         oifs = tree.get(cur)
         if oifs is not None:
-            oifs.add(downstream)
+            if oifs.__class__ is set:
+                oifs.add(downstream)
+            elif oifs != downstream:
+                tree[cur] = {oifs, downstream}
             return state
-        tree[cur] = {downstream}
+        tree[cur] = downstream
         counts[cur] = counts.get(cur, 0) + 1
         changed.add(cur)
         if cur == source:
@@ -93,15 +99,19 @@ def leave(state, topo, sg, receiver_edge):
     topo.require(receiver_edge)
     tree = state.trees.get(sg, {})
     oifs = tree.get(receiver_edge)
-    if oifs is None or LOCAL not in oifs:
+    if oifs is None or (LOCAL not in oifs if oifs.__class__ is set else oifs != LOCAL):
         raise NotJoined(f"{sg} has no local receiver at router {receiver_edge}")
     source = sg.source_edge
     toward = topo.toward(source)
     cur = receiver_edge
     oif = LOCAL
     while True:
-        oifs.discard(oif)
-        if oifs:
+        if oifs.__class__ is set:
+            oifs.discard(oif)
+            if len(oifs) == 1:
+                tree[cur] = oifs.pop()
+            return state
+        if oifs != oif:
             return state
         del tree[cur]
         state.counts[cur] -= 1
@@ -136,22 +146,29 @@ def simulate_delivery(state, topo, sg):
     if tree is None or source not in tree:
         return delivered
     toward = topo.toward(source)
-    if source in tree[source]:
-        raise RpfFailure(f"router {source}: {sg} arrived from {source}, "
-                         "expected none at the source")
     stack = [source]
     while stack:
         at = stack.pop()
         oifs = tree[at]
-        if LOCAL in oifs:
+        if oifs.__class__ is set:
+            if LOCAL in oifs:
+                delivered.append(at)
+            for oif in oifs:
+                if oif in tree:
+                    if toward[oif] != at or oif == source:
+                        expected = "none at the source" if oif == source else toward[oif]
+                        raise RpfFailure(
+                            f"router {oif}: {sg} arrived from {at}, expected {expected}")
+                    stack.append(oif)
+                elif oif != LOCAL:
+                    raise NoState(f"router {oif} has no state for {sg}")
+        elif oifs == LOCAL:
             delivered.append(at)
-        for oif in oifs:
-            if oif in tree:
-                if toward[oif] != at:
-                    expected = "none at the source" if oif == source else toward[oif]
-                    raise RpfFailure(
-                        f"router {oif}: {sg} arrived from {at}, expected {expected}")
-                stack.append(oif)
-            elif oif != LOCAL:
-                raise NoState(f"router {oif} has no state for {sg}")
+        elif oifs in tree:
+            if toward[oifs] != at or oifs == source:
+                expected = "none at the source" if oifs == source else toward[oifs]
+                raise RpfFailure(f"router {oifs}: {sg} arrived from {at}, expected {expected}")
+            stack.append(oifs)
+        else:
+            raise NoState(f"router {oifs} has no state for {sg}")
     return delivered

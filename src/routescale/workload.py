@@ -10,6 +10,11 @@ Python 3.10 to 3.13, so it draws the index ``choice`` would, with fewer
 calls; the coin is a pick from the kinds possible, which still draws
 when only one is.  A group's initial members still come from
 ``rng.sample`` and ``rng.randint``.
+
+A group is kept as its members' sorted positions in the edge router
+list, nothing more: a join's receiver, the k-th edge router outside the
+group in id order, is found from the members by bisection, so memory
+grows with the members, not with groups times edge routers.
 """
 
 import bisect
@@ -62,7 +67,8 @@ def generate(topo, params):
     """Deterministic schedule: site growth, group setup, then churn.
 
     Sources and receivers are drawn uniformly from the edge routers.
-    Every Leave matches a live Join by construction.
+    Every Leave matches a live Join by construction.  The schedule is
+    complete at return; a caller may consume its event list.
     """
     edges = topo.edge_routers
     if params.n_groups > 0 and params.members_max > len(edges):
@@ -90,22 +96,21 @@ def generate(topo, params):
         events.append(Event(tick, ADD_SITE, (site_id, edges[below(n_edges)])))
         tick += 1
 
-    members = {}        # group -> sorted receiver edges
-    outside = {}        # group -> sorted edges not receiving
+    members = {}        # group -> sorted positions in edges of its receivers
     for group in range(params.n_groups):
         events.append(Event(tick, ADD_GROUP, (group, edges[below(n_edges)])))
         tick += 1
-        receivers = rng.sample(edges, rng.randint(params.members_min, params.members_max))
-        for receiver in receivers:
-            events.append(Event(tick, JOIN, (group, receiver)))
+        # sample picks positions of a range as it picks the edges at them
+        picked = rng.sample(range(n_edges), rng.randint(params.members_min, params.members_max))
+        for i in picked:
+            events.append(Event(tick, JOIN, (group, edges[i])))
             tick += 1
-        members[group] = sorted(receivers)
-        outside[group] = sorted(set(edges) - set(receivers))
+        members[group] = sorted(picked)
 
     # groups that can take a join / a leave, kept sorted as membership
     # changes so that each draw sees the same sequence as a fresh sort
-    joinable = [g for g in sorted(members) if outside[g]]
-    leavable = [g for g in sorted(members) if members[g]]
+    joinable = [g for g in range(params.n_groups) if len(members[g]) < n_edges]
+    leavable = [g for g in range(params.n_groups) if members[g]]
     for _ in range(params.churn_events):
         # the coin is a choice from ["join", "leave"], or from the one
         # kind left, which still draws
@@ -118,30 +123,26 @@ def generate(topo, params):
             break
         if join:
             group = joinable[below(len(joinable))]
-            candidates = outside[group]
-            receiver = candidates[below(len(candidates))]
-            events.append(Event(tick, JOIN, (group, receiver)))
-            _move(receiver, candidates, members[group])
-            if not candidates:
+            pos = members[group]
+            k = below(n_edges - len(pos))
+            # the k-th position outside the group is k plus the number of
+            # members j with pos[j] - j, the outsiders before pos[j], <= k
+            j = bisect.bisect_right(range(len(pos)), k, key=lambda i: pos[i] - i)
+            pos.insert(j, k + j)
+            events.append(Event(tick, JOIN, (group, edges[k + j])))
+            if len(pos) == n_edges:
                 joinable.remove(group)
-            if len(members[group]) == 1:
+            if len(pos) == 1:
                 bisect.insort(leavable, group)
         else:
             group = leavable[below(len(leavable))]
-            candidates = members[group]
-            receiver = candidates[below(len(candidates))]
-            events.append(Event(tick, LEAVE, (group, receiver)))
-            _move(receiver, candidates, outside[group])
-            if not candidates:
+            pos = members[group]
+            events.append(Event(tick, LEAVE, (group, edges[pos.pop(below(len(pos)))])))
+            if not pos:
                 leavable.remove(group)
-            if len(outside[group]) == 1:
+            if len(pos) == n_edges - 1:
                 bisect.insort(joinable, group)
         tick += 1
 
     return Schedule(events)
 
-
-def _move(item, source, dest):
-    """Move ``item`` from sorted list ``source`` into sorted list ``dest``."""
-    source.remove(item)
-    bisect.insort(dest, item)

@@ -156,11 +156,23 @@ def sg_total(state):
     return sum(len(tree) for tree in state.trees.values())
 
 
+def oif_set(entry):
+    """The oifs of a stored (S,G) entry as a frozenset: a set of two or
+    more oifs, or one oif held bare."""
+    return frozenset(entry) if isinstance(entry, set) else frozenset((entry,))
+
+
+def sg_entry(oifs):
+    """The stored form of an (S,G) entry with the oifs ``oifs``: its one
+    oif bare, or a set of two or more."""
+    return next(iter(oifs)) if len(oifs) == 1 else set(oifs)
+
+
 def sg_as_dict(state):
     """Plain-data view of an ``SgState``'s trees, ``{sg: {router:
     frozenset(oifs)}}``, for structural equality checks."""
     return {
-        sg: {router: frozenset(oifs) for router, oifs in tree.items()}
+        sg: {router: oif_set(entry) for router, entry in tree.items()}
         for sg, tree in state.trees.items()
     }
 
@@ -372,7 +384,7 @@ def sorted_simulate_delivery(state, topo, sg):
                else scan_next_hop(topo, at, sg.source_edge))
         if rpf != arrived_from:
             raise RpfFailure(f"router {at}: {sg} arrived from {arrived_from}")
-        for oif in sorted(tree[at], key=str):
+        for oif in sorted(oif_set(tree[at]), key=str):
             if oif == multicast.LOCAL:
                 delivered.append(at)
             else:

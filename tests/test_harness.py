@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import re
@@ -22,7 +23,6 @@ from conftest import (
     reference_emit_csv,
     reference_run,
     seeded,
-    sg_as_dict,
     state_rows,
 )
 from routescale import bier, harness, multicast, unicast, workload
@@ -423,7 +423,8 @@ class TestRun:
         assert len(holding) >= 2
 
     def test_probe_leaves_sg_state_unchanged(self):
-        # a probe replicates over each entry's own oif set, not a copy
+        # a probe replicates over each entry as stored, not a copy: a bare
+        # oif stays bare and a set keeps its oifs
         scenario = build_scenario(small_config(
             topology={"kind": "fat-edge", "size": 12}, modes=["stateful_mcast"],
             workload={"seed": 3, "n_groups": 3, "members_min": 1, "members_max": 4,
@@ -431,9 +432,26 @@ class TestRun:
         sim = SimState(scenario)
         for event in workload.generate(scenario.topology, scenario.workload).events:
             sim.apply(event)
-            before = sg_as_dict(sim.sg_state)
+            before = copy.deepcopy(sim.sg_state.trees)
             sim.probe(event.tick)
-            assert sg_as_dict(sim.sg_state) == before
+            assert sim.sg_state.trees == before
+
+    def test_run_keeps_no_applied_event(self, monkeypatch):
+        # each event is dropped from the schedule once applied, so by the
+        # end of the run the schedule generate returned holds none
+        schedules = []
+        generate = workload.generate
+
+        def keep(topo, params):
+            schedules.append(generate(topo, params))
+            return schedules[-1]
+
+        monkeypatch.setattr(workload, "generate", keep)
+        scenario = build_scenario(small_config(modes=["stateful_mcast", "bier"]))
+        snapshots, _ = run(scenario)
+        (schedule,) = schedules
+        assert snapshots[-1].tick == len(generate(scenario.topology, scenario.workload).events) - 1
+        assert schedule.events == []
 
     def test_unknown_event_kind_rejected(self):
         sim = SimState(build_scenario(small_config(workload={"seed": 1})))

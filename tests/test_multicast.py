@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    oif_set,
     path_to,
     random_topology,
     rebuild_from_membership,
     reference_sg_tree,
     seeded,
     sg_as_dict,
+    sg_entry,
     sg_total,
 )
 from routescale.errors import NoState, NotJoined, RpfFailure, UnknownRouter
@@ -45,6 +47,13 @@ def line3():
     return build_topology([(0, "edge"), (1, "core"), (2, "edge")], [(0, 1, 1), (1, 2, 1)])
 
 
+def add_oif(state, sg, router, oif):
+    """Add ``oif`` to ``router``'s (S,G) entry by hand, keeping the entry
+    in its stored form."""
+    tree = state.trees[sg]
+    tree[router] = sg_entry(oif_set(tree[router]) | {oif})
+
+
 class TestJoin:
     def test_receiver_at_source_edge(self):
         topo = line3()
@@ -64,6 +73,17 @@ class TestJoin:
             0: frozenset({1}),
         }}
         assert state.counts == {0: 1, 1: 1, 2: 1} and state.changed == {0, 1, 2}
+
+    def test_one_oif_is_held_bare_and_a_second_makes_a_set(self):
+        topo = build_topology([(0, "edge"), (1, "core"), (2, "edge"), (3, "edge")],
+                              [(0, 1, 1), (1, 2, 1), (1, 3, 1)])
+        state = SgState()
+        sg = SgKey(0, 1)
+        join(state, topo, sg, 2)
+        assert state.trees == {sg: {0: 1, 1: 2, 2: LOCAL}}
+        join(state, topo, sg, 3)
+        join(state, topo, sg, 0)
+        assert state.trees == {sg: {0: {1, LOCAL}, 1: {2, 3}, 2: LOCAL, 3: LOCAL}}
 
     def test_join_is_idempotent(self):
         topo = line3()
@@ -105,7 +125,7 @@ class TestLeave:
         leave(state, topo, sg, 3)
         rebuilt = rebuild_from_membership(topo, {9: 1}, {9: {2}})
         assert sg_as_dict(state) == sg_as_dict(rebuilt)
-        assert state.trees[sg][0] == {2}
+        assert state.trees[sg][0] == 2     # one oif left: bare again
 
     def test_leave_without_join(self):
         topo = line3()
@@ -140,7 +160,7 @@ class TestForward:
     def test_transit_replication(self):
         topo, state, sg = self.line_tree()
         assert simulate_delivery(state, topo, sg) == [2]
-        state.trees[sg][1].add(LOCAL)
+        add_oif(state, sg, 1, LOCAL)
         assert sorted(simulate_delivery(state, topo, sg)) == [1, 2]
 
     def test_rpf_failure_on_wrong_oif(self):
@@ -155,37 +175,43 @@ class TestForward:
         assert sg_as_dict(state) == {sg: {0: frozenset({1}), 1: frozenset({3}),
                                           3: frozenset({LOCAL})}}
         assert simulate_delivery(state, topo, sg) == [3]
-        state.trees[sg] = {0: {2}, 2: {3}, 3: {LOCAL}}
+        state.trees[sg] = {0: 2, 2: 3, 3: LOCAL}
         with pytest.raises(RpfFailure, match="router 3: .* arrived from 2, expected 1"):
             simulate_delivery(state, topo, sg)
 
     def test_copy_sent_back_to_the_source(self):
         # 0 -> 1 -> 0 would replicate forever without the check
         topo, state, sg = self.line_tree()
-        state.trees[sg][1].add(0)
+        add_oif(state, sg, 1, 0)
         with time_limit(2), pytest.raises(RpfFailure, match="router 0: .* arrived from 1"):
             simulate_delivery(state, topo, sg)
         # the source has no RPF neighbour, not even itself
         topo, state, sg = self.line_tree()
-        state.trees[sg][0].add(0)
+        add_oif(state, sg, 0, 0)
+        with time_limit(2), pytest.raises(RpfFailure, match="router 0: .* arrived from 0"):
+            simulate_delivery(state, topo, sg)
+        state.trees[sg] = {0: 0}            # the same, as a bare oif
         with time_limit(2), pytest.raises(RpfFailure, match="router 0: .* arrived from 0"):
             simulate_delivery(state, topo, sg)
 
     def test_oif_cycle_fails_the_rpf_check(self):
         # 1 -> 2 -> 1 would replicate forever without the check
         topo, state, sg = self.line_tree()
-        state.trees[sg][2].add(1)
+        add_oif(state, sg, 2, 1)
         with time_limit(2), pytest.raises(RpfFailure, match="router 1: .* arrived from 2"):
             simulate_delivery(state, topo, sg)
         # a router that sends a copy to itself
         topo, state, sg = self.line_tree()
-        state.trees[sg][1].add(1)
+        add_oif(state, sg, 1, 1)
         with time_limit(2), pytest.raises(RpfFailure, match="router 1: .* arrived from 1"):
             simulate_delivery(state, topo, sg)
 
     def test_no_state(self):
         topo, state, sg = self.line_tree()
         del state.trees[sg][2]
+        with pytest.raises(NoState, match="router 2"):
+            simulate_delivery(state, topo, sg)
+        add_oif(state, sg, 1, LOCAL)        # the same, from a set of oifs
         with pytest.raises(NoState, match="router 2"):
             simulate_delivery(state, topo, sg)
         # no tree, or no entry at the source: the source sends nothing
@@ -203,7 +229,7 @@ class TestForward:
         for receiver in (2, 3, 4):
             join(state, topo, sg, receiver)
         assert state.trees[sg][0] == {2, 3, 4}
-        assert state.trees[sg][1] == {0}
+        assert state.trees[sg][1] == 0
         assert sorted(simulate_delivery(state, topo, sg)) == [2, 3, 4]
 
 
@@ -356,3 +382,34 @@ def test_trees_match_the_scan_next_hop_oracle_after_every_event(seed, n, data):
             delivered = simulate_delivery(state, topo, probed)
             assert len(delivered) == len(members[probed])
             assert set(delivered) == members[probed]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12),
+       st.data())
+def test_entries_keep_one_stored_form_after_every_event(seed, n, data):
+    # one oif is held bare and two or more in a set, so each entry equals
+    # the reference's oifs in that form; a drawn receiver that is a member
+    # leaves, any other joins
+    rng = seeded(seed)
+    topo = random_topology(rng, n)
+    edges = topo.edge_routers
+    sgs = [SgKey(rng.choice(edges), group) for group in (1, 2)]
+    members = {sg: set() for sg in sgs}
+    state = SgState()
+    for _ in range(data.draw(st.integers(min_value=0, max_value=40))):
+        sg = data.draw(st.sampled_from(sgs))
+        receiver = data.draw(st.sampled_from(edges))
+        if receiver in members[sg]:
+            leave(state, topo, sg, receiver)
+            members[sg].discard(receiver)
+        else:
+            join(state, topo, sg, receiver)
+            members[sg].add(receiver)
+        for tree in state.trees.values():
+            for router, entry in tree.items():
+                assert not isinstance(entry, set) or len(entry) >= 2, (router, entry)
+        assert state.trees == {
+            sg: {router: sg_entry(oifs)
+                 for router, oifs in reference_sg_tree(topo, sg.source_edge, joined).items()}
+            for sg, joined in members.items() if joined}

@@ -112,12 +112,23 @@ def test_generate_matches_resorting_reference(seed, n, data):
     assert generate(topo, params).events == reference_generate(topo, params).events
 
 
+# 800 edge routers and groups of up to 100 members: member lists far
+# longer than the ladder's, most of each group's positions outside it
+FAT_EDGE_1000_GROUPS = {
+    "topology": {"kind": "fat-edge", "size": 1000},
+    "workload": {"seed": 1, "n_groups": 40, "members_min": 2, "members_max": 100,
+                 "churn_events": 400},
+    "modes": ["stateful_mcast"],
+}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 13, 21])
-@pytest.mark.parametrize("path", BENCH_WORKLOADS, ids=lambda path: path.stem)
-def test_generate_matches_resorting_reference_on_benchmark_workloads(path, seed):
+@pytest.mark.parametrize("source", BENCH_WORKLOADS + [FAT_EDGE_1000_GROUPS],
+                         ids=lambda source: getattr(source, "stem", "fat_edge_1000_groups"))
+def test_generate_matches_resorting_reference_on_benchmark_workloads(source, seed):
     # the ladder's lists (44 to 96 edge routers, up to 120 groups) are
     # longer than any the hypothesis test above draws from
-    scenario = load_scenario(path)
+    scenario = build_scenario(source) if isinstance(source, dict) else load_scenario(source)
     params = replace(scenario.workload, seed=seed)
     assert generate(scenario.topology, params).events == reference_generate(
         scenario.topology, params).events
