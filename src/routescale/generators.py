@@ -6,21 +6,15 @@ Each generator returns a JSON-ready dict ``{"routers": [[id, role], ...],
 
 from .errors import InvalidParams
 
-KINDS = ("line", "star", "grid", "fat-edge")
-
 
 def gen_topology(kind, size):
     if size < 1:
         raise InvalidParams(f"size must be >= 1, got {size}")
-    if kind == "line":
-        return _line(size)
-    if kind == "star":
-        return _star(size)
-    if kind == "grid":
-        return _grid(size)
-    if kind == "fat-edge":
-        return _fat_edge(size)
-    raise InvalidParams(f"unknown topology kind {kind!r} (choose from {KINDS})")
+    # only a str is looked up: a list or dict kind cannot be a dict key
+    generator = _GENERATORS.get(kind) if isinstance(kind, str) else None
+    if generator is None:
+        raise InvalidParams(f"unknown topology kind {kind!r} (choose from {KINDS})")
+    return generator(size)
 
 
 def _line(n):
@@ -76,3 +70,8 @@ def _fat_edge(n):
     for i in range(n_core, n):
         links.append([(i - n_core) % n_core, i, 1])
     return {"routers": roles, "links": links}
+
+
+# kind -> its generator, in the order the CLI lists them
+_GENERATORS = {"line": _line, "star": _star, "grid": _grid, "fat-edge": _fat_edge}
+KINDS = tuple(_GENERATORS)

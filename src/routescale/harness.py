@@ -274,11 +274,8 @@ def build_scenario(config, base_dir=None):
         if "bier" not in modes:
             raise ScenarioError(f"fault {fault!r} needs mode 'bier', which is not enabled")
 
-    scenario = Scenario(topo, providers, params, modes, bsl, interval, fault)
-    # workload feasibility
-    if params.n_groups > 0 and params.members_max > len(topo.edge_routers):
-        raise ScenarioError("members_max exceeds number of edge routers")
-    return scenario
+    workload.check_members_max(topo, params)
+    return Scenario(topo, providers, params, modes, bsl, interval, fault)
 
 
 def load_scenario(path, modes=None):
@@ -446,11 +443,11 @@ class SimState:
         its membership in every multicast mode, in group order, so the
         mismatch raised is the one a probe of every group would raise
         first; it re-forwards the (S,G) packet and the group's BIER
-        packets (see ``_copies``).  Any other group keeps the receiver set
-        it last verified: only events on a group write its (S,G) entries
-        and its bitstrings, and the BIFT never changes.  A group verified
-        before a mismatch keeps its new pair; the failing group and those
-        after it stay stale.
+        packets (see ``_probe_group``).  Any other group keeps the
+        receiver set it last verified: only events on a group write its
+        (S,G) entries and its bitstrings, and the BIFT never changes.  A
+        group verified before a mismatch keeps its new pair; the failing
+        group and those after it stay stale.
         """
         verified = self._verified
         if len(verified) != len(self.groups):
@@ -465,20 +462,13 @@ class SimState:
         return DeliverySnapshot(tick, self.probe_modes, list(verified.values()))
 
     def _probe_group(self, tick, group):
-        """Probe ``group`` in every multicast mode; returns its membership,
-        or raises DeliveryMismatch unless each mode delivers one copy to
-        each member and no other."""
-        expected = frozenset(self.membership[group])
-        for mode, copies in self._copies(group):
-            if frozenset(copies) != expected or len(copies) != len(expected):
-                raise DeliveryMismatch(tick, group, mode, copies, expected)
-        return expected
+        """Probe ``group`` in each mode of ``probe_modes``, in report
+        order; returns its membership, or raises DeliveryMismatch at the
+        first mode that does not deliver one copy to each member and no
+        other, before a later mode's packet is forwarded.
 
-    def _copies(self, group):
-        """Yield ``(mode, receiver of each delivered copy)`` per multicast
-        mode in report order, forwarding each mode's packet only when asked.
-
-        The BFIR sends one BIER packet per Set Identifier in
+        The stateful mode injects one (S,G) packet at the source.  In the
+        bier mode the BFIR sends one BIER packet per Set Identifier in
         ``self.bitstrings[group]``, in SI order, each carrying that SI's
         bits after the fault, if any.  Every SI is flooded through
         ``self.reach``: each set bit is looked up in the ingress's row,
@@ -486,16 +476,20 @@ class SimState:
         router is walked, one hop at a time, and no multi-bit copy is
         forwarded.
         """
+        expected = frozenset(self.membership[group])
         sg = self.groups[group]
-        if self.sg_state is not None:
-            yield "stateful", multicast.simulate_delivery(self.sg_state, self.topo, sg)
-        if self.bift is not None:
-            copies = []
-            for si, bits in sorted(self.bitstrings[group].items()):
-                if self.scenario.fault == "bier_drop_lowest_bit":
-                    bits &= bits - 1
-                copies += bier.flood_deliver(self.bift, si, bits, sg.source_edge, self.reach)
-            yield "bier", copies
+        for mode in self.probe_modes:
+            if mode == "stateful":
+                copies = multicast.simulate_delivery(self.sg_state, self.topo, sg)
+            else:
+                copies = []
+                for si, bits in sorted(self.bitstrings[group].items()):
+                    if self.scenario.fault == "bier_drop_lowest_bit":
+                        bits &= bits - 1
+                    copies += bier.flood_deliver(self.bift, si, bits, sg.source_edge, self.reach)
+            if frozenset(copies) != expected or len(copies) != len(expected):
+                raise DeliveryMismatch(tick, group, mode, copies, expected)
+        return expected
 
 
 def run(scenario, seed=None):
@@ -550,11 +544,14 @@ def emit_csv(snapshots, report, out_dir):
     lines are joined into one string and written to the open file, so
     the writer holds one snapshot's text at a time, not the file's.
 
-    A state line is formatted in three parts, each again only when it
-    changed: the router's ``router,role,`` and ``labels,sg,bift`` when
-    its row is a new object, its role's ``fib,mapping,`` when the role
-    dict is.  A new role dict rebuilds every line from the parts at C
-    speed; otherwise only a changed row's line is rebuilt.
+    Every snapshot of a run lists the same routers in the same order
+    (``SimState.snapshot`` returns the values of one dict built in
+    router order), so a router's ``router,role,`` is formatted once,
+    from the first snapshot.  The rest of a state line is formatted
+    again only when it changed: a router's ``labels,sg,bift`` when its
+    row is a new object, its role's ``fib,mapping,`` when the role dict
+    is.  A new role dict rebuilds every line from the parts at C speed;
+    otherwise only a changed row's line is rebuilt.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -566,33 +563,25 @@ def emit_csv(snapshots, report, out_dir):
     # changed (see SimState.snapshot); a line is head + cells + tail
     with open(state_path, "w") as out:
         out.write(STATE_HEADER + "\n")
-        prev_roles = prev_rows = None
-        heads = tails = lines = ()
+        prev_rows = snapshots[0].rows if snapshots else ()
+        heads = ["%s,%s," % row[:2] for row in prev_rows]
+        tails = ["%s,%s,%s" % row[2:] for row in prev_rows]
+        prev_roles = None
         for tick, roles, rows in snapshots:
-            if prev_rows is None or len(rows) != len(prev_rows):
-                heads = ["%s,%s," % row[:2] for row in rows]
-                tails = ["%s,%s,%s" % row[2:] for row in rows]
-                changed = ()
-                prev_roles = None
-            else:
-                changed = compress(range(len(rows)), map(operator.is_not, rows, prev_rows))
+            changed = compress(range(len(rows)), map(operator.is_not, rows, prev_rows))
             new_roles = roles is not prev_roles
             if new_roles:
                 cells = {role: "%s,%s," % counts for role, counts in roles.items()}
             for i in changed:
-                router, role, labels, sg, bift_n = rows[i]
-                prev = prev_rows[i]
-                if router != prev[0] or role != prev[1]:
-                    heads[i] = f"{router},{role},"
+                _, role, labels, sg, bift_n = rows[i]
                 tail = tails[i] = f"{labels},{sg},{bift_n}"
                 if not new_roles:
                     lines[i] = heads[i] + cells[role] + tail
             if new_roles:
                 row_cells = map(cells.__getitem__, map(operator.itemgetter(1), rows))
                 lines = list(map(operator.add, map(operator.add, heads, row_cells), tails))
-            if lines:
-                out.write(f"{tick}," + f"\n{tick},".join(lines))
-                out.write("\n")
+            out.write(f"{tick}," + f"\n{tick},".join(lines))
+            out.write("\n")
             prev_roles, prev_rows = roles, rows
 
     # every record is a verified probe: ok is 1 and delivered equals

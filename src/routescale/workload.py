@@ -63,6 +63,14 @@ class Schedule:
     events: list
 
 
+def check_members_max(topo, params):
+    """Nothing if a group of ``members_max`` receivers fits on the edge
+    routers of ``topo``, or there is no group; else InvalidParams."""
+    n_edges = len(topo.edge_routers)
+    if params.n_groups > 0 and params.members_max > n_edges:
+        raise InvalidParams(f"members_max {params.members_max} exceeds {n_edges} edge routers")
+
+
 def generate(topo, params):
     """Deterministic schedule: site growth, group setup, then churn.
 
@@ -70,12 +78,8 @@ def generate(topo, params):
     Every Leave matches a live Join by construction.  The schedule is
     complete at return; a caller may consume its event list.
     """
+    check_members_max(topo, params)
     edges = topo.edge_routers
-    if params.n_groups > 0 and params.members_max > len(edges):
-        raise InvalidParams(
-            f"members_max {params.members_max} exceeds {len(edges)} edge routers"
-        )
-
     rng = random.Random(params.seed)
     getrandbits = rng.getrandbits
 

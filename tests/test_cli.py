@@ -6,6 +6,7 @@ import pytest
 
 from routescale import errors, harness, unicast
 from routescale.cli import cli_main
+from routescale.generators import KINDS, gen_topology
 from routescale.unicast import MAX_SITES
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -57,6 +58,10 @@ class TestValidate:
         ({"topology": {"routers": [[0, "edge"]], "links": [[0, 1]]}},
          "each of topology links must be a list [a, b, cost], got [0, 1]"),
         ({"topology": {"file": 5}}, "topology file must be a path string, got 5"),
+        ({"topology": {"kind": ["line"], "size": 3}}, "unknown topology kind ['line']"),
+        # line 3 has two edge routers
+        ({"topology": {"kind": "line", "size": 3}, "workload": {"n_groups": 1, "members_max": 3}},
+         "members_max 3 exceeds 2 edge routers"),
         # each JSON object rejects a key outside its shape
         ({"topology": {"kind": "grid", "size": 4, "cost": 3}}, "unknown topology keys: ['cost']"),
         ({"topology": {"file": "topo.json", "kind": "star", "size": 9}},
@@ -446,6 +451,13 @@ class TestGenTopology:
         assert cli_main(["validate", "--scenario", str(scenario)]) == 0
         assert cli_main(["run", "--scenario", str(scenario),
                          "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("kind", [["line"], {"kind": "line"}, None],
+                             ids=["list", "dict", "None"])
+    def test_kind_that_is_not_a_string_is_unknown(self, kind):
+        with pytest.raises(errors.InvalidParams, match="unknown topology kind") as excinfo:
+            gen_topology(kind, 3)
+        assert str(KINDS) in str(excinfo.value)
 
     def test_usage_error_exits_1(self, capsys):
         assert cli_main(["gen-topology", "--kind", "moebius", "--size", "3",

@@ -26,7 +26,13 @@ from conftest import (
     state_rows,
 )
 from routescale import bier, harness, multicast, unicast, workload
-from routescale.errors import DeliveryMismatch, ScenarioError, SimError, UnattachedSite
+from routescale.errors import (
+    DeliveryMismatch,
+    InvalidParams,
+    ScenarioError,
+    SimError,
+    UnattachedSite,
+)
 from routescale.harness import (
     MODES,
     DeliverySnapshot,
@@ -199,9 +205,15 @@ class TestScenarioLoading:
             build_scenario({"workload": {}})
 
     def test_members_max_checked_against_edges(self):
-        with pytest.raises(ScenarioError):
-            build_scenario(small_config(
-                workload={"seed": 1, "n_groups": 1, "members_min": 1, "members_max": 9}))
+        # line 3 has two edge routers; scenario loading and the generator
+        # raise the one message
+        params = {"seed": 1, "n_groups": 1, "members_min": 1, "members_max": 9}
+        message = "members_max 9 exceeds 2 edge routers"
+        with pytest.raises(InvalidParams, match=message):
+            build_scenario(small_config(workload=params))
+        topo = build_scenario(small_config()).topology
+        with pytest.raises(InvalidParams, match=message):
+            workload.generate(topo, workload.Params(**params))
 
     def test_explicit_providers(self):
         config = small_config(providers=[
@@ -681,6 +693,29 @@ def test_duplicated_copy_is_named_in_the_mismatch(monkeypatch, owner, name, mode
                                       "delivered [2, 2], expected [2]")
 
 
+def test_stateful_mismatch_raises_before_the_group_is_flooded(monkeypatch):
+    # line 3: group 0, sourced at 0, delivers in both modes; group 1,
+    # sourced at 2, fails in stateful, the first mode probed
+    sim = SimState(build_scenario(small_config(modes=["stateful_mcast", "bier"])))
+    for group, source, receiver in ((0, 0, 2), (1, 2, 0)):
+        sim.apply(Event(0, workload.ADD_GROUP, (group, source)))
+        sim.apply(Event(0, workload.JOIN, (group, receiver)))
+    deliver, flood = multicast.simulate_delivery, bier.flood_deliver
+    ingresses = []
+
+    def counting_flood(bift, si, bits, ingress, reach):
+        ingresses.append(ingress)
+        return flood(bift, si, bits, ingress, reach)
+
+    monkeypatch.setattr(multicast, "simulate_delivery",
+                        lambda state, topo, sg: [] if sg.group == 1 else deliver(state, topo, sg))
+    monkeypatch.setattr(bier, "flood_deliver", counting_flood)
+    with pytest.raises(DeliveryMismatch) as excinfo:
+        sim.probe(0)
+    assert (excinfo.value.group, excinfo.value.mode) == (1, "stateful")
+    assert ingresses == [0]
+
+
 class TestPatchedRecord:
     """``probe`` patches the last record: it re-probes only the groups that
     had an event since, and never modifies a record it returned."""
@@ -1048,7 +1083,8 @@ ROWS = [(0, "core", 3, 1, 2), (1, "edge", 2, 0, 2), (2, "edge", 2, 1, 2)]
 SG_ROW = (2, "edge", 2, 5, 2)       # ROWS[2] after a join
 # hand-built snapshot sequences for the writer's cases that a replay
 # reaches rarely or never; a list of rows or a role dict that a case
-# repeats is the same object, as a replay shares it
+# repeats is the same object, as a replay shares it, and every snapshot
+# lists the same routers in the same order, as a replay's do
 WRITER_CASES = {
     "site_before_every_snapshot": sites_between_sg_changes,
     "new_role_dict_same_rows": lambda: [
@@ -1061,30 +1097,12 @@ WRITER_CASES = {
         StateSnapshot(0, ROLES, ROWS),
         StateSnapshot(1, ROLES, [ROWS[0], (1, "edge", 2, 7, 2), ROWS[2]]),
         StateSnapshot(2, ROLES, [(0, "core", 3, 1, 2), (1, "edge", 2, 7, 2), ROWS[2]]),
-        # a different router, of another role, at a position
-        StateSnapshot(3, ROLES, [ROWS[0], (5, "core", 1, 1, 1), ROWS[2]]),
     ],
     # a generated schedule adds every site before its first group
     "new_rows_then_new_role_dict": lambda: [
         StateSnapshot(0, ROLES, ROWS),
         StateSnapshot(1, ROLES, ROWS[:2] + [SG_ROW]),
         StateSnapshot(2, {"core": (5, 0), "edge": (5, 2)}, ROWS[:2] + [SG_ROW]),
-    ],
-    "empty_snapshot": lambda: [
-        StateSnapshot(0, {}, []),
-        StateSnapshot(1, ROLES, ROWS),
-        StateSnapshot(2, ROLES, []),
-        StateSnapshot(3, ROLES, ROWS),
-        StateSnapshot(4, {"core": (9, 0)}, []),
-        StateSnapshot(5, ROLES, ROWS),
-    ],
-    "router_count_changes": lambda: [
-        StateSnapshot(0, ROLES, ROWS),
-        StateSnapshot(1, ROLES, ROWS + [(3, "edge", 0, 0, 0), (4, "core", 0, 0, 0)]),
-        StateSnapshot(2, {"core": (1, 1), "edge": (1, 1)}, ROWS[1:]),
-        StateSnapshot(3, {"core": (1, 1), "edge": (1, 1)}, [(7, "core", 0, 0, 0)] + ROWS[2:]),
-        StateSnapshot(4, ROLES, ROWS[:1]),
-        StateSnapshot(5, ROLES, ROWS),
     ],
 }
 
@@ -1112,6 +1130,19 @@ class TestSnapshotCost:
             assert len(after.rows) == len(before.rows) == 12
             assert all(a is b for a, b in zip(after.rows, before.rows))
             before = after
+
+    def test_every_snapshot_lists_each_router_once_in_router_order(self):
+        # emit_csv formats each router's ``router,role,`` from the first
+        # snapshot only
+        scenario = build_scenario(small_config(
+            topology={"kind": "fat-edge", "size": 12}, providers="auto", snapshot_interval=1,
+            workload={"seed": 2, "n_sites": 5, "n_groups": 3, "members_min": 1,
+                      "members_max": 4, "churn_events": 20}))
+        snapshots, _ = run(scenario)
+        roles = scenario.topology.roles
+        heads = [(router, roles[router]) for router in sorted(roles)]
+        assert len(snapshots) > 3
+        assert all([row[:2] for row in snap.rows] == heads for snap in snapshots)
 
     def test_rows_built_are_routers_plus_sg_count_changes(self):
         scenario = build_scenario(small_config(

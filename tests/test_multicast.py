@@ -142,6 +142,22 @@ class TestLeave:
         with pytest.raises(NoState, match="router 1"):
             leave(state, topo, sg, 2)
 
+    @pytest.mark.parametrize("entry", [3, {3, LOCAL}], ids=["bare", "set"])
+    def test_prune_stops_at_an_entry_without_the_pruned_router(self, entry):
+        # 0 - 1 - {2, 3}: source 0, receiver 2, and router 1's entry
+        # rewired by hand to hold router 3 but not router 2
+        topo = build_topology([(0, "edge"), (1, "core"), (2, "edge"), (3, "edge")],
+                              [(0, 1, 1), (1, 2, 1), (1, 3, 1)])
+        state = SgState()
+        sg = SgKey(0, 1)
+        join(state, topo, sg, 2)
+        state.trees[sg][1] = entry
+        state.changed.clear()
+        leave(state, topo, sg, 2)
+        assert state.trees == {sg: {0: 1, 1: entry}}
+        assert state.trees[sg][1] is entry
+        assert state.counts == {0: 1, 1: 1, 2: 0} and state.changed == {2}
+
 
 class TestForward:
     """``simulate_delivery`` over trees joined on a real topology, some
