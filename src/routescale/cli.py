@@ -44,6 +44,28 @@ def _build_parser():
     return parser
 
 
+@harness.collector_paused()
+def _run(args):
+    """Load, replay and write the scenario of a ``run`` command; returns
+    the line that reports what was written.
+
+    One pause spans the three calls: with a pause of their own each, the
+    collection deferred during the replay would walk the replay's whole
+    heap before the writer starts.  The pause ends after this function
+    has returned and dropped that heap, so the collection it deferred
+    finds little left to walk.
+    """
+    modes = None
+    if args.modes is not None:
+        modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    scenario = harness.load_scenario(args.scenario, modes)
+    snapshots, report = harness.run(scenario, seed=args.seed)
+    state_path, delivery_path = harness.emit_csv(snapshots, report, args.out)
+    n_rows = sum(len(record.modes) * len(record.groups) for record in report)
+    return (f"wrote {state_path} ({len(snapshots)} snapshots) and "
+            f"{delivery_path} ({n_rows} delivery rows)")
+
+
 def cli_main(argv=None):
     parser = _build_parser()
     try:
@@ -64,15 +86,7 @@ def cli_main(argv=None):
                   f"{len(topo['links'])} links")
             return 0
 
-        modes = None
-        if args.modes is not None:
-            modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-        scenario = harness.load_scenario(args.scenario, modes)
-        snapshots, report = harness.run(scenario, seed=args.seed)
-        state_path, delivery_path = harness.emit_csv(snapshots, report, args.out)
-        n_rows = sum(len(record.modes) * len(record.groups) for record in report)
-        print(f"wrote {state_path} ({len(snapshots)} snapshots) and "
-              f"{delivery_path} ({n_rows} delivery rows)")
+        print(_run(args))
         return 0
     except errors.DeliveryMismatch as exc:
         print(f"delivery failure: {exc}", file=sys.stderr)

@@ -1,10 +1,13 @@
+import gc
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from routescale import errors, harness, unicast
+from routescale import errors, harness, unicast, workload
 from routescale.cli import cli_main
 from routescale.generators import KINDS, gen_topology
 from routescale.unicast import MAX_SITES
@@ -13,6 +16,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EXAMPLE_SCENARIO = str(Path(__file__).parent.parent / "scenarios" / "example.json")
 BIER_WIDE_SCENARIO = str(Path(__file__).parent.parent / "scenarios" / "bier_wide.json")
 BROKEN_TOPOLOGY = "broken_topology.json"
+# 200,000 nested arrays: deeper than the JSON parser recurses
+DEEP_TOPOLOGY = "deep_topology.json"
+DEEP_NESTING = "[" * 200_000
 # a topology file whose {"topology": ...} wrapper holds two keys beside it
 WRAPPED_TOPOLOGY = "wrapped_topology.json"
 
@@ -80,12 +86,16 @@ class TestValidate:
         pytest.param(b'{"topology": {"kind": "line", "size": 3}, "bsl": ' + b"1" * 4301 + b"}",
                      "cannot read scenario", id="4301 digits"),
         ({"topology": {"file": BROKEN_TOPOLOGY}}, "cannot read topology file"),
+        pytest.param(DEEP_NESTING.encode(), "bad.json: maximum recursion depth",
+                     id="nested 200,000 deep"),
+        ({"topology": {"file": DEEP_TOPOLOGY}}, f"{DEEP_TOPOLOGY}: maximum recursion depth"),
         ({"topology": {"file": "missing.json"}}, "cannot read topology file"),
     ])
     def test_malformed_scenario_shape(self, tmp_path, capsys, config, message):
         bad = tmp_path / "bad.json"
         bad.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         (tmp_path / BROKEN_TOPOLOGY).write_text('{"topology": ')
+        (tmp_path / DEEP_TOPOLOGY).write_text(DEEP_NESTING)
         (tmp_path / WRAPPED_TOPOLOGY).write_text(json.dumps(
             {"topology": {"kind": "line", "size": 3}, "links": 5, "zz": 1}))
         runs = [["validate"], ["run", "--out", str(tmp_path / "out")]]
@@ -305,6 +315,34 @@ def test_every_edit_outside_the_shape_exits_1(tmp_path, capsys):
     assert n_edits > 300 and accepted == []
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([*harness.SECTIONS, *(f"workload.{key}" for key in
+                                              workload.Params.__dataclass_fields__)]),
+       JSON_VALUES)
+def test_any_json_value_in_any_section_is_accepted_or_a_scenario_error(where, value):
+    """Whatever JSON value a section or workload key holds, the scenario
+    is built or refused with a ScenarioError; no other exception leaves
+    ``build_scenario``."""
+    config = json.loads(json.dumps(INLINE_SCENARIO))
+    section, _, key = where.partition(".")
+    if key:
+        config[section][key] = value
+    else:
+        config[section] = value
+    try:
+        harness.build_scenario(config)
+    except errors.ScenarioError:
+        pass
+
+
 # the classes whose failures exit with code 1; every other SimError exits 2
 EXIT_1 = {
     "ScenarioError", "TopologyError", "DuplicateRouter", "InvalidRouter",
@@ -427,6 +465,21 @@ class TestRun:
                              "--out", str(tmp_path / name), "--seed", "7"]) == 0
         assert ((tmp_path / "a" / "state.csv").read_bytes()
                 == (tmp_path / "b" / "state.csv").read_bytes())
+
+
+@pytest.mark.parametrize("scenario, rc", [(EXAMPLE_SCENARIO, 0),
+                                          (str(FIXTURES / "fault_scenario.json"), 2),
+                                          (str(FIXTURES / "empty_provider_scenario.json"), 1)],
+                         ids=["written", "delivery failure", "validation failure"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller on", "caller off"])
+def test_run_restores_the_collector_setting(tmp_path, capsys, scenario, rc, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli_main(["run", "--scenario", scenario, "--out", str(tmp_path)]) == rc
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 class TestGenTopology:

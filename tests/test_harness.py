@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import json
 import re
@@ -41,6 +42,7 @@ from routescale.harness import (
     StateSnapshot,
     auto_providers,
     build_scenario,
+    collector_paused,
     emit_csv,
     load_scenario,
     run,
@@ -1160,3 +1162,102 @@ class TestSnapshotCost:
         # one role dict per site added: site 0 is added at tick 0, before
         # the first snapshot, and every later one at its own tick
         assert len({id(snap.roles) for snap in snapshots}) == 20
+
+
+# -- the paused collector ----------------------------------------------------
+
+ROOT = Path(__file__).parent.parent
+RUN_FILES = sorted([*(ROOT / "scenarios").glob("*.json"), *WORKLOADS.glob("*.json")])
+
+
+def test_both_folders_have_scenarios_to_replay_for_cycles():
+    assert {path.parent.name for path in RUN_FILES} == {"scenarios", "workloads"}
+
+
+# a run pauses the collector because nothing it builds forms a reference
+# cycle: with the collector off, reference counting must free every object
+# a run drops, so a collection afterwards finds nothing unreachable
+@pytest.mark.parametrize("path", RUN_FILES, ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_a_run_leaves_no_cycle_for_the_collector(tmp_path, path):
+    gc.collect()
+    with collector_paused():
+        emit_csv(*run(load_scenario(path)), tmp_path)
+        assert gc.collect() == 0
+
+
+def test_an_aborted_run_leaves_no_cycle_for_the_collector():
+    gc.collect()
+    with collector_paused():
+        try:
+            run(load_scenario(FIXTURES / "fault_scenario.json"))
+        except DeliveryMismatch:
+            pass
+        else:
+            pytest.fail("the fault fixture ran to the end")
+        assert gc.collect() == 0
+
+
+@pytest.fixture(params=[True, False], ids=["caller on", "caller off"])
+def caller_setting(request):
+    """The collector switched on or off as a caller might have it, and
+    put back as it was after the test."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_collector_paused_restores_after_a_return(caller_setting, tmp_path):
+    with collector_paused():
+        assert not gc.isenabled()
+    assert gc.isenabled() is caller_setting
+    emit_csv(*run(load_scenario(EXAMPLE_SCENARIO)), tmp_path)
+    assert gc.isenabled() is caller_setting
+
+
+def test_collector_paused_restores_after_a_delivery_mismatch(caller_setting):
+    scenario = load_scenario(FIXTURES / "fault_scenario.json")
+    with pytest.raises(DeliveryMismatch):
+        run(scenario)
+    assert gc.isenabled() is caller_setting
+
+
+def test_collector_paused_restores_after_a_scenario_error(caller_setting):
+    with pytest.raises(ScenarioError):
+        load_scenario(FIXTURES / "fractional_cost_scenario.json")
+    assert gc.isenabled() is caller_setting
+
+
+def test_collector_paused_nests_as_the_cli_nests_it(caller_setting, tmp_path):
+    # an inner scope leaves the collector off for the outer one
+    with collector_paused():
+        scenario = load_scenario(EXAMPLE_SCENARIO)
+        assert not gc.isenabled()
+        snapshots, report = run(scenario)
+        assert not gc.isenabled()
+        emit_csv(snapshots, report, tmp_path)
+        assert not gc.isenabled()
+    assert gc.isenabled() is caller_setting
+
+
+def test_load_run_and_write_each_pause_the_collector(monkeypatch, tmp_path):
+    seen = {}
+
+    def spy(name, func):
+        def call(*args, **kwargs):
+            seen[name] = gc.isenabled()
+            return func(*args, **kwargs)
+        return call
+
+    class Report(list):
+        def __iter__(self):
+            seen["emit_csv"] = gc.isenabled()
+            return super().__iter__()
+
+    monkeypatch.setattr(harness, "build_scenario", spy("load_scenario", build_scenario))
+    monkeypatch.setattr(workload, "generate", spy("run", workload.generate))
+    assert gc.isenabled()
+    snapshots, report = run(load_scenario(EXAMPLE_SCENARIO))
+    emit_csv(snapshots, Report(report), tmp_path)
+    assert seen == {"load_scenario": False, "run": False, "emit_csv": False}
+    assert gc.isenabled()
