@@ -1,10 +1,10 @@
 """Experiment runner: scenario loading, schedule replay, CSV emission.
 
-A scenario bundles a topology, providers, workload parameters, the set
-of forwarding modes to run, the BIER bitstring length, and a snapshot
-interval.  Replaying the schedule records, at every snapshot, each
-router's state counts and one delivery record: every active group with
-the receivers its probe verified, for all multicast modes at once.
+A scenario bundles a topology, a provider count, workload parameters,
+the set of forwarding modes to run, the BIER bitstring length, and a
+snapshot interval.  Replaying the schedule records, at every snapshot,
+each router's state counts and one delivery record: every active group
+with the receivers its probe verified, for all multicast modes at once.
 ``emit_csv`` expands a record into one delivery row per group and mode.
 The replay steps from event to event, not from tick to tick, and takes
 each snapshot and probe before the first event past its tick.  A
@@ -65,7 +65,7 @@ from .errors import DeliveryMismatch, ScenarioError, SimError, UnattachedSite
 from .generators import gen_topology
 from .multicast import SgKey, SgState
 from .topology import EDGE, build_topology, is_int
-from .unicast import MAX_SITES, Provider, UnicastPlane, check_edge_count, check_providers
+from .unicast import MAX_SITES, UnicastPlane, check_edge_count, check_providers
 
 MODES = ("flat", "mapencap", "mpls", "stateful_mcast", "bier")
 UNICAST_MODES = ("flat", "mapencap", "mpls")
@@ -83,7 +83,7 @@ DELIVERY_HEADER = "tick,group,mode,ok,delivered,expected"
 @dataclass
 class Scenario:
     topology: object
-    providers: list
+    n_providers: int
     workload: workload.Params
     modes: tuple = MODES
     bsl: int = bier.DEFAULT_BSL
@@ -142,37 +142,6 @@ def collector_paused():
     finally:
         if enabled:
             gc.enable()
-
-
-def auto_providers(topo):
-    """One provider per edge router; core routers join their nearest edge.
-
-    Ties break on the smaller edge router id, so assignment is
-    deterministic.  Links are undirected, so an edge's cost to a router
-    is read from the edge's own distances; a single-homed edge's is its
-    hub's plus the link to it (see ``Topology.hub``), so only hub and
-    multi-link routers' tables are read.  Those tables hold transit
-    routers only (see ``Topology.distances``): a single-homed core
-    router's cost is its hub's plus the link to it.
-    """
-    edges = topo.edge_routers
-    pid_of_edge = {e: i for i, e in enumerate(edges)}
-    owned = {i: {e} for i, e in enumerate(edges)}
-    # edges behind one hub at one link cost are equally far from every
-    # router, so only the first of them, the smallest id, can be nearest
-    first = {}           # (router whose distances are read, cost added) -> edge
-    for e in edges:
-        hub = topo.hub(e)
-        first.setdefault((e, 0) if hub is None else (hub, topo.adj[e][hub]), e)
-    ranked = [(topo.distances(source), added, e) for (source, added), e in first.items()]
-    for router in topo.roles:
-        if router in pid_of_edge:
-            continue
-        hub = topo.hub(router)
-        at, link = (router, 0) if hub is None else (hub, topo.adj[router][hub])
-        _, nearest = min((dist[at] + added + link, e) for dist, added, e in ranked)
-        owned[pid_of_edge[nearest]].add(router)
-    return [Provider(pid, frozenset(routers)) for pid, routers in sorted(owned.items())]
 
 
 def _expect(ok, value, name, what):
@@ -246,13 +215,16 @@ def _build_topology_section(section, base_dir):
 
 
 def _build_providers(section, topo):
-    """Providers for the unicast modes: ``"auto"`` or a list of
-    ``{"id", "routers"}``.  A topology of more edge routers than the
-    address plan has locators is refused first (``check_edge_count``);
-    ``check_providers`` checks the ids and routers of either form."""
+    """The number of providers for the unicast modes, from ``"auto"`` or
+    a list of ``{"id", "routers"}``.  A topology of more edge routers
+    than the address plan has locators is refused first
+    (``check_edge_count``).  ``"auto"`` is one provider per edge router;
+    no state count reads which provider owns a core router, so none is
+    assigned.  A list is checked as ``(id, routers)`` pairs by
+    ``check_providers``."""
     check_edge_count(topo)
     if section == "auto":
-        return auto_providers(topo)
+        return len(topo.edge_routers)
     _expect(isinstance(section, list), section, "providers",
             '"auto" or a list of provider objects')
     providers = []
@@ -263,8 +235,9 @@ def _build_providers(section, topo):
         _expect(isinstance(routers, (list, tuple)), routers, f"provider {pid} routers",
                 "a list of router ids")
         routers = frozenset(_integer(r, f"provider {pid} router") for r in routers)
-        providers.append(Provider(pid, routers))
-    return providers
+        providers.append((pid, routers))
+    check_providers(topo, providers)
+    return len(providers)
 
 
 def build_scenario(config, base_dir=None):
@@ -284,10 +257,9 @@ def build_scenario(config, base_dir=None):
         raise ScenarioError(f"mode listed more than once in {list(modes)}")
     unicast = any(m in UNICAST_MODES for m in modes)
     # providers exist only for the unicast modes
-    providers = []
+    n_providers = 0
     if unicast:
-        providers = _build_providers(config.get("providers", "auto"), topo)
-        check_providers(topo, providers)
+        n_providers = _build_providers(config.get("providers", "auto"), topo)
 
     params = workload.Params(**_object(config.get("workload", {}), "workload",
                                        workload.Params.__dataclass_fields__))
@@ -312,7 +284,7 @@ def build_scenario(config, base_dir=None):
             raise ScenarioError(f"fault {fault!r} needs mode 'bier', which is not enabled")
 
     workload.check_members_max(topo, params)
-    return Scenario(topo, providers, params, modes, bsl, interval, fault)
+    return Scenario(topo, n_providers, params, modes, bsl, interval, fault)
 
 
 @collector_paused()
@@ -334,7 +306,7 @@ class SimState:
         self.topo = topo
         self.modes = scenario.modes
         self.unicast = (
-            UnicastPlane(topo, scenario.providers)
+            UnicastPlane(topo, scenario.n_providers)
             if any(m in UNICAST_MODES for m in scenario.modes) else None
         )
         self.sg_state = SgState() if "stateful_mcast" in scenario.modes else None

@@ -30,16 +30,17 @@ class Topology:
     its cost to itself and to every transit router, in settle order, and
     every router's next hop toward it (:meth:`distances`).  Both tables
     are computed lazily and cached on the instance, so every caller
-    (label counts, provider ranks, BIFTs, multicast joins, prunes and
-    RPF checks) reads the same table.  One rule covers single-homed routers (see :meth:`hub`); every
-    other router is a transit router.  No Dijkstra settles a single-homed
-    router other than its source, so no cost table holds one: its cost
-    is its hub's plus the link, and its next hop is its hub.  The
-    next-hop table toward one is its hub's with two entries changed
-    (:meth:`toward`), so it costs a copy, not a Dijkstra.  The setup
-    builders read hub tables only, so a single-homed router's next-hop
-    table is built at the first multicast join that reads it, and its
-    cost table only if :meth:`distances` is asked for it.
+    (label counts, BIFTs, multicast joins, prunes and RPF checks) reads
+    the same table.  One rule covers single-homed routers (see
+    :meth:`hub`); every other router is a transit router.  No Dijkstra
+    settles a single-homed router other than its source, so no cost
+    table holds one: its cost is its hub's plus the link, and its next
+    hop is its hub.  The next-hop table toward one is its hub's with two
+    entries changed (:meth:`toward`), so it costs a copy, not a
+    Dijkstra.  The setup builders read hub tables only, so a
+    single-homed router's next-hop table is built at the first multicast
+    join that reads it, and its cost table only if :meth:`distances` is
+    asked for it.
     """
 
     def __init__(self, roles, adjacency):

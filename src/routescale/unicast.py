@@ -22,7 +22,6 @@ next-hop trees; no run builds the mesh (``establish_lsp`` sets up one
 LSP of it, for the tests' reference tables).
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidPrefix, ScenarioError, UnattachedSite
@@ -34,14 +33,6 @@ PROVIDER_PREFIX_LEN = 16
 MAX_PROVIDERS = 1 << (PROVIDER_PREFIX_LEN - 1)    # /16 locators under 0/1
 MAX_SITES = 1 << (SITE_PREFIX_LEN - 1)            # /24 identifiers under 1/1
 FIRST_LABEL = 16
-
-
-@dataclass(frozen=True)
-class Provider:
-    """A provider id, which fixes its locator, and the routers it owns."""
-
-    provider_id: int
-    owned_routers: frozenset
 
 
 class PrefixTable(dict):
@@ -102,7 +93,7 @@ def establish_lsp(topo, labels, ingress, egress):
 def check_edge_count(topo):
     """Every edge router needs a provider of its own, so the unicast
     modes refuse a topology of more edge routers than there are
-    locators, before any provider is built."""
+    locators, whichever form the providers take."""
     n_edges = len(topo.edge_routers)
     if n_edges > MAX_PROVIDERS:
         raise ScenarioError(
@@ -112,34 +103,34 @@ def check_edge_count(topo):
 
 
 def check_providers(topo, providers):
-    """Providers must partition the routers, each owning at least one
-    router and at most one edge, and each id must name one of the
-    MAX_PROVIDERS locators."""
+    """``providers``, ``(id, routers)`` pairs, must partition the
+    routers, each owning at least one router and at most one edge, and
+    each id must name one of the MAX_PROVIDERS locators."""
     ids = set()
     owner = {}
-    for p in providers:
-        if not 0 <= p.provider_id < MAX_PROVIDERS:
+    for pid, routers in providers:
+        if not 0 <= pid < MAX_PROVIDERS:
             raise ScenarioError(
-                f"invalid providers: provider id {p.provider_id} out of range "
+                f"invalid providers: provider id {pid} out of range "
                 f"0..{MAX_PROVIDERS - 1} (/16 locators under 0/1)"
             )
-        if p.provider_id in ids:
-            raise ScenarioError(f"invalid providers: duplicate provider id {p.provider_id}")
-        ids.add(p.provider_id)
-        if not p.owned_routers:
-            raise ScenarioError(f"invalid providers: provider {p.provider_id} owns no router")
-        edges = [r for r in p.owned_routers if topo.roles.get(r) == EDGE]
+        if pid in ids:
+            raise ScenarioError(f"invalid providers: duplicate provider id {pid}")
+        ids.add(pid)
+        if not routers:
+            raise ScenarioError(f"invalid providers: provider {pid} owns no router")
+        edges = [r for r in routers if topo.roles.get(r) == EDGE]
         if len(edges) > 1:
             raise ScenarioError(
-                f"invalid providers: provider {p.provider_id} owns {len(edges)} edge "
+                f"invalid providers: provider {pid} owns {len(edges)} edge "
                 "routers; at most one is supported (locator aggregates must follow topology)"
             )
-        for r in p.owned_routers:
+        for r in routers:
             if r not in topo.roles:
                 raise ScenarioError(f"invalid providers: router {r} not in topology")
             if r in owner:
                 raise ScenarioError(f"invalid providers: router {r} owned by two providers")
-            owner[r] = p.provider_id
+            owner[r] = pid
     if set(owner) != set(topo.roles):
         missing = sorted(set(topo.roles) - set(owner))
         raise ScenarioError(f"invalid providers: routers without a provider: {missing}")
@@ -151,17 +142,18 @@ class UnicastPlane:
     Every router's FIB action for a prefix is "deliver locally" at the
     prefix's egress router and the next hop toward that egress elsewhere,
     so the per-router FIBs are not stored: one shared table holds the
-    site identifiers (each site's /24 -> its attached edge router), the
-    providers are counted, one distinct locator each, and every
-    per-router size is a count derived from the two.  Label counts are
-    derived from the next-hop trees, one walk per hub, without building
-    the LSP mesh.  The providers are validated when the scenario is
-    built (:func:`check_providers`).
+    site identifiers (each site's /24 -> its attached edge router),
+    ``n_providers`` counts the providers, one distinct locator each and
+    so one entry of every router's map-and-encap FIB, and every
+    per-router size is a count derived from the two.  No router reads
+    which provider owns it, so the plane keeps the count alone.  Label
+    counts are derived from the next-hop trees, one walk per hub,
+    without building the LSP mesh.
     """
 
-    def __init__(self, topo, providers):
+    def __init__(self, topo, n_providers):
         self.topo = topo
-        self.n_providers = len(providers)
+        self.n_providers = n_providers
         self.identifiers = PrefixTable()   # site identifier -> attached edge router
 
     @cached_property
@@ -224,9 +216,6 @@ class UnicastPlane:
 
     def flat_fib_size(self):
         return self.n_providers + len(self.identifiers)
-
-    def encap_fib_size(self):
-        return self.n_providers
 
     def mapping_entries(self, router):
         return len(self.identifiers) if self.topo.roles[router] == EDGE else 0

@@ -601,6 +601,31 @@ def provider_prefix(provider_id):
     return Prefix(provider_id << (32 - PROVIDER_PREFIX_LEN), PROVIDER_PREFIX_LEN)
 
 
+@dataclass(frozen=True)
+class Provider:
+    """A provider of the reference tables: its id, which fixes its
+    locator, and the routers it owns."""
+
+    provider_id: int
+    owned_routers: frozenset
+
+
+def edge_providers(topo):
+    """One provider per edge router, ids in edge order, each owning its
+    edge alone: the providers a scenario's ``"auto"`` counts, anchored
+    where ``MaterialisedFibs`` anchors any provider with an edge."""
+    return [Provider(i, frozenset({edge})) for i, edge in enumerate(topo.edge_routers)]
+
+
+def edge_provider_section(topo):
+    """A scenario's explicit ``providers`` list that counts what
+    ``"auto"`` counts: one provider per edge router, ids in edge order,
+    provider 0 also owning every core router."""
+    section = [{"id": i, "routers": [edge]} for i, edge in enumerate(topo.edge_routers)]
+    section[0]["routers"] += [r for r in sorted(topo.roles) if topo.roles[r] != EDGE]
+    return section
+
+
 def site_prefix(site_id):
     """Deterministic /24 identifier prefix for a site id."""
     if not 0 <= site_id < MAX_SITES:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from conftest import (
     MaterialisedFibs,
+    Provider,
     assert_rows_match_schedule,
     encapsulate_bier,
     expand_report,
@@ -51,8 +52,6 @@ def criterion2_topology():
 
 
 def criterion2_providers():
-    from routescale.unicast import Provider
-
     return [
         Provider(0, frozenset({0, 1})),
         Provider(1, frozenset({2, 4})),
@@ -89,12 +88,15 @@ def test_criterion_2_mapencap_core_fib_law():
     providers = criterion2_providers()
     edges = topo.edge_routers
     for n_sites in (10, 100, 1000):
-        plane = UnicastPlane(topo, providers)
-        for i in range(n_sites):
-            plane.add_site(i, edges[i % 3])
+        sites = [make_site(i, edges[i % 3]) for i in range(n_sites)]
+        plane = UnicastPlane(topo, len(providers))
+        for site in sites:
+            plane.add_site(site.site_id, site.attached_edge)
+        fibs = MaterialisedFibs(topo, providers, sites)
         # every router's FIB, the core routers' included
-        assert plane.encap_fib_size() == 3
-        assert plane.flat_fib_size() == 3 + n_sites
+        for r in topo.roles:
+            assert fibs.encap_fib_size(r) == plane.n_providers == 3
+            assert fibs.flat_fib_size(r) == plane.flat_fib_size() == 3 + n_sites
     _passed(2, "map-and-encap core-FIB law")
 
 
@@ -168,14 +170,14 @@ def test_criterion_6_mpls_zero_lookup_rule():
     edges = topo.edge_routers
     cores = [r for r, role in topo.roles.items() if role == "core"]
     sites = [make_site(i, edges[i % 3]) for i in range(100)]
-    plane = UnicastPlane(topo, providers)
+    plane = UnicastPlane(topo, len(providers))
     for site in sites:
         plane.add_site(site.site_id, site.attached_edge)
     fibs = MaterialisedFibs(topo, providers, sites)
     # the tables walked below hold, router by router, the state the CSV reports
     for r in topo.roles:
         assert fibs.flat_fib_size(r) == plane.flat_fib_size()
-        assert fibs.encap_fib_size(r) == plane.encap_fib_size()
+        assert fibs.encap_fib_size(r) == plane.n_providers
         assert fibs.mapping_entries(r) == plane.mapping_entries(r)
         assert fibs.label_entries(r) == plane.label_entries(r)
     transited = set()

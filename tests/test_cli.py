@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import edge_provider_section
 from routescale import errors, harness, unicast, workload
 from routescale.cli import cli_main
 from routescale.generators import KINDS, gen_topology
@@ -372,6 +373,12 @@ def test_exit_code_follows_the_error_class(monkeypatch, tmp_path, capsys):
 
 
 def test_run_checks_the_providers_once(monkeypatch, tmp_path, capsys):
+    # "auto" is one provider per edge router, valid by construction, so
+    # only an explicit list has a partition to check
+    explicit = tmp_path / "explicit.json"
+    config = json.loads(Path(EXAMPLE_SCENARIO).read_text())
+    config["providers"] = edge_provider_section(harness.load_scenario(EXAMPLE_SCENARIO).topology)
+    explicit.write_text(json.dumps(config))
     calls = []
     check = unicast.check_providers
 
@@ -382,7 +389,9 @@ def test_run_checks_the_providers_once(monkeypatch, tmp_path, capsys):
     # harness imports the name, so a call through either module is counted
     monkeypatch.setattr(harness, "check_providers", counting)
     monkeypatch.setattr(unicast, "check_providers", counting)
-    assert cli_main(["run", "--scenario", EXAMPLE_SCENARIO, "--out", str(tmp_path)]) == 0
+    assert cli_main(["run", "--scenario", EXAMPLE_SCENARIO, "--out", str(tmp_path / "a")]) == 0
+    assert calls == []
+    assert cli_main(["run", "--scenario", str(explicit), "--out", str(tmp_path / "b")]) == 0
     assert len(calls) == 1
 
 

@@ -15,6 +15,7 @@ from conftest import (
     DeliveryRow,
     assert_rows_match_schedule,
     bfer_placements,
+    edge_provider_section,
     encapsulate_bier,
     expand_bift,
     expand_report,
@@ -40,7 +41,6 @@ from routescale.harness import (
     Scenario,
     SimState,
     StateSnapshot,
-    auto_providers,
     build_scenario,
     collector_paused,
     emit_csv,
@@ -223,7 +223,7 @@ class TestScenarioLoading:
             {"id": 1, "routers": [2]},
         ])
         scenario = build_scenario(config)
-        assert {p.provider_id for p in scenario.providers} == {0, 1}
+        assert scenario.n_providers == 2
 
     def test_provider_with_two_edges_rejected(self):
         config = small_config(providers=[{"id": 0, "routers": [0, 1, 2]}])
@@ -256,22 +256,16 @@ class TestProviderValidation:
 
     def test_bier_only_builds_no_providers(self):
         scenario = build_scenario(self.star200(["bier"]))
-        assert scenario.providers == []
+        assert scenario.n_providers == 0
         sim = SimState(scenario)
         # 199 BFERs at BSL 64 span four Set Identifiers
         assert {si for si, _ in sim.bit_of.values()} == {0, 1, 2, 3}
 
-    def test_unicast_mode_beyond_the_limit_rejected(self, monkeypatch):
-        built = []
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "auto_providers", built.append)
-            with pytest.raises(ScenarioError, match="32769 edge routers .* at most 32768"):
-                build_scenario(self.star(32770, ["flat", "bier"]))
-        # refused before any provider is built
-        assert built == []
+    def test_unicast_mode_beyond_the_limit_rejected(self):
+        with pytest.raises(ScenarioError, match="32769 edge routers .* at most 32768"):
+            build_scenario(self.star(32770, ["flat", "bier"]))
         # one edge router fewer: a provider for each, ids 0 to 32767
-        providers = build_scenario(self.star(32769, ["flat"])).providers
-        assert [p.provider_id for p in providers] == list(range(32768))
+        assert build_scenario(self.star(32769, ["flat"])).n_providers == 32768
 
     def test_explicit_provider_id_out_of_range_rejected(self):
         def config(pid):
@@ -281,7 +275,7 @@ class TestProviderValidation:
         for pid in (32768, -1):
             with pytest.raises(ScenarioError, match=f"provider id {pid} out of range 0..32767"):
                 build_scenario(config(pid))
-        assert [p.provider_id for p in build_scenario(config(32767)).providers] == [0, 32767]
+        assert build_scenario(config(32767)).n_providers == 2
 
     def test_provider_entry_without_id_rejected(self):
         with pytest.raises(ScenarioError, match="missing key"):
@@ -289,7 +283,34 @@ class TestProviderValidation:
 
     def test_providers_ignored_without_unicast_modes(self):
         config = small_config(modes=["bier"], providers=[{"id": 0, "routers": [0, 1, 2]}])
-        assert build_scenario(config).providers == []
+        assert build_scenario(config).n_providers == 0
+
+    # a run reads the provider count only: one explicit provider per edge
+    # writes what "auto" writes, whichever provider owns the core routers,
+    # and one more provider, owning a core router alone, adds one entry to
+    # every router's flat FIB and moves nothing else
+    @pytest.mark.parametrize("name", ["example", "stub_costs"])
+    def test_provider_ownership_never_reaches_the_csvs(self, tmp_path, name):
+        path = EXAMPLE_SCENARIO.parent / f"{name}.json"
+        config = json.loads(path.read_text())
+
+        def csvs(providers, out):
+            scenario = build_scenario({**config, "providers": providers}, base_dir=path.parent)
+            return [p.read_text().splitlines() for p in emit_csv(*run(scenario), tmp_path / out)]
+
+        state, delivery = csvs("auto", "auto")
+        section = edge_provider_section(load_scenario(path).topology)
+        assert csvs(section, "explicit") == [state, delivery]
+        core = section[0]["routers"].pop()
+        section.append({"id": len(section), "routers": [core]})
+        more_state, more_delivery = csvs(section, "more")
+        assert more_delivery == delivery
+        assert more_state[0] == state[0] == harness.STATE_HEADER
+        assert len(more_state) == len(state) > 1
+        for line, more in zip(state[1:], more_state[1:]):
+            row, more = line.split(","), more.split(",")
+            assert int(more[3]) == int(row[3]) + 1
+            assert more[:3] + more[4:] == row[:3] + row[4:]
 
 
 class TestSiteIdValidation:
@@ -311,14 +332,20 @@ class TestSiteIdValidation:
 
 
 class TestAutoProviders:
+    # "auto" counts one provider per edge; the explicit partition that
+    # gives each core router to its nearest edge is valid and counts the
+    # same, and one provider owning both edges is refused
     def test_partition_with_one_edge_each(self):
-        topo = build_topology(
-            [(0, "edge"), (1, "core"), (2, "core"), (3, "edge")],
-            [(0, 1, 1), (1, 2, 1), (2, 3, 1)],
-        )
-        providers = auto_providers(topo)
-        owned = [set(p.owned_routers) for p in providers]
-        assert owned == [{0, 1}, {2, 3}]
+        line4 = {"routers": [[0, "edge"], [1, "core"], [2, "core"], [3, "edge"]],
+                 "links": [[0, 1, 1], [1, 2, 1], [2, 3, 1]]}
+
+        def count(providers):
+            return build_scenario(small_config(topology=line4, providers=providers)).n_providers
+
+        assert count("auto") == 2
+        assert count([{"id": 0, "routers": [0, 1]}, {"id": 1, "routers": [2, 3]}]) == 2
+        with pytest.raises(ScenarioError, match="provider 0 owns 2 edge routers"):
+            count([{"id": 0, "routers": [0, 1, 2, 3]}])
 
 
 class TestRun:
@@ -370,7 +397,7 @@ class TestRun:
         for b, a in zip(state_rows(before), state_rows(after)):
             assert a[2] == b[2] + 1          # flat FIB grew by one everywhere
         # mapencap FIB unchanged: still |providers| at every router
-        assert sim.unicast.encap_fib_size() == 2
+        assert sim.unicast.n_providers == 2
 
     # line3: router 1 is core and router 99 is unknown; the unicast plane
     # checks the role once, and a run without one checks it the same way
@@ -538,7 +565,7 @@ def test_run_matches_tick_by_tick_reference(seed, n, modes, bsl, interval, n_sit
     params = workload.Params(seed=seed, n_sites=n_sites, n_groups=n_groups,
                              members_max=min(members_max, len(topo.edge_routers)),
                              churn_events=churn)
-    scenario = Scenario(topo, auto_providers(topo), params, modes, bsl, interval)
+    scenario = Scenario(topo, len(topo.edge_routers), params, modes, bsl, interval)
     snapshots, report = run(scenario)
     assert (snapshots, report) == reference_run(scenario)
     last = len(workload.generate(topo, params).events) - 1
@@ -936,7 +963,7 @@ def test_incremental_snapshot_matches_full_snapshot(seed, n, bsl, data):
     # without a unicast mode, (S,G) state or BIFT, the row keeps a 0 there
     chosen = data.draw(st.sets(st.sampled_from(MODES), min_size=1))
     modes = tuple(m for m in MODES if m in chosen)
-    scenario = Scenario(topo, auto_providers(topo), workload.Params(), modes, bsl, 1)
+    scenario = Scenario(topo, len(topo.edge_routers), workload.Params(), modes, bsl, 1)
     sim = SimState(scenario)
     ops = data.draw(st.lists(st.tuples(st.sampled_from(SNAPSHOT_OPS), st.integers(0, 2),
                                        st.integers(0, len(edges) - 1)),
@@ -1045,7 +1072,7 @@ def test_emit_csv_matches_reference_writer(seed, n, modes, bsl, interval, n_site
     params = workload.Params(seed=seed, n_sites=n_sites, n_groups=n_groups,
                              members_max=min(members_max, len(topo.edge_routers)),
                              churn_events=churn)
-    scenario = Scenario(topo, auto_providers(topo), params, modes, bsl, interval)
+    scenario = Scenario(topo, len(topo.edge_routers), params, modes, bsl, interval)
     assert_writes_reference_csv(*run(scenario))
 
 

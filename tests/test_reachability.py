@@ -40,9 +40,6 @@ ALLOWLIST = {
     "unicast.LabelTables": LSP_MESH,
     "unicast.LabelTables.__init__": LSP_MESH,
     "unicast.LabelTables.alloc_label": LSP_MESH,
-    "unicast.UnicastPlane.encap_fib_size": (
-        "the encap_fib state column to come (ROADMAP); acceptance criterion 2 "
-        "reads it"),
 }
 
 

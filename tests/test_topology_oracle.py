@@ -10,11 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STUB_HEAVY, random_topology, scan_next_hop, seeded, stub_heavy_topology
-from routescale import topology, workload
+from conftest import (
+    MaterialisedFibs,
+    Provider,
+    STUB_HEAVY,
+    edge_providers,
+    random_topology,
+    scan_next_hop,
+    seeded,
+    stub_heavy_topology,
+)
+from routescale import harness, topology, workload
 from routescale.errors import DeliveryMismatch, InvalidLink, ScenarioError
 from routescale.generators import gen_topology
-from routescale.harness import SimState, auto_providers, build_scenario, load_scenario, run
+from routescale.harness import SimState, build_scenario, load_scenario, run
 
 nx = pytest.importorskip("networkx")
 
@@ -233,8 +242,8 @@ WORKLOADS = ROOT / "bench" / "workloads"
 
 
 # site_growth (fat-edge 120, unicast modes), snapshot_probe (fat-edge 100,
-# every mode) and BIER alone on fat-edge 200: the BIFT, the label counts
-# and the auto providers read hub tables only
+# every mode) and BIER alone on fat-edge 200: the BIFT and the label
+# counts read hub tables only
 @pytest.mark.parametrize("scenario, n_core", [
     (WORKLOADS / "site_growth.json", 24),
     (WORKLOADS / "snapshot_probe.json", 20),
@@ -299,7 +308,10 @@ def test_a_snapshot_probe_run_caches_hub_tables_and_the_group_sources_next_hops(
     assert (len(topo._toward), len(topo._dist)) == (52, 20)
 
 
-# a single-homed edge's cost to a router is its hub's plus the link to it
+# a single-homed edge's cost to a router is its hub's plus the link to it;
+# the partition that gives each core router its nearest edge is a valid
+# explicit list that counts what "auto" counts, and anchors the same
+# reference tables as one provider per edge alone
 @pytest.mark.parametrize("name", STUB_HEAVY)
 def test_auto_providers_match_networkx_nearest_edge(name):
     topo = stub_heavy_topology(name)
@@ -310,6 +322,10 @@ def test_auto_providers_match_networkx_nearest_edge(name):
             continue
         lengths = nx.single_source_dijkstra_path_length(graph, router)
         expected[min(topo.edge_routers, key=lambda e: (lengths[e], e))].add(router)
-    providers = auto_providers(topo)
-    assert [p.provider_id for p in providers] == list(range(len(topo.edge_routers)))
-    assert [set(p.owned_routers) for p in providers] == [expected[e] for e in topo.edge_routers]
+    section = [{"id": i, "routers": sorted(expected[e])} for i, e in enumerate(topo.edge_routers)]
+    assert (harness._build_providers(section, topo) == harness._build_providers("auto", topo)
+            == len(topo.edge_routers))
+    nearest = MaterialisedFibs(
+        topo, [Provider(i, frozenset(expected[e])) for i, e in enumerate(topo.edge_routers)], [])
+    alone = MaterialisedFibs(topo, edge_providers(topo), [])
+    assert (nearest.flat, nearest.encap) == (alone.flat, alone.encap)

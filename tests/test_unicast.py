@@ -12,6 +12,7 @@ from conftest import (
     Packet,
     Prefix,
     Send,
+    edge_providers,
     host_address,
     lsp_mesh,
     make_site,
@@ -25,7 +26,6 @@ from conftest import (
     stub_heavy_topology,
 )
 from routescale.errors import InvalidPrefix, SimError, UnattachedSite
-from routescale.harness import auto_providers
 from routescale.topology import EDGE, build_topology
 from routescale.unicast import (
     LabelTables,
@@ -41,7 +41,7 @@ def line3():
 
 
 def plane_with_sites(topo, attachments):
-    plane = UnicastPlane(topo, auto_providers(topo))
+    plane = UnicastPlane(topo, len(topo.edge_routers))
     for site_id, edge in attachments:
         plane.add_site(site_id, edge)
     return plane
@@ -50,7 +50,7 @@ def plane_with_sites(topo, attachments):
 def fibs_with_sites(topo, attachments):
     """The materialised tables of :func:`plane_with_sites`'s plane."""
     sites = [make_site(site_id, edge) for site_id, edge in attachments]
-    return MaterialisedFibs(topo, auto_providers(topo), sites)
+    return MaterialisedFibs(topo, edge_providers(topo), sites)
 
 
 class TestPrefix:
@@ -97,7 +97,7 @@ class TestFlatFib:
 
     def test_core_entry_count_is_sites_plus_providers(self):
         topo = y_topology()
-        assert len(auto_providers(topo)) == 3
+        assert len(topo.edge_routers) == 3
         plane = plane_with_sites(topo, [(i, [0, 3, 4][i % 3]) for i in range(100)])
         assert plane.flat_fib_size() == 103
 
@@ -160,8 +160,8 @@ class TestIdentifierTable:
     @given(site_sequences())
     def test_table_holds_each_accepted_site_edge(self, drawn):
         topo, calls = drawn
-        providers = auto_providers(topo)
-        plane = UnicastPlane(topo, providers)
+        providers = edge_providers(topo)
+        plane = UnicastPlane(topo, len(providers))
         accepted = {}       # site id -> edge
         for site_id, edge in calls:
             expected = reference_add_site_error(topo, accepted, site_id, edge)
@@ -185,14 +185,14 @@ class TestMapEncapTables:
     def test_core_fib_holds_only_locators(self):
         topo = y_topology()
         plane = plane_with_sites(topo, [(i, [0, 3, 4][i % 3]) for i in range(100)])
-        assert plane.encap_fib_size() == 3
+        assert plane.n_providers == 3
         assert [plane.mapping_entries(r) for r in range(5)] == [100, 0, 0, 100, 100]
 
     def test_zero_sites(self):
         topo = line3()
         plane = plane_with_sites(topo, [])
         assert all(plane.mapping_entries(r) == 0 for r in topo.roles)
-        assert plane.encap_fib_size() == 2
+        assert plane.n_providers == 2
 
 
 class TestForwarding:
@@ -292,7 +292,7 @@ class TestLabelCounts:
         # edges 0 and 2: each holds 2 FEC bindings and the pop label of
         # the other's LSP; the core swaps for both directions
         topo = line3()
-        plane = UnicastPlane(topo, auto_providers(topo))
+        plane = UnicastPlane(topo, len(topo.edge_routers))
         assert [plane.label_entries(r) for r in (0, 1, 2)] == [3, 2, 3]
 
     def test_equal_cost_ties_follow_the_lowest_id(self):
@@ -302,7 +302,7 @@ class TestLabelCounts:
             [(0, "edge"), (1, "core"), (2, "core"), (3, "edge")],
             [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)],
         )
-        plane = UnicastPlane(topo, auto_providers(topo))
+        plane = UnicastPlane(topo, len(topo.edge_routers))
         assert [plane.label_entries(r) for r in (0, 1, 2, 3)] == [3, 2, 0, 3]
         assert [mesh_entries(lsp_mesh(topo), r) for r in (0, 1, 2, 3)] == [3, 2, 0, 3]
 
@@ -310,7 +310,7 @@ class TestLabelCounts:
     @pytest.mark.parametrize("name", STUB_HEAVY)
     def test_stub_heavy_counts_match_the_mesh(self, name):
         topo = stub_heavy_topology(name)
-        plane = UnicastPlane(topo, auto_providers(topo))
+        plane = UnicastPlane(topo, len(topo.edge_routers))
         counts = {r: plane.label_entries(r) for r in topo.roles}
         mesh = lsp_mesh(topo)
         assert counts == {r: mesh_entries(mesh, r) for r in topo.roles}
@@ -330,16 +330,17 @@ def walk(fibs, mode, src, addr):
 
 @st.composite
 def planes(draw):
-    """A random topology with auto providers and random site attachments,
-    as a plane and as its materialised per-router tables."""
+    """A random topology with one provider per edge router and random
+    site attachments, as a plane and as its materialised per-router
+    tables."""
     # max_cost 1 gives unit costs, whose equal-cost ties are dense
     topo = random_topology(seeded(draw(st.integers(0, 2**32 - 1))),
                            draw(st.integers(min_value=1, max_value=8)),
                            max_cost=draw(st.sampled_from([1, 3])))
-    providers = auto_providers(topo)
+    providers = edge_providers(topo)
     edges = draw(st.lists(st.sampled_from(topo.edge_routers), max_size=8))
     sites = [make_site(i, edge) for i, edge in enumerate(edges)]
-    plane = UnicastPlane(topo, providers)
+    plane = UnicastPlane(topo, len(providers))
     for site in sites:
         plane.add_site(site.site_id, site.attached_edge)
     return plane, MaterialisedFibs(topo, providers, sites), providers, sites
@@ -353,7 +354,7 @@ def check_against_the_reference(plane, fibs, providers, sites, unrouted_from):
     topo = plane.topo
     for r in topo.roles:
         assert plane.flat_fib_size() == fibs.flat_fib_size(r)
-        assert plane.encap_fib_size() == fibs.encap_fib_size(r)
+        assert plane.n_providers == fibs.encap_fib_size(r)
         assert plane.mapping_entries(r) == fibs.mapping_entries(r)
         assert plane.label_entries(r) == fibs.label_entries(r)
     unrouted = [host_address(site_prefix(len(sites)))]
@@ -400,12 +401,12 @@ class TestDerivedTables:
         # could number; the locator walks start at the hub and at the edge
         # routers of the lowest and highest ids
         topo = stub_heavy_topology("star 200")
-        providers = auto_providers(topo)
-        assert [p.provider_id for p in providers] == list(range(199))
+        providers = edge_providers(topo)
+        assert len(providers) == 199
         sites = [make_site(i, edge) for i, edge in enumerate([1, 2, 100, 199, 199, 57])]
-        plane = UnicastPlane(topo, providers)
+        plane = UnicastPlane(topo, len(providers))
         for site in sites:
             plane.add_site(site.site_id, site.attached_edge)
-        assert plane.flat_fib_size() == 205 and plane.encap_fib_size() == 199
+        assert plane.flat_fib_size() == 205 and plane.n_providers == 199
         fibs = MaterialisedFibs(topo, providers, sites)
         check_against_the_reference(plane, fibs, providers, sites, [0, 1, 199])
