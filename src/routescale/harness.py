@@ -43,7 +43,7 @@ formatted, so the writer holds no more than one snapshot's text.
 
 Loading, replaying and writing run with CPython's cyclic garbage
 collector paused (``collector_paused``).  Nothing they build forms a
-reference cycle: topology tables, prefix tables, (S,G) entries, events,
+reference cycle: topology tables, (S,G) entries, bitstrings, events,
 snapshots and formatted lines are dicts, lists, sets and tuples of
 ints, strings and each other, each owned from above and none pointing
 back at an owner, so reference counting frees every object a run drops.
@@ -359,13 +359,12 @@ class SimState:
             raise SimError(f"unknown event kind {kind!r}")
         if kind == workload.ADD_SITE:
             site_id, edge = args
-            # add_site checks the role itself; without a unicast mode no
-            # table holds sites, but the event is checked the same way
-            if self.unicast is not None:
-                self.unicast.add_site(site_id, edge)
-                self._roles = None
-            elif self.topo.roles.get(edge) != EDGE:
+            # checked in every mode set, whether or not a plane counts sites
+            if self.topo.roles.get(edge) != EDGE:
                 raise UnattachedSite(f"site {site_id} attached to non-edge router {edge}")
+            if self.unicast is not None:
+                self.unicast.add_site()
+                self._roles = None
             return
         # every other event is on group args[0] and may change what its probe reads
         group = args[0]
@@ -410,8 +409,8 @@ class SimState:
     # -- measurement ----------------------------------------------------
 
     def _unicast_columns(self):
-        """role -> (fib, mapping): counts of the shared prefix tables that
-        depend on a router's role only."""
+        """role -> (fib, mapping): the unicast counts, which depend on a
+        router's role only."""
         return {role: (
             self.unicast.flat_fib_size() if "flat" in self.modes else 0,
             self.unicast.mapping_entries(router) if "mapencap" in self.modes else 0,

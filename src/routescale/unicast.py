@@ -8,13 +8,15 @@ provider ``i`` carries the aggregatable /16 locator ``i << 16`` under
 0/1 (top bit clear), so the two namespaces never overlap and a locator
 is a function of the provider id alone.
 
-A site is two ints, its id and its attached edge router: the identifier
-table maps the site's /24 identifier to that edge, as a map-and-encap
-mapping maps an identifier to its locator, and no per-site object is
-built.  Map-and-encap egress granularity is the destination site's
-attached edge router.  To keep the core routable with exactly one FIB
-entry per provider aggregate, each provider owns at most one edge
-router, whose locator is the provider's own prefix.
+A site is counted, not stored: every per-router size a run reports
+reads the number of sites alone, so the plane keeps that number and no
+per-site identifier, object or table.  A run's site ids are
+0..n_sites-1 (``workload.generate``), each naming a distinct /24
+identifier, and ``build_scenario`` keeps n_sites within MAX_SITES.
+Map-and-encap egress granularity is the destination site's attached
+edge router.  To keep the core routable with exactly one FIB entry per
+provider aggregate, each provider owns at most one edge router, whose
+locator is the provider's own prefix.
 
 MPLS label state is the per-pair LSP mesh, one LSP per ordered pair of
 edge routers.  Its per-router entry counts are derived from the
@@ -24,7 +26,7 @@ LSP of it, for the tests' reference tables).
 
 from functools import cached_property
 
-from .errors import InvalidPrefix, ScenarioError, UnattachedSite
+from .errors import InvalidPrefix, ScenarioError
 from .topology import EDGE
 
 IDENTIFIER_BASE = 0x8000_0000     # identifier space: 128.0.0.0/1
@@ -35,6 +37,8 @@ MAX_SITES = 1 << (SITE_PREFIX_LEN - 1)            # /24 identifiers under 1/1
 FIRST_LABEL = 16
 
 
+# no run builds a PrefixTable (a site is counted, see UnicastPlane);
+# bench/layers.py still wraps its add
 class PrefixTable(dict):
     """The site identifier table, ``{value: edge}``: one exact-match
     dict of /24 identifiers, each held at most once, to the attached
@@ -141,20 +145,21 @@ class UnicastPlane:
 
     Every router's FIB action for a prefix is "deliver locally" at the
     prefix's egress router and the next hop toward that egress elsewhere,
-    so the per-router FIBs are not stored: one shared table holds the
-    site identifiers (each site's /24 -> its attached edge router),
+    so the per-router FIBs are not stored: ``n_sites`` counts the
+    sites, one distinct /24 identifier each and so one entry of every
+    router's flat FIB and of every edge router's mapping table,
     ``n_providers`` counts the providers, one distinct locator each and
     so one entry of every router's map-and-encap FIB, and every
-    per-router size is a count derived from the two.  No router reads
-    which provider owns it, so the plane keeps the count alone.  Label
-    counts are derived from the next-hop trees, one walk per hub,
-    without building the LSP mesh.
+    per-router size is a count derived from the two.  No size reads
+    which provider owns a router or which edge a site is attached to,
+    so the plane keeps the counts alone.  Label counts are derived from
+    the next-hop trees, one walk per hub, without building the LSP mesh.
     """
 
     def __init__(self, topo, n_providers):
         self.topo = topo
         self.n_providers = n_providers
-        self.identifiers = PrefixTable()   # site identifier -> attached edge router
+        self.n_sites = 0
 
     @cached_property
     def _label_counts(self):
@@ -203,22 +208,18 @@ class UnicastPlane:
 
     # -- site management ----------------------------------------------------
 
-    def add_site(self, site_id, edge):
-        """Register site ``site_id`` at edge router ``edge``: its /24
-        identifier, ``IDENTIFIER_BASE | site_id << 8``, maps to ``edge``."""
-        if not 0 <= site_id < MAX_SITES:
-            raise InvalidPrefix(f"site id {site_id} out of range")
-        if self.topo.roles.get(edge) != EDGE:
-            raise UnattachedSite(f"site {site_id} attached to non-edge router {edge}")
-        self.identifiers.add(IDENTIFIER_BASE | site_id << 8, edge)
+    def add_site(self):
+        """Count one more site.  The caller has checked that its router
+        is an edge router (``SimState.apply``)."""
+        self.n_sites += 1
 
     # -- state counts -------------------------------------------------------
 
     def flat_fib_size(self):
-        return self.n_providers + len(self.identifiers)
+        return self.n_providers + self.n_sites
 
     def mapping_entries(self, router):
-        return len(self.identifiers) if self.topo.roles[router] == EDGE else 0
+        return self.n_sites if self.topo.roles[router] == EDGE else 0
 
     def label_entries(self, router):
         """Entries of ``router`` in the per-pair LSP mesh (its in-labels,

@@ -19,7 +19,7 @@ from routescale.errors import (
     SimError,
 )
 from routescale.generators import gen_topology
-from routescale.harness import DELIVERY_HEADER, STATE_HEADER, SimState
+from routescale.harness import DELIVERY_HEADER, MODES, SNAPSHOT_INTERVAL, STATE_HEADER, SimState
 from routescale.multicast import SgKey, SgState, join
 from routescale.topology import EDGE, build_topology
 from routescale.unicast import (
@@ -594,6 +594,45 @@ def reference_generate(topo, params):
     return Schedule(events)
 
 
+def reference_unicast_cells(config, topo, params):
+    """``{tick: {role: (fib, mapping)}}``, the unicast cells of each
+    state.csv row at every snapshot tick, derived from the scenario
+    alone, never from the unicast plane.
+
+    ``config`` is the scenario as parsed JSON: it gives the modes, the
+    snapshot interval and the providers, one per edge router of ``topo``
+    for ``"auto"`` and one per entry of a list.  The sites are the
+    ``add_site`` events of ``reference_generate(topo, params)``, each
+    held in a table of distinct /24 identifiers as a map-and-encap
+    mapping holds it.  ``fib`` is the providers plus the identifiers
+    with flat on; ``mapping`` is the identifiers at an edge router with
+    mapencap on, and 0 at a core router; a mode that is off reads 0.
+    The snapshot ticks are the multiples of the interval up to the last
+    event's tick, and that tick (0 for an empty schedule).
+    """
+    modes = config.get("modes", MODES)
+    providers = config.get("providers", "auto")
+    n_providers = len(topo.edge_routers) if providers == "auto" else len(providers)
+    interval = config.get("snapshot_interval", SNAPSHOT_INTERVAL)
+    events = reference_generate(topo, params).events
+    last = events[-1].tick if events else 0
+    identifiers = {}    # /24 identifier -> the edge router of its site
+    pending = iter(events)
+    event = next(pending, None)
+    cells = {}
+    for tick in sorted({*range(0, last + 1, interval), last}):
+        while event is not None and event.tick <= tick:
+            if event.kind == ADD_SITE:
+                site_id, edge = event.args
+                identifiers[site_prefix(site_id).value] = edge
+            event = next(pending, None)
+        fib = n_providers + len(identifiers) if "flat" in modes else 0
+        mapping = len(identifiers) if "mapencap" in modes else 0
+        cells[tick] = {role: (fib, mapping if role == EDGE else 0)
+                       for role in set(topo.roles.values())}
+    return cells
+
+
 def provider_prefix(provider_id):
     """Deterministic /16 locator prefix under 0/1 for a provider id."""
     if not 0 <= provider_id < MAX_PROVIDERS:
@@ -861,6 +900,9 @@ STUB_HEAVY = ("fat-edge 3", "fat-edge 4", "fat-edge 5", "fat-edge 12", "fat-edge
               "star 2", "star 3", "star 40", "line 3", "edge hub", "weighted fat-edge 30",
               "stub costs")
 STUB_COSTS = Path(__file__).resolve().parent.parent / "scenarios" / "topologies" / "stub_costs.json"
+# every scenario file a test replays in full: the examples and the benchmark's workloads
+RUN_FILES = sorted(path for folder in ("scenarios", "bench/workloads")
+                   for path in (Path(__file__).resolve().parent.parent / folder).glob("*.json"))
 
 
 def stub_heavy_topology(name):

@@ -90,8 +90,8 @@ def test_criterion_2_mapencap_core_fib_law():
     for n_sites in (10, 100, 1000):
         sites = [make_site(i, edges[i % 3]) for i in range(n_sites)]
         plane = UnicastPlane(topo, len(providers))
-        for site in sites:
-            plane.add_site(site.site_id, site.attached_edge)
+        for _ in sites:
+            plane.add_site()
         fibs = MaterialisedFibs(topo, providers, sites)
         # every router's FIB, the core routers' included
         for r in topo.roles:
@@ -171,8 +171,8 @@ def test_criterion_6_mpls_zero_lookup_rule():
     cores = [r for r, role in topo.roles.items() if role == "core"]
     sites = [make_site(i, edges[i % 3]) for i in range(100)]
     plane = UnicastPlane(topo, len(providers))
-    for site in sites:
-        plane.add_site(site.site_id, site.attached_edge)
+    for _ in sites:
+        plane.add_site()
     fibs = MaterialisedFibs(topo, providers, sites)
     # the tables walked below hold, router by router, the state the CSV reports
     for r in topo.roles:

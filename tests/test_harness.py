@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    RUN_FILES,
     DeliveryRow,
     assert_rows_match_schedule,
     bfer_placements,
@@ -399,8 +401,8 @@ class TestRun:
         # mapencap FIB unchanged: still |providers| at every router
         assert sim.unicast.n_providers == 2
 
-    # line3: router 1 is core and router 99 is unknown; the unicast plane
-    # checks the role once, and a run without one checks it the same way
+    # line3: router 1 is core and router 99 is unknown; SimState.apply
+    # checks the role once, with or without a unicast mode
     @pytest.mark.parametrize("modes", [["flat"], ["mapencap", "mpls"], ["stateful_mcast", "bier"]])
     def test_add_site_on_non_edge_router_rejected(self, modes):
         sim = SimState(build_scenario(small_config(modes=modes, workload={"seed": 1})))
@@ -1191,10 +1193,28 @@ class TestSnapshotCost:
         assert len({id(snap.roles) for snap in snapshots}) == 20
 
 
-# -- the paused collector ----------------------------------------------------
+# a site is counted, not stored: 100,000 sites leave the state no bigger
+# (8 MiB while each site's /24 identifier was a dict entry)
+def test_sites_hold_no_state_of_their_own():
+    scenario = build_scenario(small_config(
+        topology={"kind": "fat-edge", "size": 120}, modes=["flat", "mapencap", "mpls"],
+        workload={"seed": 1, "n_sites": 100_000}))
+    sim = SimState(scenario)
+    edges = sim.topo.edge_routers
+    sim.apply(Event(0, workload.ADD_SITE, (0, edges[0])))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for site in range(1, 100_000):
+            sim.apply(Event(site, workload.ADD_SITE, (site, edges[site % len(edges)])))
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sim.unicast.flat_fib_size() == scenario.n_providers + 100_000
+    assert after - before < 64 * 1024
 
-ROOT = Path(__file__).parent.parent
-RUN_FILES = sorted([*(ROOT / "scenarios").glob("*.json"), *WORKLOADS.glob("*.json")])
+
+# -- the paused collector ----------------------------------------------------
 
 
 def test_both_folders_have_scenarios_to_replay_for_cycles():

@@ -35,7 +35,10 @@ LSP_MESH = ("bench/layers.py wraps establish_lsp, and has no way yet to skip a "
 ALLOWLIST = {
     "cli._Parser.error": ERROR_ONLY,
     "cli.main": "the console-script entry; the runs here call cli_main",
+    "errors.InvalidPrefix": "raised by unicast.PrefixTable.add alone, which no run calls",
     "topology.shortest_paths": WRAPPED,
+    "unicast.PrefixTable": WRAPPED,
+    "unicast.PrefixTable.add": WRAPPED,
     "unicast.establish_lsp": LSP_MESH,
     "unicast.LabelTables": LSP_MESH,
     "unicast.LabelTables.__init__": LSP_MESH,

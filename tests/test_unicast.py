@@ -25,30 +25,26 @@ from conftest import (
     site_prefix,
     stub_heavy_topology,
 )
-from routescale.errors import InvalidPrefix, SimError, UnattachedSite
-from routescale.topology import EDGE, build_topology
-from routescale.unicast import (
-    LabelTables,
-    MAX_SITES,
-    PrefixTable,
-    UnicastPlane,
-    establish_lsp,
-)
+from routescale.errors import InvalidPrefix, SimError
+from routescale.topology import build_topology
+from routescale.unicast import LabelTables, PrefixTable, UnicastPlane, establish_lsp
 
 
 def line3():
     return build_topology([(0, "edge"), (1, "core"), (2, "edge")], [(0, 1, 1), (1, 2, 1)])
 
 
-def plane_with_sites(topo, attachments):
+def plane_with_sites(topo, n_sites):
+    """A plane with one provider per edge router and ``n_sites`` sites."""
     plane = UnicastPlane(topo, len(topo.edge_routers))
-    for site_id, edge in attachments:
-        plane.add_site(site_id, edge)
+    for _ in range(n_sites):
+        plane.add_site()
     return plane
 
 
 def fibs_with_sites(topo, attachments):
-    """The materialised tables of :func:`plane_with_sites`'s plane."""
+    """The materialised tables of one provider per edge router and the
+    ``(site id, edge)`` sites of ``attachments``."""
     sites = [make_site(site_id, edge) for site_id, edge in attachments]
     return MaterialisedFibs(topo, edge_providers(topo), sites)
 
@@ -59,8 +55,7 @@ class TestPrefix:
             Prefix(0x0000_0001, 8)
 
     def test_ids_outside_the_address_plan(self):
-        for bad in (lambda: Prefix(0, 33), lambda: plane_with_sites(line3(), [(MAX_SITES, 0)]),
-                    lambda: provider_prefix(-1)):
+        for bad in (lambda: Prefix(0, 33), lambda: provider_prefix(-1)):
             with pytest.raises(InvalidPrefix):
                 bad()
 
@@ -92,90 +87,48 @@ def y_topology():
 class TestFlatFib:
     def test_zero_sites_one_provider(self):
         topo = build_topology([(0, "edge"), (1, "core")], [(0, 1, 1)])
-        plane = plane_with_sites(topo, [])
+        plane = plane_with_sites(topo, 0)
         assert plane.flat_fib_size() == 1
 
     def test_core_entry_count_is_sites_plus_providers(self):
         topo = y_topology()
         assert len(topo.edge_routers) == 3
-        plane = plane_with_sites(topo, [(i, [0, 3, 4][i % 3]) for i in range(100)])
+        plane = plane_with_sites(topo, 100)
         assert plane.flat_fib_size() == 103
 
     def test_adding_one_site_increments_every_router_by_one(self):
         topo = line3()
-        plane = plane_with_sites(topo, [(0, 0), (1, 2)])
+        plane = plane_with_sites(topo, 2)
         before = plane.flat_fib_size()
-        plane.add_site(2, 2)
+        plane.add_site()
         assert plane.flat_fib_size() == before + 1
-
-    def test_site_on_non_edge_router_rejected(self):
-        with pytest.raises(UnattachedSite):
-            plane_with_sites(line3(), [(0, 1)])
-
-
-def reference_add_site_error(topo, accepted, site_id, edge):
-    """The error class an ``add_site`` of ``site_id`` at ``edge`` raises
-    given the ``{site id: edge}`` already accepted, or None: the range
-    check of the site's prefix first, then the router's role, then the
-    duplicate."""
-    try:
-        site = make_site(site_id, edge)
-    except InvalidPrefix:
-        return InvalidPrefix
-    if topo.roles.get(edge) != EDGE:
-        return UnattachedSite
-    if site.site_id in accepted:
-        return InvalidPrefix
-    return None
 
 
 @st.composite
 def site_sequences(draw):
-    """A fresh random or stub-heavy topology and ``(site id, router)``
-    calls on it: repeated ids, ids at both ends of the range and just
-    outside it, and edge, core and unknown routers."""
+    """A fresh random or stub-heavy topology and the edge routers of its
+    sites, numbered 0, 1, ... in list order as ``workload.generate``
+    numbers them."""
     if draw(st.booleans()):
         topo = random_topology(seeded(draw(st.integers(0, 2**32 - 1))),
                                draw(st.integers(min_value=1, max_value=8)))
     else:
         topo = stub_heavy_topology(draw(st.sampled_from(STUB_HEAVY)))
-    routers = sorted(topo.roles)
-    site_ids = st.one_of(st.integers(0, 4), st.sampled_from([-1, MAX_SITES - 1, MAX_SITES]))
-    targets = st.one_of(st.sampled_from(topo.edge_routers), st.sampled_from(routers),
-                        st.sampled_from([-1, routers[-1] + 1]))
-    return topo, draw(st.lists(st.tuples(site_ids, targets), max_size=10))
+    return topo, draw(st.lists(st.sampled_from(topo.edge_routers), max_size=10))
 
 
-class TestIdentifierTable:
-    def test_messages(self):
-        plane = plane_with_sites(line3(), [(0, 0)])
-        with pytest.raises(InvalidPrefix, match=r"^site id -1 out of range$"):
-            plane.add_site(-1, 0)
-        with pytest.raises(UnattachedSite, match=r"^site 1 attached to non-edge router 1$"):
-            plane.add_site(1, 1)
-        with pytest.raises(InvalidPrefix, match=r"^duplicate prefix 0x80000000/24$"):
-            plane.add_site(0, 2)
-
+class TestSiteCount:
     @settings(max_examples=100, deadline=None)
     @given(site_sequences())
-    def test_table_holds_each_accepted_site_edge(self, drawn):
-        topo, calls = drawn
+    def test_counts_match_the_materialised_tables(self, drawn):
+        topo, edges = drawn
         providers = edge_providers(topo)
         plane = UnicastPlane(topo, len(providers))
-        accepted = {}       # site id -> edge
-        for site_id, edge in calls:
-            expected = reference_add_site_error(topo, accepted, site_id, edge)
-            try:
-                plane.add_site(site_id, edge)
-            except SimError as exc:
-                # a rejected call leaves the table as it was: checked below
-                assert type(exc) is expected
-            else:
-                assert expected is None
-                accepted[site_id] = edge
-            assert plane.identifiers == {site_prefix(i).value: e for i, e in accepted.items()}
+        for n in range(len(edges) + 1):
+            if n:
+                plane.add_site()
             fibs = MaterialisedFibs(topo, providers,
-                                    [make_site(i, e) for i, e in accepted.items()])
+                                    [make_site(i, e) for i, e in enumerate(edges[:n])])
             for r in topo.roles:
                 assert plane.flat_fib_size() == fibs.flat_fib_size(r)
                 assert plane.mapping_entries(r) == fibs.mapping_entries(r)
@@ -184,13 +137,13 @@ class TestIdentifierTable:
 class TestMapEncapTables:
     def test_core_fib_holds_only_locators(self):
         topo = y_topology()
-        plane = plane_with_sites(topo, [(i, [0, 3, 4][i % 3]) for i in range(100)])
+        plane = plane_with_sites(topo, 100)
         assert plane.n_providers == 3
         assert [plane.mapping_entries(r) for r in range(5)] == [100, 0, 0, 100, 100]
 
     def test_zero_sites(self):
         topo = line3()
-        plane = plane_with_sites(topo, [])
+        plane = plane_with_sites(topo, 0)
         assert all(plane.mapping_entries(r) == 0 for r in topo.roles)
         assert plane.n_providers == 2
 
@@ -283,7 +236,7 @@ class TestLabelCounts:
         # edges 0, 3 and 4 each hold 3 FEC bindings; router 2 swaps for
         # the four LSPs between 0 and {3, 4} and pops none
         topo = y_topology()
-        plane = plane_with_sites(topo, [(0, 4)])
+        plane = plane_with_sites(topo, 1)
         assert [plane.label_entries(r) for r in topo.roles] == [5, 4, 6, 5, 5]
         mesh = lsp_mesh(topo)
         assert [mesh_entries(mesh, r) for r in topo.roles] == [5, 4, 6, 5, 5]
@@ -341,8 +294,8 @@ def planes(draw):
     edges = draw(st.lists(st.sampled_from(topo.edge_routers), max_size=8))
     sites = [make_site(i, edge) for i, edge in enumerate(edges)]
     plane = UnicastPlane(topo, len(providers))
-    for site in sites:
-        plane.add_site(site.site_id, site.attached_edge)
+    for _ in sites:
+        plane.add_site()
     return plane, MaterialisedFibs(topo, providers, sites), providers, sites
 
 
@@ -405,8 +358,8 @@ class TestDerivedTables:
         assert len(providers) == 199
         sites = [make_site(i, edge) for i, edge in enumerate([1, 2, 100, 199, 199, 57])]
         plane = UnicastPlane(topo, len(providers))
-        for site in sites:
-            plane.add_site(site.site_id, site.attached_edge)
+        for _ in sites:
+            plane.add_site()
         assert plane.flat_fib_size() == 205 and plane.n_providers == 199
         fibs = MaterialisedFibs(topo, providers, sites)
         check_against_the_reference(plane, fibs, providers, sites, [0, 1, 199])
