@@ -66,6 +66,7 @@ from .generators import gen_topology
 from .multicast import SgKey, SgState
 from .topology import EDGE, build_topology, is_int
 from .unicast import MAX_SITES, UnicastPlane, check_edge_count, check_providers
+from .workload import ADD_GROUP, ADD_SITE, JOIN, LEAVE
 
 MODES = ("flat", "mapencap", "mpls", "stateful_mcast", "bier")
 UNICAST_MODES = ("flat", "mapencap", "mpls")
@@ -326,9 +327,11 @@ class SimState:
         # the reach table every flood shares: {si: {router: [BFER or None per bit]}}
         self.reach = {}
         if "bier" in scenario.modes:
-            self.bit_of = {r: bier.id_to_si_bit(i, scenario.bsl)
-                           for r, i in bier.assign_bfr_ids(topo.edge_routers).items()}
-            self.bift = bier.build_bift(topo, self.bit_of)
+            placements = {r: bier.id_to_si_bit(i, scenario.bsl)
+                          for r, i in bier.assign_bfr_ids(topo.edge_routers).items()}
+            self.bift = bier.build_bift(topo, placements)
+            # BFER -> (si, mask of its bit), the one table a join or leave reads
+            self.mask_of = {r: (si, bier.bit_mask(bit)) for r, (si, bit) in placements.items()}
         else:
             self.bift = None
         # the multicast modes a probe checks, by report name, in report order
@@ -344,7 +347,7 @@ class SimState:
         # role -> (fib, mapping), never modified; None after a site is
         # added, until the next snapshot builds it again
         self._roles = self._unicast_columns()
-        n_bfers = len(self.bit_of) if self.bift is not None else 0
+        n_bfers = len(self.mask_of) if self.bift is not None else 0
         # router -> its own row, (router, role, labels, sg, bift), in router
         # order; a row is replaced only when its (S,G) count may have
         # changed (see snapshot), and no (S,G) entry exists yet
@@ -354,10 +357,16 @@ class SimState:
         ) for r in routers}
 
     def apply(self, event):
-        kind, args = event.kind, event.args
-        if kind not in workload.KINDS:
-            raise SimError(f"unknown event kind {kind!r}")
-        if kind == workload.ADD_SITE:
+        """Apply one event to the state; an event that breaks a rule of
+        its kind raises a SimError.
+
+        The kind is dispatched in one chain, most frequent first:
+        ``add_site``, then ``join`` and ``leave``, then ``add_group``.  Any
+        other kind reaches the final branch, which raises SimError before
+        any state is touched.
+        """
+        _, kind, args = event
+        if kind == ADD_SITE:
             site_id, edge = args
             # checked in every mode set, whether or not a plane counts sites
             if self.topo.roles.get(edge) != EDGE:
@@ -365,12 +374,38 @@ class SimState:
             if self.unicast is not None:
                 self.unicast.add_site()
                 self._roles = None
-            return
-        # every other event is on group args[0] and may change what its probe reads
-        group = args[0]
-        self._stale.add(group)
-        if kind == workload.ADD_GROUP:
+        elif kind == JOIN or kind == LEAVE:
+            group, receiver = args
+            # an event on a group may change what its probe reads
+            self._stale.add(group)
+            sg = self.groups.get(group)
+            if sg is None:
+                raise SimError(f"event references unknown group {group}")
+            if kind == JOIN:
+                if self.topo.roles.get(receiver) != EDGE:
+                    raise SimError(f"join of group {group} targets non-edge router {receiver}")
+                self.membership[group].add(receiver)
+                if self.bift is not None:
+                    si, mask = self.mask_of[receiver]
+                    bits = self.bitstrings[group]
+                    bits[si] = bits.get(si, 0) | mask
+                if self.sg_state is not None:
+                    multicast.join(self.sg_state, self.topo, sg, receiver)
+            else:
+                if receiver not in self.membership[group]:
+                    raise SimError(f"leave for non-member edge {receiver} of group {group}")
+                self.membership[group].discard(receiver)
+                if self.bift is not None:
+                    si, mask = self.mask_of[receiver]
+                    bits = self.bitstrings[group]
+                    bits[si] &= ~mask
+                    if not bits[si]:
+                        del bits[si]
+                if self.sg_state is not None:
+                    multicast.leave(self.sg_state, self.topo, sg, receiver)
+        elif kind == ADD_GROUP:
             group, source_edge = args
+            self._stale.add(group)
             if self.topo.roles.get(source_edge) != EDGE:
                 raise SimError(f"add_group {group} sourced at non-edge router {source_edge}")
             sg = self.groups.setdefault(group, SgKey(source_edge, group))
@@ -378,33 +413,8 @@ class SimState:
                 raise SimError(f"group {group} re-added with a different source")
             self.membership.setdefault(group, set())
             self.bitstrings.setdefault(group, {})
-            return
-        sg = self.groups.get(group)
-        if sg is None:
-            raise SimError(f"event references unknown group {group}")
-        _, receiver = args
-        if kind == workload.JOIN:
-            if self.topo.roles.get(receiver) != EDGE:
-                raise SimError(f"join of group {group} targets non-edge router {receiver}")
-            self.membership[group].add(receiver)
-            if self.bift is not None:
-                si, bit = self.bit_of[receiver]
-                bits = self.bitstrings[group]
-                bits[si] = bits.get(si, 0) | bier.bit_mask(bit)
-            if self.sg_state is not None:
-                multicast.join(self.sg_state, self.topo, sg, receiver)
         else:
-            if receiver not in self.membership[group]:
-                raise SimError(f"leave for non-member edge {receiver} of group {group}")
-            self.membership[group].discard(receiver)
-            if self.bift is not None:
-                si, bit = self.bit_of[receiver]
-                bits = self.bitstrings[group]
-                bits[si] &= ~bier.bit_mask(bit)
-                if not bits[si]:
-                    del bits[si]
-            if self.sg_state is not None:
-                multicast.leave(self.sg_state, self.topo, sg, receiver)
+            raise SimError(f"unknown event kind {kind!r}")
 
     # -- measurement ----------------------------------------------------
 

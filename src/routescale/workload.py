@@ -8,8 +8,14 @@ a group's source, the join-or-leave coin, a churned group and its
 receiver) reads ``rng.getrandbits`` the way ``Random.choice`` does on
 Python 3.10 to 3.13, so it draws the index ``choice`` would, with fewer
 calls; the coin is a pick from the kinds possible, which still draws
-when only one is.  A group's initial members still come from
+when only one is.  A site's edge is drawn inline, reading the same
+stream the same way.  A group's initial members still come from
 ``rng.sample`` and ``rng.randint``.
+
+Sites come first, so site ``i`` is event ``i``: its id is its tick, and
+a site event holds that one int twice, not two ints.  Every ``Event``
+is built by ``tuple.__new__``, which makes the same named tuple as
+``Event(...)`` without running its Python-level ``__new__``.
 
 A group is kept as its members' sorted positions in the edge router
 list, nothing more: a join's receiver, the k-th edge router outside the
@@ -82,6 +88,8 @@ def generate(topo, params):
     edges = topo.edge_routers
     rng = random.Random(params.seed)
     getrandbits = rng.getrandbits
+    # Event's own __new__ is Python code; the tuple's builds the same event
+    new = tuple.__new__
 
     def below(n):
         """A uniform int in [0, n), n > 0, drawn as ``rng.choice`` draws
@@ -93,21 +101,27 @@ def generate(topo, params):
         return r
 
     events = []
-    tick = 0
+    append = events.append
 
+    # site i is event i: its id is its tick, one int for both.  Its edge
+    # is drawn inline, as below(n_edges) draws it
     n_edges = len(edges)
+    width = n_edges.bit_length()
     for site_id in range(params.n_sites):
-        events.append(Event(tick, ADD_SITE, (site_id, edges[below(n_edges)])))
-        tick += 1
+        r = getrandbits(width)
+        while r >= n_edges:
+            r = getrandbits(width)
+        append(new(Event, (site_id, ADD_SITE, (site_id, edges[r]))))
+    tick = params.n_sites
 
     members = {}        # group -> sorted positions in edges of its receivers
     for group in range(params.n_groups):
-        events.append(Event(tick, ADD_GROUP, (group, edges[below(n_edges)])))
+        append(new(Event, (tick, ADD_GROUP, (group, edges[below(n_edges)]))))
         tick += 1
         # sample picks positions of a range as it picks the edges at them
         picked = rng.sample(range(n_edges), rng.randint(params.members_min, params.members_max))
         for i in picked:
-            events.append(Event(tick, JOIN, (group, edges[i])))
+            append(new(Event, (tick, JOIN, (group, edges[i]))))
             tick += 1
         members[group] = sorted(picked)
 
@@ -133,7 +147,7 @@ def generate(topo, params):
             # members j with pos[j] - j, the outsiders before pos[j], <= k
             j = bisect.bisect_right(range(len(pos)), k, key=lambda i: pos[i] - i)
             pos.insert(j, k + j)
-            events.append(Event(tick, JOIN, (group, edges[k + j])))
+            append(new(Event, (tick, JOIN, (group, edges[k + j]))))
             if len(pos) == n_edges:
                 joinable.remove(group)
             if len(pos) == 1:
@@ -141,7 +155,7 @@ def generate(topo, params):
         else:
             group = leavable[below(len(leavable))]
             pos = members[group]
-            events.append(Event(tick, LEAVE, (group, edges[pos.pop(below(len(pos)))])))
+            append(new(Event, (tick, LEAVE, (group, edges[pos.pop(below(len(pos)))]))))
             if not pos:
                 leavable.remove(group)
             if len(pos) == n_edges - 1:
@@ -149,4 +163,3 @@ def generate(topo, params):
         tick += 1
 
     return Schedule(events)
-

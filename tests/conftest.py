@@ -416,7 +416,7 @@ def full_probe(sim, tick):
     DeliveryMismatch.  Never reads or writes the record ``sim.probe``
     patches, and encapsulates each group's BIER headers from its
     membership, placing each member's bit from its own BFR-id assignment,
-    not from ``sim.bitstrings`` or ``sim.bit_of``; each flood starts a
+    not from ``sim.bitstrings`` or ``sim.mask_of``; each flood starts a
     reach table of its own, never reading ``sim.reach``."""
     bit_of = bfer_placements(sim.topo.edge_routers, sim.scenario.bsl)
     rows = []
@@ -594,6 +594,15 @@ def reference_generate(topo, params):
     return Schedule(events)
 
 
+def snapshot_ticks(config, events):
+    """The snapshot ticks of a run of ``events`` under scenario
+    ``config`` (parsed JSON): the multiples of its snapshot interval up
+    to the last event's tick, and that tick (0 for an empty schedule)."""
+    interval = config.get("snapshot_interval", SNAPSHOT_INTERVAL)
+    last = events[-1].tick if events else 0
+    return sorted({*range(0, last + 1, interval), last})
+
+
 def reference_unicast_cells(config, topo, params):
     """``{tick: {role: (fib, mapping)}}``, the unicast cells of each
     state.csv row at every snapshot tick, derived from the scenario
@@ -607,20 +616,17 @@ def reference_unicast_cells(config, topo, params):
     mapping holds it.  ``fib`` is the providers plus the identifiers
     with flat on; ``mapping`` is the identifiers at an edge router with
     mapencap on, and 0 at a core router; a mode that is off reads 0.
-    The snapshot ticks are the multiples of the interval up to the last
-    event's tick, and that tick (0 for an empty schedule).
+    The snapshot ticks are those of :func:`snapshot_ticks`.
     """
     modes = config.get("modes", MODES)
     providers = config.get("providers", "auto")
     n_providers = len(topo.edge_routers) if providers == "auto" else len(providers)
-    interval = config.get("snapshot_interval", SNAPSHOT_INTERVAL)
     events = reference_generate(topo, params).events
-    last = events[-1].tick if events else 0
     identifiers = {}    # /24 identifier -> the edge router of its site
     pending = iter(events)
     event = next(pending, None)
     cells = {}
-    for tick in sorted({*range(0, last + 1, interval), last}):
+    for tick in snapshot_ticks(config, events):
         while event is not None and event.tick <= tick:
             if event.kind == ADD_SITE:
                 site_id, edge = event.args
@@ -631,6 +637,51 @@ def reference_unicast_cells(config, topo, params):
         cells[tick] = {role: (fib, mapping if role == EDGE else 0)
                        for role in set(topo.roles.values())}
     return cells
+
+
+def reference_multicast_cells(config, topo, params):
+    """Yields ``(tick, {router: (sg, bift)})``, the multicast cells of
+    each state.csv row, at every snapshot tick of :func:`snapshot_ticks`
+    in order, derived from the scenario alone, never from ``SgState``
+    or the BIFT.
+
+    ``config`` is the scenario as parsed JSON and gives the modes.  The
+    groups are replayed from the ``add_group``, ``join`` and ``leave``
+    events of ``reference_generate(topo, params)``.  ``sg`` is the
+    number of groups whose :func:`reference_sg_tree`, built from the
+    group's source and members at that tick, holds the router, with
+    stateful_mcast on; ``bift`` is the number of BFERs, one per edge
+    router, with bier on; a mode that is off reads 0.  A tree is
+    rebuilt only for a group whose members changed since the previous
+    snapshot.
+    """
+    modes = config.get("modes", MODES)
+    bift = len(topo.edge_routers) if "bier" in modes else 0
+    events = reference_generate(topo, params).events
+    sources, members, trees = {}, {}, {}
+    counts = dict.fromkeys(sorted(topo.roles), 0)   # router -> groups whose tree holds it
+    changed = set()     # groups whose members changed since the last snapshot
+    pending = iter(events)
+    event = next(pending, None)
+    for tick in snapshot_ticks(config, events):
+        while event is not None and event.tick <= tick:
+            if event.kind == ADD_GROUP:
+                group, source = event.args
+                sources[group], members[group] = source, set()
+            elif event.kind in (JOIN, LEAVE):
+                group, receiver = event.args
+                (members[group].add if event.kind == JOIN else members[group].remove)(receiver)
+                changed.add(group)
+            event = next(pending, None)
+        if "stateful_mcast" in modes:
+            for group in changed:
+                for router in trees.get(group, ()):
+                    counts[router] -= 1
+                trees[group] = reference_sg_tree(topo, sources[group], members[group])
+                for router in trees[group]:
+                    counts[router] += 1
+        changed.clear()
+        yield tick, {router: (sg, bift) for router, sg in counts.items()}
 
 
 def provider_prefix(provider_id):

@@ -3,16 +3,27 @@ the reference schedule, not from the state the run keeps."""
 
 import json
 from dataclasses import replace
+from itertools import groupby, zip_longest
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
-from conftest import RUN_FILES, edge_provider_section, reference_unicast_cells
+from conftest import (
+    RUN_FILES,
+    edge_provider_section,
+    reference_multicast_cells,
+    reference_unicast_cells,
+)
 from routescale.harness import build_scenario, emit_csv, load_scenario, run
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 # None replays the file's own seed
 SEEDS = (None, 2, 13)
+# the benchmark's workloads and the scenarios small enough for a tree per
+# group per snapshot from scan_next_hop's all-pairs costs
+MULTICAST_FILES = [path for path in RUN_FILES if path.parent.name == "workloads"
+                   or path.stem in ("example", "every_tick", "stub_costs", "grid_bier")]
 
 
 def unicast_cells(state_path):
@@ -24,6 +35,15 @@ def unicast_cells(state_path):
             tick, _, role, fib, mapping, _ = row.split(",", 5)
             cells.setdefault(int(tick), {}).setdefault(role, set()).add((int(fib), int(mapping)))
     return cells
+
+
+def multicast_cells(state_path):
+    """Yields ``(tick, {router: (sg, bift)})`` from a state.csv, one per
+    snapshot, in file order."""
+    with open(state_path) as rows:
+        next(rows)
+        for tick, snapshot in groupby((row.split(",") for row in rows), key=itemgetter(0)):
+            yield int(tick), {int(row[1]): (int(row[6]), int(row[7])) for row in snapshot}
 
 
 def check_unicast_cells(config, scenario, seed, out):
@@ -52,3 +72,15 @@ def test_an_explicit_provider_list_counts_its_entries(tmp_path, name):
     section.append({"id": len(section), "routers": [core]})
     config["providers"] = section
     check_unicast_cells(config, build_scenario(config, base_dir=path.parent), None, tmp_path)
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"seed {seed}")
+@pytest.mark.parametrize("path", MULTICAST_FILES,
+                         ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_sg_and_bift_cells_count_reverse_path_trees_and_bfers(tmp_path, path, seed):
+    scenario = load_scenario(path)
+    params = scenario.workload if seed is None else replace(scenario.workload, seed=seed)
+    expected = reference_multicast_cells(json.loads(path.read_text()), scenario.topology, params)
+    state_path, _ = emit_csv(*run(scenario, seed), tmp_path)
+    for got, want in zip_longest(multicast_cells(state_path), expected):
+        assert got == want

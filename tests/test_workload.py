@@ -112,6 +112,28 @@ def test_generate_matches_resorting_reference(seed, n, data):
     assert generate(topo, params).events == reference_generate(topo, params).events
 
 
+# run's final snapshot is taken at the last event's tick, and the state
+# oracles and a streamed schedule count events by tick: event i is at
+# tick i, and a site event's id is its tick
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10),
+       st.data())
+def test_event_i_is_at_tick_i_and_a_site_id_is_its_tick(seed, n, data):
+    topo = random_topology(seeded(seed), n)
+    members_max = data.draw(st.integers(min_value=1, max_value=len(topo.edge_routers)))
+    params = Params(seed=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
+                    n_sites=data.draw(st.integers(min_value=0, max_value=300)),
+                    n_groups=data.draw(st.integers(min_value=0, max_value=4)),
+                    members_min=data.draw(st.integers(min_value=1, max_value=members_max)),
+                    members_max=members_max,
+                    churn_events=data.draw(st.integers(min_value=0, max_value=40)))
+    events = generate(topo, params).events
+    assert [event.tick for event in events] == list(range(len(events)))
+    sites = [event for event in events if event.kind == workload.ADD_SITE]
+    assert len(sites) == params.n_sites
+    assert all(event.args[0] == event.tick for event in sites)
+
+
 # 800 edge routers and groups of up to 100 members: member lists far
 # longer than the ladder's, most of each group's positions outside it
 FAT_EDGE_1000_GROUPS = {
