@@ -494,16 +494,20 @@ class SimState:
         """
         expected = frozenset(self.membership[group])
         sg = self.groups[group]
+        source = sg.source_edge
+        drop_lowest_bit = self.scenario.fault == "bier_drop_lowest_bit"
+        bift = self.bift
+        reach = self.reach
         for mode in self.probe_modes:
             if mode == "stateful":
                 copies = multicast.simulate_delivery(self.sg_state, self.topo, sg)
             else:
                 copies = []
                 for si, bits in sorted(self.bitstrings[group].items()):
-                    if self.scenario.fault == "bier_drop_lowest_bit":
+                    if drop_lowest_bit:
                         bits &= bits - 1
-                    copies += bier.flood_deliver(self.bift, si, bits, sg.source_edge, self.reach)
-            if frozenset(copies) != expected or len(copies) != len(expected):
+                    copies += bier.flood_deliver(bift, si, bits, source, reach)
+            if len(copies) != len(expected) or frozenset(copies) != expected:
                 raise DeliveryMismatch(tick, group, mode, copies, expected)
         return expected
 

@@ -139,6 +139,10 @@ def simulate_delivery(state, topo, sg):
     hop nearer the source, a walk around an oif cycle fails it too.  The
     list is a multiset in no particular order: one element per local
     copy, so a duplicate delivery shows as a repeated router.
+
+    A run of one-oif entries is followed hop by hop without the stack;
+    only the oifs of a set are pushed.  Popping a bare oif the moment
+    it was pushed is the same walk, so the same fault is met first.
     """
     delivered = []
     source = sg.source_edge
@@ -146,11 +150,27 @@ def simulate_delivery(state, topo, sg):
     if tree is None or source not in tree:
         return delivered
     toward = topo.toward(source)
+    entry = tree.get
     stack = [source]
     while stack:
         at = stack.pop()
         oifs = tree[at]
-        if oifs.__class__ is set:
+        while oifs.__class__ is not set:
+            # one oif, bare: a router's entry is looked up before LOCAL is
+            # compared, as LOCAL is never a key of the tree
+            next_entry = entry(oifs)
+            if next_entry is None:
+                if oifs == LOCAL:
+                    delivered.append(at)
+                    break
+                raise NoState(f"router {oifs} has no state for {sg}")
+            if toward[oifs] != at or oifs == source:
+                expected = "none at the source" if oifs == source else toward[oifs]
+                raise RpfFailure(f"router {oifs}: {sg} arrived from {at}, expected {expected}")
+            at = oifs
+            oifs = next_entry
+        else:
+            # the run ended at a set: each router among its oifs is pushed
             if LOCAL in oifs:
                 delivered.append(at)
             for oif in oifs:
@@ -162,13 +182,4 @@ def simulate_delivery(state, topo, sg):
                     stack.append(oif)
                 elif oif != LOCAL:
                     raise NoState(f"router {oif} has no state for {sg}")
-        elif oifs == LOCAL:
-            delivered.append(at)
-        elif oifs in tree:
-            if toward[oifs] != at or oifs == source:
-                expected = "none at the source" if oifs == source else toward[oifs]
-                raise RpfFailure(f"router {oifs}: {sg} arrived from {at}, expected {expected}")
-            stack.append(oifs)
-        else:
-            raise NoState(f"router {oifs} has no state for {sg}")
     return delivered

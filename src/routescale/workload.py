@@ -8,9 +8,9 @@ a group's source, the join-or-leave coin, a churned group and its
 receiver) reads ``rng.getrandbits`` the way ``Random.choice`` does on
 Python 3.10 to 3.13, so it draws the index ``choice`` would, with fewer
 calls; the coin is a pick from the kinds possible, which still draws
-when only one is.  A site's edge is drawn inline, reading the same
-stream the same way.  A group's initial members still come from
-``rng.sample`` and ``rng.randint``.
+when only one is.  A site's edge and every churn draw are made inline,
+reading the same stream with the same calls and widths.  A group's
+initial members still come from ``rng.sample`` and ``rng.randint``.
 
 Sites come first, so site ``i`` is event ``i``: its id is its tick, and
 a site event holds that one int twice, not two ints.  Every ``Event``
@@ -19,8 +19,8 @@ is built by ``tuple.__new__``, which makes the same named tuple as
 
 A group is kept as its members' sorted positions in the edge router
 list, nothing more: a join's receiver, the k-th edge router outside the
-group in id order, is found from the members by bisection, so memory
-grows with the members, not with groups times edge routers.
+group in id order, is found by a forward scan over the members, so
+memory grows with the members, not with groups times edge routers.
 """
 
 import bisect
@@ -131,34 +131,65 @@ def generate(topo, params):
     leavable = [g for g in range(params.n_groups) if members[g]]
     for _ in range(params.churn_events):
         # the coin is a choice from ["join", "leave"], or from the one
-        # kind left, which still draws
+        # kind left, which still draws: below(1) reads 1-bit values
+        # until one is 0.  Every draw is below() written inline
         if joinable and leavable:
-            join = below(2) == 0
+            r = getrandbits(2)
+            while r >= 2:
+                r = getrandbits(2)
+            join = r == 0
         elif joinable or leavable:
-            below(1)
+            while getrandbits(1):
+                pass
             join = bool(joinable)
         else:
             break
         if join:
-            group = joinable[below(len(joinable))]
+            n = len(joinable)
+            width = n.bit_length()
+            r = getrandbits(width)
+            while r >= n:
+                r = getrandbits(width)
+            group = joinable[r]
             pos = members[group]
-            k = below(n_edges - len(pos))
-            # the k-th position outside the group is k plus the number of
-            # members j with pos[j] - j, the outsiders before pos[j], <= k
-            j = bisect.bisect_right(range(len(pos)), k, key=lambda i: pos[i] - i)
-            pos.insert(j, k + j)
-            append(new(Event, (tick, JOIN, (group, edges[k + j]))))
-            if len(pos) == n_edges:
+            n = n_edges - len(pos)
+            width = n.bit_length()
+            k = getrandbits(width)
+            while k >= n:
+                k = getrandbits(width)
+            # the k-th position outside the group: each member at or
+            # below the candidate pushes it one position up, and the
+            # members passed are those before it
+            i = k
+            for p in pos:
+                if p > i:
+                    break
+                i += 1
+            pos.insert(i - k, i)
+            append(new(Event, (tick, JOIN, (group, edges[i]))))
+            # n edges were outside the group before this join
+            if n == 1:
                 joinable.remove(group)
-            if len(pos) == 1:
+            if n == n_edges:
                 bisect.insort(leavable, group)
         else:
-            group = leavable[below(len(leavable))]
+            n = len(leavable)
+            width = n.bit_length()
+            r = getrandbits(width)
+            while r >= n:
+                r = getrandbits(width)
+            group = leavable[r]
             pos = members[group]
-            append(new(Event, (tick, LEAVE, (group, edges[pos.pop(below(len(pos)))]))))
-            if not pos:
+            n = len(pos)
+            width = n.bit_length()
+            r = getrandbits(width)
+            while r >= n:
+                r = getrandbits(width)
+            append(new(Event, (tick, LEAVE, (group, edges[pos.pop(r)]))))
+            # the group had n members before this leave
+            if n == 1:
                 leavable.remove(group)
-            if len(pos) == n_edges - 1:
+            if n == n_edges:
                 bisect.insort(joinable, group)
         tick += 1
 

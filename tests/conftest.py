@@ -2,7 +2,9 @@
 
 import json
 import random
+import signal
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -41,6 +43,21 @@ from routescale.workload import (
     Schedule,
     generate,
 )
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, a block still running after ``seconds``."""
+    def fail(*_):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class DeliveryRow(NamedTuple):
@@ -224,21 +241,19 @@ _ALL_PAIRS = weakref.WeakKeyDictionary()      # Topology -> all_pairs_costs(topo
 
 def all_pairs_costs(topo):
     """``{a: {b: minimum path cost}}`` over every pair of routers, by
-    Floyd-Warshall over ``topo.adj``; cached per Topology (they are
-    immutable).  Reads no table of :class:`Topology`."""
+    networkx's Dijkstra from each router over ``topo.adj``; cached per
+    Topology (they are immutable).  Reads no table of :class:`Topology`."""
     cached = _ALL_PAIRS.get(topo)
     if cached is not None:
         return cached
-    inf = float("inf")
-    cost = {a: {b: 0 if a == b else topo.adj[a].get(b, inf) for b in topo.roles}
-            for a in topo.roles}
-    for k in topo.roles:
-        via = cost[k]
-        for row in cost.values():
-            to_k = row[k]
-            for b, rest in via.items():
-                if to_k + rest < row[b]:
-                    row[b] = to_k + rest
+    # imported here, so that only the tests that read these costs need it
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(topo.roles)
+    graph.add_weighted_edges_from((a, b, cost) for a, nbrs in topo.adj.items()
+                                  for b, cost in nbrs.items())
+    cost = dict(nx.all_pairs_dijkstra_path_length(graph))
     _ALL_PAIRS[topo] = cost
     return cost
 

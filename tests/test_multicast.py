@@ -1,6 +1,3 @@
-import signal
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +12,7 @@ from conftest import (
     sg_as_dict,
     sg_entry,
     sg_total,
+    time_limit,
 )
 from routescale.errors import NoState, NotJoined, RpfFailure, UnknownRouter
 from routescale.multicast import (
@@ -26,21 +24,6 @@ from routescale.multicast import (
     simulate_delivery,
 )
 from routescale.topology import build_topology
-
-
-@contextmanager
-def time_limit(seconds):
-    """Fail, rather than hang, a block still running after ``seconds``."""
-    def fail(*_):
-        raise AssertionError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, fail)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def line3():

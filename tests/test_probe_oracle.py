@@ -12,13 +12,17 @@ from conftest import (
     STUB_HEAVY,
     expand_report,
     full_probe,
+    oif_set,
     random_topology,
     scan_flood_deliver,
     scan_forward_bier,
+    scan_next_hop,
     seeded,
+    sg_entry,
     sorted_simulate_delivery,
     stub_heavy_topology,
     tick_by_tick,
+    time_limit,
 )
 from routescale import multicast, workload
 from routescale.bier import (
@@ -30,7 +34,7 @@ from routescale.bier import (
     forward_bier,
     id_to_si_bit,
 )
-from routescale.errors import DeliveryMismatch, MissingBiftEntry
+from routescale.errors import DeliveryMismatch, MissingBiftEntry, NoState, RpfFailure
 from routescale.harness import Scenario, SimState, load_scenario, run
 from routescale.multicast import SgKey, SgState
 from routescale.workload import Event
@@ -162,6 +166,107 @@ def test_sg_replication_matches_sorted_reference(seed, n, data):
             delivered = multicast.simulate_delivery(state, topo, probed)
             assert Counter(delivered) == Counter(sorted_simulate_delivery(state, topo, probed))
             assert Counter(delivered) == Counter(members[probed])
+
+
+CORRUPTIONS = ("delete", "off_rpf", "to_source", "orphan_local", "unknown")
+UNKNOWN_ROUTER = 10**6       # in no topology random_topology builds
+
+
+def corrupt(tree, topo, source, kind, data):
+    """Break one (S,G) tree in place, as ``kind`` says: delete a router's
+    entry other than the source's; replace one oif of an entry with a
+    neighbour whose RPF neighbour (by :func:`scan_next_hop`) is another
+    router, or with the source; give a router outside the tree an entry
+    holding LOCAL; or add an unknown router to an entry's oifs."""
+    routers = sorted(tree)
+    if kind == "delete":
+        if len(routers) > 1:
+            del tree[data.draw(st.sampled_from([r for r in routers if r != source]))]
+    elif kind in ("off_rpf", "to_source"):
+        at = data.draw(st.sampled_from(routers))
+        if kind == "to_source":
+            target = source
+        else:
+            off = [n for n in sorted(topo.adj[at])
+                   if n != source and scan_next_hop(topo, n, source) != at]
+            if not off:
+                return
+            target = data.draw(st.sampled_from(off))
+        oifs = oif_set(tree[at])
+        replaced = data.draw(st.sampled_from(sorted(oifs, key=str)))
+        tree[at] = sg_entry(oifs - {replaced} | {target})
+    elif kind == "orphan_local":
+        outside = [r for r in sorted(topo.roles) if r not in tree]
+        if outside:
+            tree[data.draw(st.sampled_from(outside))] = multicast.LOCAL
+    else:
+        at = data.draw(st.sampled_from(routers))
+        tree[at] = sg_entry(oif_set(tree[at]) | {UNKNOWN_ROUTER})
+
+
+def reachable_faults(state, topo, sg):
+    """Every ``(exception class, router)`` a delivery walk of ``sg`` may
+    raise first, whatever order it visits oifs in: each copy is followed
+    from the source, with the NoState and RPF checks of
+    :func:`sorted_simulate_delivery`, until it meets a fault."""
+    source = sg.source_edge
+    tree = state.trees.get(sg, {})
+    faults = set()
+    stack = [(source, multicast.LOCAL)] if source in tree else []
+    while stack:
+        at, arrived_from = stack.pop()
+        if at not in tree:
+            faults.add((NoState, at))
+            continue
+        rpf = multicast.LOCAL if at == source else scan_next_hop(topo, at, source)
+        if rpf != arrived_from:
+            faults.add((RpfFailure, at))
+            continue
+        stack.extend((oif, at) for oif in oif_set(tree[at]) if oif != multicast.LOCAL)
+    return faults
+
+
+def delivery_outcome(walk, state, topo, sg):
+    """A delivery walk's copies, sorted, or the class of the fault it
+    raised and the router its message names first."""
+    try:
+        return None, tuple(sorted(walk(state, topo, sg)))
+    except (NoState, RpfFailure) as exc:
+        return exc.__class__, int(str(exc).split()[1].rstrip(":"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10),
+       st.data())
+def test_sg_replication_on_broken_trees_matches_sorted_reference(seed, n, data):
+    rng = seeded(seed)
+    topo = random_topology(rng, n)
+    edges = topo.edge_routers
+    sgs = [SgKey(rng.choice(edges), group) for group in (1, 2)]
+    state = SgState()
+    joins = data.draw(st.lists(st.tuples(st.sampled_from(sgs), st.sampled_from(edges)),
+                               min_size=1, max_size=20))
+    for sg, edge in joins:
+        multicast.join(state, topo, sg, edge)
+    corruptions = data.draw(st.lists(st.tuples(st.sampled_from(sorted(state.trees)),
+                                               st.sampled_from(CORRUPTIONS)),
+                                     min_size=1, max_size=3))
+    for sg, kind in corruptions:
+        corrupt(state.trees[sg], topo, sg.source_edge, kind, data)
+    for probed in sgs:
+        # a walk that skipped an RPF check could loop around an oif cycle
+        with time_limit(2):
+            got = delivery_outcome(multicast.simulate_delivery, state, topo, probed)
+        want = delivery_outcome(sorted_simulate_delivery, state, topo, probed)
+        faults = reachable_faults(state, topo, probed)
+        if not faults:
+            assert got == want
+        else:
+            # with one fault both walks meet it; with more, each walk
+            # meets first the one its own visiting order reaches first
+            assert got in faults and want in faults
+            if len(faults) == 1:
+                assert got == want
 
 
 def probe_outcome(probe, sim, tick):

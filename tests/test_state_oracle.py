@@ -21,9 +21,11 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 # None replays the file's own seed
 SEEDS = (None, 2, 13)
 # the benchmark's workloads and the scenarios small enough for a tree per
-# group per snapshot from scan_next_hop's all-pairs costs
+# group per snapshot from scan_next_hop's all-pairs costs (about 1 s for
+# fat_edge_bier's 1,000 routers)
 MULTICAST_FILES = [path for path in RUN_FILES if path.parent.name == "workloads"
-                   or path.stem in ("example", "every_tick", "stub_costs", "grid_bier")]
+                   or path.stem in ("example", "every_tick", "stub_costs", "grid_bier",
+                                    "fat_edge_bier")]
 
 
 def unicast_cells(state_path):

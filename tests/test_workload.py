@@ -15,6 +15,7 @@ from conftest import (
 )
 from routescale import workload
 from routescale.errors import InvalidParams, ScenarioError
+from routescale.generators import gen_topology
 from routescale.harness import build_scenario, load_scenario
 from routescale.topology import build_topology
 from routescale.workload import Params, generate
@@ -154,6 +155,46 @@ def test_generate_matches_resorting_reference_on_benchmark_workloads(source, see
     params = replace(scenario.workload, seed=seed)
     assert generate(scenario.topology, params).events == reference_generate(
         scenario.topology, params).events
+
+
+def churn_kinds(topo, events, members):
+    """The kinds a one-group schedule's churn could draw, one set per
+    churn event, read from the membership before it; the group starts
+    with ``members`` receivers."""
+    n_edges = len(topo.edge_routers)
+    receivers = set()
+    kinds = []
+    for i, event in enumerate(events):
+        if i > members:      # past add_group and the initial joins
+            kinds.append(frozenset(
+                ({workload.JOIN} if len(receivers) < n_edges else set())
+                | ({workload.LEAVE} if receivers else set())))
+        if event.kind == workload.JOIN:
+            receivers.add(event.args[1])
+        elif event.kind == workload.LEAVE:
+            receivers.remove(event.args[1])
+    return kinds
+
+
+# a group as large as the edge set can only leave, and once it is empty
+# it can only join: the coin then draws from one kind, reading 1-bit
+# values until one is 0, so a coin that read a single bit would shift
+# every later draw
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["line 3", "star 4"])
+def test_one_kind_left_coin_matches_resorting_reference(name, seed):
+    kind, size = name.split()
+    spec = gen_topology(kind, int(size))
+    topo = build_topology(spec["routers"], spec["links"])
+    n_edges = len(topo.edge_routers)
+    params = Params(seed=seed, n_groups=1, members_min=n_edges, members_max=n_edges,
+                    churn_events=60)
+    events = generate(topo, params).events
+    assert events == reference_generate(topo, params).events
+    kinds = churn_kinds(topo, events, n_edges)
+    assert len(kinds) == params.churn_events
+    assert kinds[0] == {workload.LEAVE}
+    assert {workload.JOIN} in kinds
 
 
 class TestTextFormat:
