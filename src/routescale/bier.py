@@ -61,6 +61,13 @@ def id_to_si_bit(bfr_id, bsl):
     return si, bit + 1
 
 
+def bfer_placements(edge_routers, bsl):
+    """``{router: (si, bit)}``: each edge router's BFR-id, assigned in
+    router-id order, placed as a Set Identifier and bit position at
+    bitstring length ``bsl``."""
+    return {r: id_to_si_bit(i, bsl) for r, i in assign_bfr_ids(edge_routers).items()}
+
+
 def build_bift(topo, placements):
     """Every router's BIFT from the unicast shortest-path topology and the
     BFER placements ``{router: (si, bit)}``; the next hop is LOCAL at the

@@ -6,9 +6,10 @@ snapshot interval.  Replaying the schedule records, at every snapshot,
 each router's state counts and one delivery record: every active group
 with the receivers its probe verified, for all multicast modes at once.
 ``emit_csv`` expands a record into one delivery row per group and mode.
-The replay steps from event to event, not from tick to tick, and takes
-each snapshot and probe before the first event past its tick.  A
-group's (S,G) key is built once, when the group is added.
+Event ``i`` of the schedule is applied at tick ``i``, so the replay
+steps from snapshot tick to snapshot tick, applying the events up to
+each and then taking its snapshot and probe.  A group's (S,G) key is
+built once, when the group is added.
 
 Both records cost what changed since the previous snapshot, not the
 size of the network.  A state snapshot keeps the unicast counts, which
@@ -327,8 +328,7 @@ class SimState:
         # the reach table every flood shares: {si: {router: [BFER or None per bit]}}
         self.reach = {}
         if "bier" in scenario.modes:
-            placements = {r: bier.id_to_si_bit(i, scenario.bsl)
-                          for r, i in bier.assign_bfr_ids(topo.edge_routers).items()}
+            placements = bier.bfer_placements(topo.edge_routers, scenario.bsl)
             self.bift = bier.build_bift(topo, placements)
             # BFER -> (si, mask of its bit), the one table a join or leave reads
             self.mask_of = {r: (si, bier.bit_mask(bit)) for r, (si, bit) in placements.items()}
@@ -365,7 +365,7 @@ class SimState:
         other kind reaches the final branch, which raises SimError before
         any state is touched.
         """
-        _, kind, args = event
+        kind, args = event
         if kind == ADD_SITE:
             site_id, edge = args
             # checked in every mode set, whether or not a plane counts sites
@@ -517,22 +517,21 @@ def run(scenario, seed=None):
     """Replay the scenario's schedule; returns (state snapshots, delivery
     snapshots), one of each per snapshot tick, in tick order.
 
-    Snapshot ticks are the multiples of ``snapshot_interval`` up to the
-    last event's tick, and that tick (0 for an empty schedule).  Each
-    sees every event up to its tick.  The loop walks the events, not the
-    ticks: before the first event past a snapshot tick, that snapshot
-    and its probe are taken, so a tick without an event costs nothing
-    unless a snapshot falls on it.  Each event is dropped from the
-    schedule once applied, so the schedule shrinks as the state grows.
+    Event ``i`` is applied at tick ``i``.  Snapshot ticks are the
+    multiples of ``snapshot_interval`` below the last tick, and the last
+    tick (0 for an empty schedule); each sees every event up to it.  The
+    loop steps by the interval: it applies the events up to the next
+    snapshot tick, then takes that snapshot and its probe.  Each event is
+    dropped from the schedule once applied, so the schedule shrinks as
+    the state grows.
     """
     params = scenario.workload
     if seed is not None:
         params = replace(params, seed=seed)
     events = workload.generate(scenario.topology, params).events
     events.reverse()        # popped from the end, in tick order
-    last = events[0].tick if events else 0
+    last = len(events) - 1  # -1 for an empty schedule
     sim = SimState(scenario)
-    interval = scenario.snapshot_interval
     snapshots = []
     report = []
 
@@ -542,15 +541,14 @@ def run(scenario, seed=None):
 
     apply = sim.apply
     pop = events.pop
-    due = 0             # the next snapshot tick
+    for due in range(0, last, scenario.snapshot_interval):
+        # apply the events up to tick due: the last - due after it remain
+        for _ in range(len(events) - (last - due)):
+            apply(pop())
+        record(due)
     while events:
-        event = pop()
-        while due < event.tick:
-            record(due)
-            due += interval
-        apply(event)
-    # every earlier snapshot tick is before the last event's
-    record(last)
+        apply(pop())
+    record(max(last, 0))
     return snapshots, report
 
 

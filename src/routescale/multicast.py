@@ -159,14 +159,11 @@ def simulate_delivery(state, topo, sg):
             # one oif, bare: a router's entry is looked up before LOCAL is
             # compared, as LOCAL is never a key of the tree
             next_entry = entry(oifs)
-            if next_entry is None:
+            if next_entry is None or toward[oifs] != at or oifs == source:
                 if oifs == LOCAL:
                     delivered.append(at)
                     break
-                raise NoState(f"router {oifs} has no state for {sg}")
-            if toward[oifs] != at or oifs == source:
-                expected = "none at the source" if oifs == source else toward[oifs]
-                raise RpfFailure(f"router {oifs}: {sg} arrived from {at}, expected {expected}")
+                raise _copy_error(tree, toward, sg, at, oifs)
             at = oifs
             oifs = next_entry
         else:
@@ -174,12 +171,19 @@ def simulate_delivery(state, topo, sg):
             if LOCAL in oifs:
                 delivered.append(at)
             for oif in oifs:
-                if oif in tree:
-                    if toward[oif] != at or oif == source:
-                        expected = "none at the source" if oif == source else toward[oif]
-                        raise RpfFailure(
-                            f"router {oif}: {sg} arrived from {at}, expected {expected}")
+                if oif in tree and toward[oif] == at and oif != source:
                     stack.append(oif)
                 elif oif != LOCAL:
-                    raise NoState(f"router {oif} has no state for {sg}")
+                    raise _copy_error(tree, toward, sg, at, oif)
     return delivered
+
+
+def _copy_error(tree, toward, sg, at, oif):
+    """The error of a copy of ``sg`` that router ``at`` sends to router
+    ``oif`` and that ``oif`` may not accept: NoState if ``oif`` has no
+    entry in ``tree``, else RpfFailure, as ``at`` is not its RPF
+    neighbour or ``oif`` is the source."""
+    if oif not in tree:
+        return NoState(f"router {oif} has no state for {sg}")
+    expected = "none at the source" if oif == sg.source_edge else toward[oif]
+    return RpfFailure(f"router {oif}: {sg} arrived from {at}, expected {expected}")

@@ -1,21 +1,23 @@
 """Deterministic workload generator: end-site growth and group churn.
 
-A schedule is an ordered list of integer-tick events, one per tick.
-Generation is fully determined by (seed, params, topology), drawing
-from Python's ``random.Random`` (Mersenne Twister) seeded with
-``params.seed``.  Each uniform pick from a list (a site's edge router,
-a group's source, the join-or-leave coin, a churned group and its
-receiver) reads ``rng.getrandbits`` the way ``Random.choice`` does on
-Python 3.10 to 3.13, so it draws the index ``choice`` would, with fewer
-calls; the coin is a pick from the kinds possible, which still draws
-when only one is.  A site's edge and every churn draw are made inline,
-reading the same stream with the same calls and widths.  A group's
-initial members still come from ``rng.sample`` and ``rng.randint``.
+A schedule is an ordered list of events, one per tick: event ``i``
+happens at tick ``i``, so an ``Event`` is its kind and its arguments,
+with no tick of its own.  Generation is fully determined by (seed,
+params, topology), drawing from Python's ``random.Random`` (Mersenne
+Twister) seeded with ``params.seed``.  Each uniform pick from a list (a
+site's edge router, a group's source, the join-or-leave coin, a churned
+group and its receiver) reads ``rng.getrandbits`` the way
+``Random.choice`` does on Python 3.10 to 3.13, so it draws the index
+``choice`` would, with fewer calls; the coin is a pick from the kinds
+possible, which still draws when only one is.  A site's edge and every
+churn draw are made inline, reading the same stream with the same calls
+and widths.  A group's initial members still come from ``rng.sample``
+and ``rng.randint``.
 
-Sites come first, so site ``i`` is event ``i``: its id is its tick, and
-a site event holds that one int twice, not two ints.  Every ``Event``
-is built by ``tuple.__new__``, which makes the same named tuple as
-``Event(...)`` without running its Python-level ``__new__``.
+Sites come first, so site ``i`` is event ``i``: its id is its tick.
+Every ``Event`` is built by ``tuple.__new__``, which makes the same
+named tuple as ``Event(...)`` without running its Python-level
+``__new__``.
 
 A group is kept as its members' sorted positions in the edge router
 list, nothing more: a join's receiver, the k-th edge router outside the
@@ -40,7 +42,6 @@ KINDS = (ADD_SITE, ADD_GROUP, JOIN, LEAVE)
 
 
 class Event(NamedTuple):
-    tick: int
     kind: str
     args: tuple
 
@@ -103,26 +104,23 @@ def generate(topo, params):
     events = []
     append = events.append
 
-    # site i is event i: its id is its tick, one int for both.  Its edge
-    # is drawn inline, as below(n_edges) draws it
+    # site i is event i, at tick i.  Its edge is drawn inline, as
+    # below(n_edges) draws it
     n_edges = len(edges)
     width = n_edges.bit_length()
     for site_id in range(params.n_sites):
         r = getrandbits(width)
         while r >= n_edges:
             r = getrandbits(width)
-        append(new(Event, (site_id, ADD_SITE, (site_id, edges[r]))))
-    tick = params.n_sites
+        append(new(Event, (ADD_SITE, (site_id, edges[r]))))
 
     members = {}        # group -> sorted positions in edges of its receivers
     for group in range(params.n_groups):
-        append(new(Event, (tick, ADD_GROUP, (group, edges[below(n_edges)]))))
-        tick += 1
+        append(new(Event, (ADD_GROUP, (group, edges[below(n_edges)]))))
         # sample picks positions of a range as it picks the edges at them
         picked = rng.sample(range(n_edges), rng.randint(params.members_min, params.members_max))
         for i in picked:
-            append(new(Event, (tick, JOIN, (group, edges[i]))))
-            tick += 1
+            append(new(Event, (JOIN, (group, edges[i]))))
         members[group] = sorted(picked)
 
     # groups that can take a join / a leave, kept sorted as membership
@@ -166,7 +164,7 @@ def generate(topo, params):
                     break
                 i += 1
             pos.insert(i - k, i)
-            append(new(Event, (tick, JOIN, (group, edges[i]))))
+            append(new(Event, (JOIN, (group, edges[i]))))
             # n edges were outside the group before this join
             if n == 1:
                 joinable.remove(group)
@@ -185,12 +183,11 @@ def generate(topo, params):
             r = getrandbits(width)
             while r >= n:
                 r = getrandbits(width)
-            append(new(Event, (tick, LEAVE, (group, edges[pos.pop(r)]))))
+            append(new(Event, (LEAVE, (group, edges[pos.pop(r)]))))
             # the group had n members before this leave
             if n == 1:
                 leavable.remove(group)
             if n == n_edges:
                 bisect.insort(joinable, group)
-        tick += 1
 
     return Schedule(events)

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from routescale import bier, multicast, workload
-from routescale.bier import LOCAL, bit_mask
+from routescale.bier import LOCAL, bfer_placements, bit_mask
 from routescale.errors import (
     DeliveryMismatch,
     InvalidParams,
@@ -430,7 +430,7 @@ def full_probe(sim, tick):
     ``SimState``, whatever changed since its last probe; a mismatch raises
     DeliveryMismatch.  Never reads or writes the record ``sim.probe``
     patches, and encapsulates each group's BIER headers from its
-    membership, placing each member's bit from its own BFR-id assignment,
+    membership, placing each member's bit by ``bier.bfer_placements``,
     not from ``sim.bitstrings`` or ``sim.mask_of``; each flood starts a
     reach table of its own, never reading ``sim.reach``."""
     bit_of = bfer_placements(sim.topo.edge_routers, sim.scenario.bsl)
@@ -459,16 +459,14 @@ def full_probe(sim, tick):
 
 
 def tick_by_tick(sim, events, interval):
-    """Replay ``events`` into ``sim`` one tick at a time, from tick 0 to
-    the last event's tick, yielding each snapshot tick (a multiple of
-    ``interval``, or the last tick) once every event up to it is
-    applied.  Costs O(ticks + events)."""
-    last = events[-1].tick if events else 0
-    i = 0
+    """Replay ``events`` into ``sim`` one tick at a time, event ``i`` at
+    tick ``i``, yielding each snapshot tick (a multiple of ``interval``,
+    or the last tick, 0 for no event) once every event up to it is
+    applied."""
+    last = max(len(events) - 1, 0)
     for tick in range(last + 1):
-        while i < len(events) and events[i].tick == tick:
-            sim.apply(events[i])
-            i += 1
+        if tick < len(events):
+            sim.apply(events[tick])
         if tick % interval == 0 or tick == last:
             yield tick
 
@@ -491,11 +489,11 @@ def reference_run(scenario, seed=None):
 def assert_rows_match_schedule(scenario, report):
     """Each delivery row's receivers are its group's membership, replayed
     from the scenario's schedule alone up to the row's tick."""
-    events = iter(generate(scenario.topology, scenario.workload).events)
-    event = next(events, None)
+    events = generate(scenario.topology, scenario.workload).events
+    applied = 0     # events at ticks below it are in ``members``
     members = {}    # group -> receivers after every event up to ``tick``
     for row in sorted(report, key=lambda r: r.tick):
-        while event is not None and event.tick <= row.tick:
+        for event in events[applied:row.tick + 1]:
             group, *rest = event.args
             if event.kind == ADD_GROUP:
                 members.setdefault(group, set())
@@ -503,14 +501,8 @@ def assert_rows_match_schedule(scenario, report):
                 members[group].add(rest[0])
             elif event.kind == LEAVE:
                 members[group].remove(rest[0])
-            event = next(events, None)
+        applied = row.tick + 1
         assert row.receivers == members[row.group], row
-
-
-def bfer_placements(edge_routers, bsl):
-    """``{router: (si, bit)}`` for BFR-ids assigned in router-id order."""
-    return {r: bier.id_to_si_bit(i, bsl)
-            for r, i in bier.assign_bfr_ids(edge_routers).items()}
 
 
 def full_snapshot(sim):
@@ -538,16 +530,18 @@ RNG_ALGORITHM = "python-random-mt19937"
 
 def schedule_to_text(schedule):
     """A schedule in the fixture format: an ``# rng`` line naming the
-    generator's RNG, then one ``tick kind args...`` line per event."""
+    generator's RNG, then one ``tick kind args...`` line per event, its
+    tick being its index."""
     lines = [f"# rng {RNG_ALGORITHM}"]
-    for ev in schedule.events:
-        lines.append(" ".join([str(ev.tick), ev.kind, *map(str, ev.args)]))
+    for tick, ev in enumerate(schedule.events):
+        lines.append(" ".join([str(tick), ev.kind, *map(str, ev.args)]))
     return "\n".join(lines) + "\n"
 
 
 def schedule_from_text(text):
     """Parse :func:`schedule_to_text` output back into a ``Schedule``; an
-    ``# rng`` line naming another RNG is refused."""
+    ``# rng`` line naming another RNG, or an event line whose tick is not
+    its index among the events, is refused."""
     events = []
     for line in text.splitlines():
         line = line.strip()
@@ -558,9 +552,11 @@ def schedule_from_text(text):
                 raise InvalidParams(f"schedule drawn from another RNG: {line!r}")
             continue
         tick, kind, *args = line.split()
+        if int(tick) != len(events):
+            raise InvalidParams(f"event {len(events)} at tick {tick}")
         if kind not in KINDS:
             raise InvalidParams(f"unknown event kind {kind!r}")
-        events.append(Event(int(tick), kind, tuple(int(a) for a in args)))
+        events.append(Event(kind, tuple(int(a) for a in args)))
     return Schedule(events)
 
 
@@ -572,20 +568,16 @@ def reference_generate(topo, params):
     edges = topo.edge_routers
     rng = random.Random(params.seed)
     events = []
-    tick = 0
 
     for site_id in range(params.n_sites):
-        events.append(Event(tick, ADD_SITE, (site_id, rng.choice(edges))))
-        tick += 1
+        events.append(Event(ADD_SITE, (site_id, rng.choice(edges))))
 
     membership = {}     # group -> set of receiver edges
     for group in range(params.n_groups):
-        events.append(Event(tick, ADD_GROUP, (group, rng.choice(edges))))
-        tick += 1
+        events.append(Event(ADD_GROUP, (group, rng.choice(edges))))
         membership[group] = set()
         for receiver in rng.sample(edges, rng.randint(params.members_min, params.members_max)):
-            events.append(Event(tick, JOIN, (group, receiver)))
-            tick += 1
+            events.append(Event(JOIN, (group, receiver)))
             membership[group].add(receiver)
 
     for _ in range(params.churn_events):
@@ -597,24 +589,24 @@ def reference_generate(topo, params):
         if rng.choice(choices) == "join":
             group = rng.choice(joinable)
             receiver = rng.choice(sorted(set(edges) - membership[group]))
-            events.append(Event(tick, JOIN, (group, receiver)))
+            events.append(Event(JOIN, (group, receiver)))
             membership[group].add(receiver)
         else:
             group = rng.choice(leavable)
             receiver = rng.choice(sorted(membership[group]))
-            events.append(Event(tick, LEAVE, (group, receiver)))
+            events.append(Event(LEAVE, (group, receiver)))
             membership[group].remove(receiver)
-        tick += 1
 
     return Schedule(events)
 
 
 def snapshot_ticks(config, events):
     """The snapshot ticks of a run of ``events`` under scenario
-    ``config`` (parsed JSON): the multiples of its snapshot interval up
-    to the last event's tick, and that tick (0 for an empty schedule)."""
+    ``config`` (parsed JSON): event ``i`` is at tick ``i``, and the
+    snapshot ticks are the multiples of the snapshot interval below the
+    last tick, and the last tick (0 for an empty schedule)."""
     interval = config.get("snapshot_interval", SNAPSHOT_INTERVAL)
-    last = events[-1].tick if events else 0
+    last = max(len(events) - 1, 0)
     return sorted({*range(0, last + 1, interval), last})
 
 
@@ -638,15 +630,14 @@ def reference_unicast_cells(config, topo, params):
     n_providers = len(topo.edge_routers) if providers == "auto" else len(providers)
     events = reference_generate(topo, params).events
     identifiers = {}    # /24 identifier -> the edge router of its site
-    pending = iter(events)
-    event = next(pending, None)
+    applied = 0         # events at ticks below it are read
     cells = {}
     for tick in snapshot_ticks(config, events):
-        while event is not None and event.tick <= tick:
+        for event in events[applied:tick + 1]:
             if event.kind == ADD_SITE:
                 site_id, edge = event.args
                 identifiers[site_prefix(site_id).value] = edge
-            event = next(pending, None)
+        applied = tick + 1
         fib = n_providers + len(identifiers) if "flat" in modes else 0
         mapping = len(identifiers) if "mapencap" in modes else 0
         cells[tick] = {role: (fib, mapping if role == EDGE else 0)
@@ -676,10 +667,9 @@ def reference_multicast_cells(config, topo, params):
     sources, members, trees = {}, {}, {}
     counts = dict.fromkeys(sorted(topo.roles), 0)   # router -> groups whose tree holds it
     changed = set()     # groups whose members changed since the last snapshot
-    pending = iter(events)
-    event = next(pending, None)
+    applied = 0         # events at ticks below it are read
     for tick in snapshot_ticks(config, events):
-        while event is not None and event.tick <= tick:
+        for event in events[applied:tick + 1]:
             if event.kind == ADD_GROUP:
                 group, source = event.args
                 sources[group], members[group] = source, set()
@@ -687,7 +677,7 @@ def reference_multicast_cells(config, topo, params):
                 group, receiver = event.args
                 (members[group].add if event.kind == JOIN else members[group].remove)(receiver)
                 changed.add(group)
-            event = next(pending, None)
+        applied = tick + 1
         if "stateful_mcast" in modes:
             for group in changed:
                 for router in trees.get(group, ()):

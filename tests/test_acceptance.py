@@ -22,7 +22,7 @@ from conftest import (
     state_rows,
 )
 from routescale import bier, multicast
-from routescale.bier import assign_bfr_ids, build_bift, flood_deliver, id_to_si_bit
+from routescale.bier import bfer_placements, build_bift, flood_deliver
 from routescale.cli import cli_main
 from routescale.harness import build_scenario, run
 from routescale.multicast import SgKey, SgState
@@ -106,8 +106,7 @@ def test_criterion_3_exactly_one_copy():
     while checked < 1000:
         topo = random_topology(rng, rng.randint(1, 8))
         bsl = rng.choice([4, 8])
-        ids = assign_bfr_ids(topo.edge_routers)
-        placements = {bfer: id_to_si_bit(i, bsl) for bfer, i in ids.items()}
+        placements = bfer_placements(topo.edge_routers, bsl)
         bift = build_bift(topo, placements)
         sis = sorted({si for si, _ in placements.values()})
         si = rng.choice(sis)
@@ -151,8 +150,7 @@ def test_criterion_4_mode_delivery_equivalence():
 def test_criterion_5_si_partitioning():
     routers = [(0, "core")] + [(i, "edge") for i in range(1, 11)]
     topo = build_topology(routers, [(0, i, 1) for i in range(1, 11)])
-    ids = assign_bfr_ids(topo.edge_routers)
-    placements = {r: id_to_si_bit(i, 4) for r, i in ids.items()}
+    placements = bfer_placements(topo.edge_routers, 4)
     assert {si for si, _ in placements.values()} == {0, 1, 2}
     headers = encapsulate_bier(placements.values())
     assert len(headers) == 3

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import (
     STUB_HEAVY,
     BierHeader,
-    bfer_placements,
     bit_positions,
     encapsulate_bier,
     expand_bift,
@@ -20,6 +19,7 @@ from routescale import multicast
 from routescale.bier import (
     LOCAL,
     assign_bfr_ids,
+    bfer_placements,
     bit_mask,
     build_bift,
     flood_deliver,

@@ -27,12 +27,11 @@ from conftest import (
 from routescale import multicast, workload
 from routescale.bier import (
     _row,
-    assign_bfr_ids,
+    bfer_placements,
     bit_mask,
     build_bift,
     flood_deliver,
     forward_bier,
-    id_to_si_bit,
 )
 from routescale.errors import DeliveryMismatch, MissingBiftEntry, NoState, RpfFailure
 from routescale.harness import Scenario, SimState, load_scenario, run
@@ -60,11 +59,10 @@ def as_multiset(result):
        st.integers(min_value=1, max_value=8), st.data())
 def test_bier_forwarding_matches_bit_by_bit_scan(seed, n, bsl, data):
     topo = random_topology(seeded(seed), n)
-    ids = assign_bfr_ids(topo.edge_routers)
-    bift = build_bift(topo, {r: id_to_si_bit(i, bsl) for r, i in ids.items()})
+    placements = bfer_placements(topo.edge_routers, bsl)
+    bift = build_bift(topo, placements)
     owned = {}    # si -> bits some BFER holds
-    for bfr_id in ids.values():
-        si, bit = id_to_si_bit(bfr_id, bsl)
+    for si, bit in placements.values():
         owned[si] = owned.get(si, 0) | bit_mask(bit)
     # one SI past the last in use, and two positions past the BSL, hold
     # bits no BFER owns
@@ -89,11 +87,10 @@ def check_shared_reach(topo, bsl, data):
     row runs to the highest bit its router's F-BMs hold, and every landing
     in it is a one-bit scan's BFER; an SI holds at most routers x BFERs
     landings.  Every router's BIFT passes the check a row is made under."""
-    ids = assign_bfr_ids(topo.edge_routers)
-    bift = build_bift(topo, {r: id_to_si_bit(i, bsl) for r, i in ids.items()})
+    placements = bfer_placements(topo.edge_routers, bsl)
+    bift = build_bift(topo, placements)
     owned = {}    # si -> bits some BFER holds
-    for bfr_id in ids.values():
-        si, bit = id_to_si_bit(bfr_id, bsl)
+    for si, bit in placements.values():
         owned[si] = owned.get(si, 0) | bit_mask(bit)
     # as in the single-flood scan test: some bits and one SI no BFER owns
     floods = data.draw(st.lists(st.tuples(
@@ -311,7 +308,7 @@ def test_incremental_probe_matches_full_probe(seed, n, bsl, fault, data):
         else:
             continue
         for kind, args in events:
-            sim.apply(Event(tick, kind, args))
+            sim.apply(Event(kind, args))
             assert probe_outcome(incremental_probe, sim, tick) == probe_outcome(
                 full_probe, sim, tick)
 

@@ -36,6 +36,8 @@ ALLOWLIST = {
     "cli._Parser.error": ERROR_ONLY,
     "cli.main": "the console-script entry; the runs here call cli_main",
     "errors.InvalidPrefix": "raised by unicast.PrefixTable.add alone, which no run calls",
+    "errors.RpfFailure": "built by multicast._copy_error alone, " + ERROR_ONLY,
+    "multicast._copy_error": ERROR_ONLY,
     "topology.shortest_paths": WRAPPED,
     "unicast.PrefixTable": WRAPPED,
     "unicast.PrefixTable.add": WRAPPED,
